@@ -3,7 +3,7 @@
 //   $ ./examples/assemble_fastq reads.fastq contigs.fasta
 //         [--min-overlap=63] [--host-mem-mb=32] [--device-mem-mb=3]
 //         [--gpu=k40|k20x|p40|p100|v100] [--singletons] [--verify]
-//         [--nodes=N] [--reduce=token|bsp|speculative]
+//         [--nodes=N] [--reduce=token|speculative]
 //         [--graph=greedy|reduced]
 //
 // This is the "downstream user" entry point: point it at any Illumina-style
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
                  "[--gpu=name] [--singletons] [--verify] [--sync-sort] "
                  "[--gfa=graph.gfa] [--min-contig=N] [--work-dir=DIR] "
                  "[--resume] [--fault-spec=SPEC] [--nodes=N] "
-                 "[--reduce=token|bsp|speculative] "
+                 "[--reduce=token|speculative] "
                  "[--graph=greedy|reduced] "
                  "[--trace-out=trace.json] [--metrics-out=metrics.json] "
                  "[--profile-out=profile.json] "
@@ -113,13 +113,11 @@ int main(int argc, char** argv) {
       const std::string name = arg.substr(9);
       if (name == "token") {
         reduce = dist::ReduceStrategy::kLengthToken;
-      } else if (name == "bsp") {
-        reduce = dist::ReduceStrategy::kFingerprintBsp;
       } else if (name == "speculative") {
         reduce = dist::ReduceStrategy::kSpeculative;
       } else {
         std::fprintf(stderr,
-                     "--reduce wants token, bsp or speculative, not %s\n",
+                     "--reduce wants token or speculative, not %s\n",
                      name.c_str());
         return 2;
       }

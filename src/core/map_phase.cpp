@@ -96,10 +96,7 @@ bool prepare_batch(const seq::ReadBatch& batch, const MapOptions& options,
 class TupleEmitter {
  public:
   TupleEmitter(MapResult& result, const MapOptions& options)
-      : result_(result),
-        options_(options),
-        buckets_(std::max(1u, options.fingerprint_buckets)),
-        key_limit_(static_cast<std::size_t>(kMaxReadLength) * buckets_) {}
+      : result_(result), options_(options) {}
 
   /// Emit one batch's tuples (runs on the caller's thread; parallel inside).
   void emit(const EmissionJob& job) {
@@ -118,7 +115,7 @@ class TupleEmitter {
     const std::size_t step = (n + chunks - 1) / chunks;
 
     if (stages_.size() < chunks) stages_.resize(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) stages_[c].reset(key_limit_);
+    for (std::size_t c = 0; c < chunks; ++c) stages_[c].reset();
 
     if (result_.read_lengths.size() <= job.read_ids.back()) {
       result_.read_lengths.resize(job.read_ids.back() + 1, 0);
@@ -133,7 +130,7 @@ class TupleEmitter {
         });
 
     // Deterministic drain: ascending key, then ascending chunk.
-    for (std::size_t key = 0; key < key_limit_; ++key) {
+    for (std::size_t key = 0; key < kMaxReadLength; ++key) {
       for (std::size_t c = 0; c < chunks; ++c) {
         const auto& sfx = stages_[c].sfx[key];
         if (!sfx.empty()) {
@@ -161,7 +158,7 @@ class TupleEmitter {
  private:
   /// Flat indexed-by-partition-key staging for one strand chunk (replaces
   /// the old std::map<unsigned, std::vector<FpRecord>>: partition keys are
-  /// dense in [0, kMaxReadLength * buckets), so direct indexing beats the
+  /// dense in [0, kMaxReadLength), so direct indexing beats the
   /// tree on every lookup of the hot emission loop). Vectors keep their
   /// capacity across batches.
   struct ChunkStage {
@@ -171,9 +168,9 @@ class TupleEmitter {
     std::uint64_t bases = 0;
     unsigned max_length = 0;
 
-    void reset(std::size_t key_limit) {
-      sfx.resize(key_limit);
-      pfx.resize(key_limit);
+    void reset() {
+      sfx.resize(kMaxReadLength);
+      pfx.resize(kMaxReadLength);
       for (auto& v : sfx) v.clear();
       for (auto& v : pfx) v.clear();
       tuples = 0;
@@ -199,12 +196,8 @@ class TupleEmitter {
       for (unsigned l = options_.min_overlap; l < len; ++l) {
         const gpu::Key128 pfp = prefix_row[l - 1];
         const gpu::Key128 sfp = suffix_row[len - l];
-        stage.pfx[partition_key(
-                      l, static_cast<unsigned>(pfp.hi % buckets_), buckets_)]
-            .push_back(FpRecord{pfp, vertex, 0});
-        stage.sfx[partition_key(
-                      l, static_cast<unsigned>(sfp.hi % buckets_), buckets_)]
-            .push_back(FpRecord{sfp, vertex, 0});
+        stage.pfx[l].push_back(FpRecord{pfp, vertex, 0});
+        stage.sfx[l].push_back(FpRecord{sfp, vertex, 0});
         stage.tuples += 2;
       }
       stage.max_length = std::max(stage.max_length, len);
@@ -219,8 +212,6 @@ class TupleEmitter {
 
   MapResult& result_;
   const MapOptions& options_;
-  unsigned buckets_;
-  std::size_t key_limit_;
   std::vector<ChunkStage> stages_;
 };
 

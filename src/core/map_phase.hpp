@@ -44,13 +44,6 @@ struct MapOptions {
   /// used by the distributed map where the master hands out input blocks.
   std::uint64_t first_read = 0;
   std::uint64_t max_reads = UINT64_MAX;
-  /// Sub-partition each length by fingerprint into this many buckets
-  /// (composite partition key = length * buckets + fp % buckets). Matching
-  /// suffix/prefix fingerprints are equal and so land in the same bucket,
-  /// which makes per-bucket overlap detection complete — the partitioning
-  /// the paper proposes as future work (IV-D) for a parallel distributed
-  /// reduce. 1 = plain per-length partitioning (keys are lengths).
-  unsigned fingerprint_buckets = 1;
   /// Run the three-stage software pipeline: background batch prefetch,
   /// double-buffered fingerprint kernels, and background tuple emission.
   /// Partition files are byte-identical either way.
@@ -60,19 +53,6 @@ struct MapOptions {
   /// can prove it.
   unsigned emission_chunks = 0;
 };
-
-/// Composite partition-key helpers (identity when buckets == 1).
-[[nodiscard]] constexpr unsigned partition_key(unsigned length,
-                                               unsigned bucket,
-                                               unsigned buckets) {
-  return length * buckets + bucket;
-}
-[[nodiscard]] constexpr unsigned key_length(unsigned key, unsigned buckets) {
-  return key / buckets;
-}
-[[nodiscard]] constexpr unsigned key_bucket(unsigned key, unsigned buckets) {
-  return key % buckets;
-}
 
 /// Run the map phase over `fastq` within `ws`. Partition files are created
 /// under ws.dir. Throws on malformed input.

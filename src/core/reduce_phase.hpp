@@ -22,12 +22,9 @@ struct ReduceOptions {
   bool verify_overlaps = false;
   const seq::PackedReads* reads = nullptr;
   /// When set, candidate pairs are delivered here INSTEAD of being offered
-  /// to the greedy graph — used by the bulk-synchronous and speculative
-  /// distributed reduces, where greedy resolution happens globally per
-  /// superstep. The overlap length and matching fingerprint ride along so
-  /// the resolver can stable-merge per-bucket candidate streams back into
-  /// the exact single-node offer order (which, since the canonical tie
-  /// order, is layout-invariant).
+  /// to the greedy graph — used by the speculative and reduced-graph
+  /// distributed reduces, where resolution happens globally. The overlap
+  /// length and matching fingerprint ride along with each pair.
   std::function<void(graph::VertexId, graph::VertexId, std::uint16_t,
                      const gpu::Key128&)>
       candidate_sink;

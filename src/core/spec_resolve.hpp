@@ -1,7 +1,7 @@
 // Partitioned speculative greedy resolution with a reconciliation
 // superstep — the conflict-free parallel alternative to the paper's
-// token-serialized graph build (III-E3) and to the serial BSP superstep
-// (IV-D).
+// token-serialized graph build (III-E3) and to a serial per-length
+// bulk-synchronous superstep (the paper's IV-D proposal).
 //
 // Every candidate edge carries a *global rank*: partitions are processed
 // in descending length order, and within a partition offers follow the

@@ -61,11 +61,6 @@ enum class ReduceStrategy {
   /// out-degree bit-vector travels as a token from the owner of length
   /// l+1 to the owner of length l, serializing graph construction.
   kLengthToken,
-  /// The paper's future work (IV-D): partitions are additionally split by
-  /// fingerprint, so every node holds a slice of *every* length and the
-  /// overlap finding for one length runs on all nodes at once; greedy
-  /// resolution happens in a bulk-synchronous superstep per length.
-  kFingerprintBsp,
   /// Partitioned speculative greedy (core::SpeculativeResolver): every
   /// node scans its owned partitions in parallel (no token), locally
   /// resolves its candidates in the canonical rank order, and proposes its

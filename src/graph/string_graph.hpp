@@ -80,7 +80,7 @@ class StringGraph {
   /// the token before creating greedy edges for its partition).
   void set_out_degree_bits(util::AtomicBitVector bits);
 
-  /// All edges, in insertion order (complementary edges included).
+  /// All edges, by ascending source vertex (complementary edges included).
   [[nodiscard]] std::vector<Edge> edges() const;
 
   /// Bulk-import edges (distributed reduce merges per-node edge sets).

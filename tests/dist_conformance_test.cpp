@@ -122,7 +122,6 @@ class DistConformance : public ::testing::Test {
   static const char* strategy_name(ReduceStrategy strategy) {
     switch (strategy) {
       case ReduceStrategy::kLengthToken: return "token";
-      case ReduceStrategy::kFingerprintBsp: return "bsp";
       case ReduceStrategy::kSpeculative: return "spec";
     }
     return "?";
@@ -173,18 +172,6 @@ TEST_F(DistConformance, TokenStreamed) {
 TEST_F(DistConformance, TokenSynchronous) {
   for (const unsigned nodes : {1u, 2u, 4u, 8u}) {
     check_matrix_point(nodes, ReduceStrategy::kLengthToken, false);
-  }
-}
-
-TEST_F(DistConformance, BspStreamed) {
-  for (const unsigned nodes : {1u, 2u, 4u, 8u}) {
-    check_matrix_point(nodes, ReduceStrategy::kFingerprintBsp, true);
-  }
-}
-
-TEST_F(DistConformance, BspSynchronous) {
-  for (const unsigned nodes : {2u, 8u}) {  // sampled: strategy x streamed
-    check_matrix_point(nodes, ReduceStrategy::kFingerprintBsp, false);
   }
 }
 

@@ -4,10 +4,14 @@
 // an uninterrupted run, (b) identical result counters, (c) strictly less
 // disk traffic than a cold rerun — the surviving nodes' completed prefix
 // (and the work the master rebalanced onto them after the kill) is not
-// redone.
+// redone. It also pins the resume guards: a finished run resumes into
+// identical contigs in every reduce mode, a checkpoint made with different
+// fingerprint parameters restores nothing, and a sidecar whose size no
+// longer matches its manifest count is recomputed.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "dist/cluster.hpp"
@@ -26,6 +30,36 @@ std::string slurp(const std::filesystem::path& path) {
   out << in.rdbuf();
   return out.str();
 }
+
+/// The lexicographically first non-empty sidecar under any node of
+/// `work_dir` named `prefix`...`suffix`, or an empty path.
+std::filesystem::path first_sidecar(const std::filesystem::path& work_dir,
+                                    const std::string& prefix,
+                                    const std::string& suffix) {
+  std::set<std::filesystem::path> found;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(work_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && entry.file_size() > 0 &&
+        name.rfind(prefix, 0) == 0 && name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      found.insert(entry.path());
+    }
+  }
+  return found.empty() ? std::filesystem::path() : *found.begin();
+}
+
+struct Mode {
+  const char* name;
+  ReduceStrategy strategy;
+  core::GraphMode graph;
+};
+constexpr Mode kModes[] = {
+    {"token", ReduceStrategy::kLengthToken, core::GraphMode::kGreedy},
+    {"speculative", ReduceStrategy::kSpeculative, core::GraphMode::kGreedy},
+    {"reduced", ReduceStrategy::kLengthToken, core::GraphMode::kReduced},
+};
 
 class DistRecoveryTest : public ::testing::Test {
  protected:
@@ -164,16 +198,96 @@ TEST_F(DistRecoveryTest, ReducedGraphKilledMidScanResumesFromSidecars) {
 }
 
 TEST_F(DistRecoveryTest, ResumeAfterSuccessfulRunSkipsEverythingButCompress) {
-  (void)run_full("noop");
-  ClusterConfig c = config("noop");
-  c.resume = true;
+  for (const Mode& mode : kModes) {
+    strategy_ = mode.strategy;
+    graph_ = mode.graph;
+    const std::string scenario = std::string("noop-") + mode.name;
+    (void)run_full(scenario);
+    const std::string reference = slurp(out(scenario));
+    ClusterConfig c = config(scenario);
+    c.resume = true;
+    const DistributedResult resumed =
+        run_distributed(dir_.file("reads.fq"), out(scenario), c);
+    // map, shuffle, sort and reduce all restore; compress always re-runs
+    // — over exactly the uninterrupted run's edge set.
+    EXPECT_EQ(slurp(out(scenario)), reference) << mode.name;
+    EXPECT_EQ(resumed.phases_resumed, 4u) << mode.name;
+    for (const auto& phase : resumed.stats.phases()) {
+      if (phase.name != "compress") {
+        EXPECT_TRUE(phase.resumed) << mode.name << " " << phase.name;
+      }
+    }
+  }
+}
+
+TEST_F(DistRecoveryTest, ResumeWithChangedFingerprintsRestoresNothing) {
+  // The fingerprint parameters decide every partition's content, so a
+  // checkpoint made under the standard hash must not seed a run with
+  // different ones.
+  strategy_ = ReduceStrategy::kSpeculative;
+  (void)run_full("fp");
+  ClusterConfig weak = config("fp");
+  weak.fingerprints = fingerprint::FingerprintConfig::weak(13, 17);
+  weak.resume = true;
   const DistributedResult resumed =
-      run_distributed(dir_.file("reads.fq"), out("noop"), c);
-  // map, shuffle, sort and reduce all restore; compress always re-runs.
-  EXPECT_EQ(resumed.phases_resumed, 4u);
-  for (const auto& phase : resumed.stats.phases()) {
-    if (phase.name != "compress") {
-      EXPECT_TRUE(phase.resumed) << phase.name;
+      run_distributed(dir_.file("reads.fq"), out("fp"), weak);
+
+  ClusterConfig fresh = config("fp-fresh");
+  fresh.fingerprints = weak.fingerprints;
+  const DistributedResult expected =
+      run_distributed(dir_.file("reads.fq"), out("fp-fresh"), fresh);
+  EXPECT_EQ(resumed.phases_resumed, 0u);
+  EXPECT_EQ(resumed.candidate_edges, expected.candidate_edges);
+  EXPECT_EQ(resumed.accepted_edges, expected.accepted_edges);
+  EXPECT_EQ(slurp(out("fp")), slurp(out("fp-fresh")));
+}
+
+TEST_F(DistRecoveryTest, ResizedSidecarsAreRecomputed) {
+  // Each reduce sidecar kind, one byte short or one byte long: its element
+  // count no longer matches the manifest, so the resume ignores it and
+  // recomputes — the partition it covered for scan sidecars, the
+  // reconciliation from scratch for the committed set.
+  struct Kind {
+    const char* name;
+    ReduceStrategy strategy;
+    core::GraphMode graph;
+    const char* prefix;  ///< sidecar file name, up to the partition key
+    const char* suffix;
+  };
+  const Kind kinds[] = {
+      {"token-bits", ReduceStrategy::kLengthToken, core::GraphMode::kGreedy,
+       "checkpoint.reduce.l", ".token"},
+      {"token-edges", ReduceStrategy::kLengthToken, core::GraphMode::kGreedy,
+       "checkpoint.reduce.l", ".edges"},
+      {"spec-cand", ReduceStrategy::kSpeculative, core::GraphMode::kGreedy,
+       "checkpoint.spec.cand.l", ""},
+      {"spec-committed", ReduceStrategy::kSpeculative,
+       core::GraphMode::kGreedy, "checkpoint.spec.committed", ""},
+      {"full-cand", ReduceStrategy::kLengthToken, core::GraphMode::kReduced,
+       "checkpoint.full.cand.l", ""},
+  };
+  for (const Kind& kind : kinds) {
+    for (const int delta : {-1, 1}) {
+      strategy_ = kind.strategy;
+      graph_ = kind.graph;
+      const std::string scenario = std::string("resized-") + kind.name +
+                                   (delta < 0 ? "-short" : "-long");
+      (void)run_full(scenario);
+      const std::string reference = slurp(out(scenario));
+
+      const std::filesystem::path victim =
+          first_sidecar(config(scenario).work_dir, kind.prefix, kind.suffix);
+      ASSERT_FALSE(victim.empty()) << scenario;
+      std::filesystem::resize_file(
+          victim, std::filesystem::file_size(victim) + delta);
+
+      ClusterConfig c = config(scenario);
+      c.resume = true;
+      const DistributedResult resumed =
+          run_distributed(dir_.file("reads.fq"), out(scenario), c);
+      EXPECT_EQ(slurp(out(scenario)), reference) << scenario;
+      const bool committed = std::string(kind.name) == "spec-committed";
+      EXPECT_EQ(resumed.stats.phase("reduce").resumed, committed) << scenario;
     }
   }
 }

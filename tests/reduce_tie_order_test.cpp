@@ -5,7 +5,7 @@
 // window geometry and chunk counts. These tests permute every layout knob
 // and assert the offer sequence, the greedy edge set and the final
 // contigs are byte-identical for the serial, speculative and distributed
-// (token, BSP, speculative) paths.
+// (token, speculative) paths.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -216,8 +216,7 @@ TEST_F(ReduceTieOrderE2E, DistributedStrategiesAgree) {
   using dist::ReduceStrategy;
   for (const unsigned nodes : {1u, 2u, 4u}) {
     for (const ReduceStrategy strategy :
-         {ReduceStrategy::kLengthToken, ReduceStrategy::kFingerprintBsp,
-          ReduceStrategy::kSpeculative}) {
+         {ReduceStrategy::kLengthToken, ReduceStrategy::kSpeculative}) {
       ClusterConfig config = ClusterConfig::supermic(nodes, 4096.0);
       config.min_overlap = kMinOverlap;
       config.machine.host_memory_bytes = 1 << 19;
