@@ -146,14 +146,6 @@ struct AssemblyConfig {
   /// window behind the device. The graph's edge set is identical either
   /// way.
   bool streamed_reduce = true;
-  /// Resolve greedy edges with the partitioned speculative resolver
-  /// (core::SpeculativeResolver) instead of the serial in-order insertion:
-  /// candidates are collected per length-partition, speculatively resolved
-  /// per domain, and reconciled to a fixpoint. The edge set — hence the
-  /// contigs — is byte-identical to the serial path (and, like the
-  /// streamed_* flags, the flag is excluded from the checkpoint config
-  /// hash), so checkpoints interchange between modes.
-  bool speculative_reduce = false;
   /// Kernel backend for the three hot kernels (fingerprint generation,
   /// match bounds, radix sort): "simulated" (default — the modeled-clock
   /// device), "scalar", "avx2", or "host"/"auto" (fastest available host

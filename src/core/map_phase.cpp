@@ -320,8 +320,7 @@ MapResult run_map_phase(Workspace& ws,
     util::TrackedAllocation strand_mem(
         *ws.host, strands.size() * (strands.front().size() + 32));
     job.fps = fingerprint::compute_batch_fingerprints(
-        *ws.device, strands, places, options.strategy,
-        options.streamed ? &streams : nullptr);
+        *ws.device, strands, places, options.strategy, &streams);
   };
 
   if (options.streamed) {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/checkpoint.hpp"
-#include "core/spec_resolve.hpp"
 #include "graph/gfa.hpp"
 #include "graph/transitive.hpp"
 #include "io/record_stream.hpp"
@@ -522,8 +521,7 @@ AssemblyResult Assembler::run(
       // Full-graph collection: the scan delivers every candidate through
       // the sink (canonical offer order) into the full string graph
       // instead of the greedy insertion; the blocked transitive reduction
-      // and the unitig walk run as their own phase below. Takes precedence
-      // over speculative_reduce — there is no greedy edge set to resolve.
+      // and the unitig walk run as their own phase below.
       const std::vector<std::uint32_t> lengths32(map.read_lengths.begin(),
                                                  map.read_lengths.end());
       full =
@@ -542,46 +540,6 @@ AssemblyResult Assembler::run(
                    {{"candidate_edges", reduced.candidate_edges},
                     {"false_positives", reduced.false_positives},
                     {"full_edges", full->edge_count()}});
-      }
-    } else if (config_.speculative_reduce) {
-      // Partitioned speculative resolution: the reduce scan delivers
-      // candidates through the sink in the canonical (layout-invariant)
-      // offer order; a monotone counter turns that order into the global
-      // rank, partitions are spread over a few domains by length, and the
-      // resolver's speculate/reconcile rounds rebuild exactly the serial
-      // greedy edge set.
-      constexpr unsigned kDomains = 4;
-      SpeculativeResolver resolver(map.read_count, kDomains);
-      std::uint64_t next_rank = 0;
-      reduce_options.candidate_sink =
-          [&resolver, &next_rank](graph::VertexId u, graph::VertexId v,
-                                  std::uint16_t overlap, const gpu::Key128&) {
-            resolver.add_candidate(overlap % kDomains, u, v, overlap,
-                                   next_rank++);
-          };
-      reduced = run_reduce_phase(ws, sorted, map.read_count, reduce_options);
-      std::uint64_t conflicts = 0;
-      for (const auto& round : resolver.run_to_fixpoint()) {
-        conflicts += round.conflicts;
-      }
-      obs::MetricsRegistry::global().counter("reduce.spec.rounds")
-          .add(static_cast<std::int64_t>(resolver.rounds()));
-      obs::MetricsRegistry::global().counter("reduce.spec.conflicts")
-          .add(static_cast<std::int64_t>(conflicts));
-      reduced.graph = std::make_unique<graph::StringGraph>(map.read_count);
-      reduced.graph->import_edges(resolver.graph().edges());
-      reduced.accepted_edges = reduced.graph->edge_count() / 2;
-      scope.set_host_bytes(reduced.host_bytes);
-      if (cm != nullptr) {
-        const std::vector<graph::Edge> edges = reduced.graph->edges();
-        io::write_all_records<graph::Edge>(
-            cm->sidecar("graph.bin"), std::span<const graph::Edge>(edges),
-            *ws.io);
-        cm->record("phase:reduce",
-                   {{"candidate_edges", reduced.candidate_edges},
-                    {"accepted_edges", reduced.accepted_edges},
-                    {"false_positives", reduced.false_positives},
-                    {"graph_edges", reduced.graph->edge_count()}});
       }
     } else {
       reduced = run_reduce_phase(ws, sorted, map.read_count, reduce_options);

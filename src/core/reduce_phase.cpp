@@ -1,15 +1,12 @@
 #include "core/reduce_phase.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 #include <vector>
 
 #include "core/file_window.hpp"
-#include "gpu/primitives.hpp"
 #include "gpu/stream.hpp"
 #include "kernel/backend.hpp"
-#include "kernel/dump.hpp"
 #include "io/async_record_stream.hpp"
 #include "io/record_stream.hpp"
 #include "obs/metrics.hpp"
@@ -47,29 +44,25 @@ struct PendingMatches {
   bool valid = false;
 };
 
-/// Per-partition match state. The four device buffers and the host staging
-/// vectors are sized to the window once and reused for every window of the
-/// partition (previously: four device allocations plus two key-copy loops
-/// per window). match() computes window i's bounds on a rotated stream leg
-/// and then inserts window i-1's queued edges — the host greedy update the
-/// paper keeps off the GPU (III-C) runs in the shadow of the device
-/// kernels, and the modeled clock charges max(device, disk, host) for the
-/// phase instead of their sum.
+/// Per-partition match state. The device context (whose match buffers the
+/// simulated backend allocates once, at the window size) and the host
+/// staging vectors are reused for every window of the partition. match()
+/// computes window i's bounds on a rotated stream leg and then inserts
+/// window i-1's queued edges — the host greedy update the paper keeps off
+/// the GPU (III-C) runs in the shadow of the device kernels, and the
+/// modeled clock charges max(device, disk, host) for the phase instead of
+/// their sum.
 class WindowMatcher {
  public:
   WindowMatcher(Workspace& ws, unsigned length, std::size_t window,
                 const ReduceOptions& options, graph::StringGraph& graph,
                 PartitionReduceStats& stats)
-      : ws_(ws),
-        length_(length),
+      : length_(length),
         options_(options),
         graph_(graph),
         stats_(stats),
         streams_(*ws.device, options.streamed),
-        d_sfx_(ws.device->alloc<gpu::Key128>(window)),
-        d_pfx_(ws.device->alloc<gpu::Key128>(window)),
-        d_lower_(ws.device->alloc<std::uint32_t>(window)),
-        d_upper_(ws.device->alloc<std::uint32_t>(window)) {}
+        ctx_{ws.device, &streams_, false, window} {}
 
   /// Match one pair of equalized windows: device lower/upper bounds for
   /// window i, then host insertion of window i-1's deferred edges.
@@ -77,7 +70,6 @@ class WindowMatcher {
   /// every window's edges are inserted before any later window's.
   void match(std::span<const FpRecord> sfx, std::span<const FpRecord> pfx) {
     if (sfx.empty() || pfx.empty()) return;
-    gpu::Device& dev = *ws_.device;
 
     sfx_keys_.resize(sfx.size());
     pfx_keys_.resize(pfx.size());
@@ -86,56 +78,9 @@ class WindowMatcher {
 
     staged_.lower.resize(sfx.size());
     staged_.upper.resize(sfx.size());
+    kernel::run_match_bounds(sfx_keys_, pfx_keys_, staged_.lower,
+                             staged_.upper, ctx_);
 
-    static obs::Histogram& wall_ns =
-        obs::MetricsRegistry::global().histogram("kernel.match_bounds.wall_ns");
-    const auto t0 = std::chrono::steady_clock::now();
-    kernel::Backend& backend = kernel::active_backend();
-    if (!backend.uses_device()) {
-      // Host backend (scalar/avx2): the bound searches run directly on the
-      // staged host keys; the device and its modeled clock stay idle.
-      backend.match_bounds(sfx_keys_, pfx_keys_, staged_.lower,
-                           staged_.upper, nullptr);
-    } else {
-      const auto d_sfx = d_sfx_.span().first(sfx.size());
-      const auto d_pfx = d_pfx_.span().first(pfx.size());
-      const auto d_lower = d_lower_.span().first(sfx.size());
-      const auto d_upper = d_upper_.span().first(sfx.size());
-
-      gpu::Stream& s = streams_.rotate();
-      s.copy_to_device_async(std::span<const gpu::Key128>(sfx_keys_), d_sfx);
-      s.copy_to_device_async(std::span<const gpu::Key128>(pfx_keys_), d_pfx);
-      streams_.begin_kernel(s);  // one compute engine: kernels serialize
-      {
-        gpu::StreamScope scope(dev, s);
-        gpu::vector_lower_bound(dev, d_sfx, d_pfx, d_lower);
-        gpu::vector_upper_bound(dev, d_sfx, d_pfx, d_upper);
-      }
-      streams_.end_kernel(s);
-
-      s.copy_to_host_async(std::span<const std::uint32_t>(d_lower),
-                           std::span<std::uint32_t>(staged_.lower));
-      s.copy_to_host_async(std::span<const std::uint32_t>(d_upper),
-                           std::span<std::uint32_t>(staged_.upper));
-    }
-    wall_ns.record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count());
-
-    if (kernel::CaptureSession* capture = kernel::CaptureSession::active()) {
-      // The simulated copies above are async only on the modeled clock;
-      // the staged data is final here on either path.
-      capture->record(
-          kernel::KernelId::kMatchBounds,
-          {sfx.size(), pfx.size(), 0, 0, 0, 0, 0, 0},
-          kernel::concat_bytes(
-              {std::as_bytes(std::span<const gpu::Key128>(sfx_keys_)),
-               std::as_bytes(std::span<const gpu::Key128>(pfx_keys_))}),
-          kernel::concat_bytes(
-              {std::as_bytes(std::span<const std::uint32_t>(staged_.lower)),
-               std::as_bytes(
-                   std::span<const std::uint32_t>(staged_.upper))}));
-    }
     staged_.sfx_vertices.resize(sfx.size());
     staged_.pfx_vertices.resize(pfx.size());
     staged_.sfx_fps.assign(sfx_keys_.begin(), sfx_keys_.end());
@@ -241,16 +186,12 @@ class WindowMatcher {
     }
   }
 
-  Workspace& ws_;
   unsigned length_;
   const ReduceOptions& options_;
   graph::StringGraph& graph_;
   PartitionReduceStats& stats_;
   gpu::StreamPair streams_;
-  gpu::DeviceBuffer<gpu::Key128> d_sfx_;
-  gpu::DeviceBuffer<gpu::Key128> d_pfx_;
-  gpu::DeviceBuffer<std::uint32_t> d_lower_;
-  gpu::DeviceBuffer<std::uint32_t> d_upper_;
+  kernel::DeviceContext ctx_;
   std::vector<gpu::Key128> sfx_keys_;
   std::vector<gpu::Key128> pfx_keys_;
   std::vector<graph::VertexId> group_sfx_;  ///< tie group, canonical order

@@ -1,7 +1,6 @@
 #include "core/sort_phase.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -14,9 +13,7 @@
 #include "gpu/stream.hpp"
 #include "io/async_record_stream.hpp"
 #include "kernel/backend.hpp"
-#include "kernel/dump.hpp"
 #include "io/record_stream.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -55,66 +52,18 @@ void join_records(std::span<const gpu::Key128> keys,
       });
 }
 
-/// Device radix sort of one chunk (must fit m_d). The H2D/sort/D2H legs
-/// charge the chunk's stream; alternating chunks across the two legs models
-/// transfers hidden behind the neighbouring chunk's kernel.
+/// Device radix sort of one chunk (must fit m_d) through the active kernel
+/// backend. On the simulated device the H2D/sort/D2H legs charge the
+/// chunk's stream; alternating chunks across the two legs models transfers
+/// hidden behind the neighbouring chunk's kernel.
 void device_sort_chunk(Workspace& ws, std::span<FpRecord> chunk,
                        DeviceStreams& streams) {
   if (chunk.size() < 2) return;
-  gpu::Device& dev = *ws.device;
-
   std::vector<gpu::Key128> keys;
   std::vector<std::uint64_t> vals;
   split_records(chunk, keys, vals);
-
-  kernel::CaptureSession* capture = kernel::CaptureSession::active();
-  std::vector<std::byte> capture_input;
-  if (capture != nullptr) {
-    capture_input = kernel::concat_bytes(
-        {std::as_bytes(std::span<const gpu::Key128>(keys)),
-         std::as_bytes(std::span<const std::uint64_t>(vals))});
-  }
-
-  static obs::Histogram& wall_ns =
-      obs::MetricsRegistry::global().histogram("kernel.sort_pairs.wall_ns");
-  const auto t0 = std::chrono::steady_clock::now();
-  kernel::Backend& backend = kernel::active_backend();
-  if (!backend.uses_device()) {
-    // Host backend (scalar/avx2): sort in place on the host split; same
-    // stable LSD permutation, so records land byte-identically.
-    backend.sort_pairs(keys, vals, nullptr);
-  } else {
-    auto d_keys = dev.alloc<gpu::Key128>(chunk.size());
-    auto d_vals = dev.alloc<std::uint64_t>(chunk.size());
-    gpu::Stream& s = streams.rotate();
-    s.copy_to_device_async(std::span<const gpu::Key128>(keys), d_keys.span());
-    s.copy_to_device_async(std::span<const std::uint64_t>(vals),
-                           d_vals.span());
-
-    streams.begin_kernel(s);  // one compute engine: kernels serialize
-    {
-      gpu::StreamScope scope(dev, s);
-      gpu::sort_pairs<std::uint64_t>(dev, d_keys.span(), d_vals.span());
-    }
-    streams.end_kernel(s);
-
-    s.copy_to_host_async(std::span<const gpu::Key128>(d_keys.span()),
-                         std::span<gpu::Key128>(keys));
-    s.copy_to_host_async(std::span<const std::uint64_t>(d_vals.span()),
-                         std::span<std::uint64_t>(vals));
-  }
-  wall_ns.record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
-
-  if (capture != nullptr) {
-    capture->record(
-        kernel::KernelId::kSortPairs, {chunk.size(), 0, 0, 0, 0, 0, 0, 0},
-        capture_input,
-        kernel::concat_bytes(
-            {std::as_bytes(std::span<const gpu::Key128>(keys)),
-             std::as_bytes(std::span<const std::uint64_t>(vals))}));
-  }
+  kernel::DeviceContext ctx{ws.device, &streams};
+  kernel::run_sort_pairs(keys, vals, ctx);
   join_records(keys, vals, chunk);
 }
 
@@ -292,12 +241,6 @@ void sort_host_block(Workspace& ws, std::span<FpRecord> block,
                      std::uint64_t device_block_records) {
   DeviceStreams streams(*ws.device, false);
   sort_host_block_impl(ws, block, device_block_records, streams);
-}
-
-void sort_host_block(Workspace& ws, std::span<FpRecord> block,
-                     const BlockGeometry& geometry) {
-  DeviceStreams streams(*ws.device, geometry.streamed);
-  sort_host_block_impl(ws, block, geometry.device_block_records, streams);
 }
 
 namespace {

@@ -43,12 +43,6 @@ inline bool fp_less(const FpRecord& a, const FpRecord& b) {
 void sort_host_block(Workspace& ws, std::span<FpRecord> block,
                      std::uint64_t device_block_records);
 
-/// Geometry-aware variant: with `geometry.streamed` the device chunks are
-/// double-buffered across two modeled streams (H2D/sort/D2H legs overlap
-/// between consecutive chunks; kernels stay serialized through events).
-void sort_host_block(Workspace& ws, std::span<FpRecord> block,
-                     const BlockGeometry& geometry);
-
 /// Merge two sorted host-resident runs by streaming device-sized windows
 /// through the GPU merge; emits output through `sink` in sorted order.
 void device_windowed_merge(

@@ -1,11 +1,8 @@
 #include "fingerprint/kernels.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "kernel/backend.hpp"
-#include "kernel/dump.hpp"
-#include "obs/metrics.hpp"
 #include "seq/dna.hpp"
 #include "util/modmath.hpp"
 
@@ -96,26 +93,7 @@ BatchFingerprints compute_batch_fingerprints(gpu::Device& dev,
 
   kernel::DeviceContext ctx{&dev, streams,
                             strategy == KernelStrategy::kThreadPerRead};
-  static obs::Histogram& wall_ns =
-      obs::MetricsRegistry::global().histogram("kernel.fingerprint.wall_ns");
-  const auto t0 = std::chrono::steady_clock::now();
-  kernel::active_backend().fingerprint(job, &ctx);
-  wall_ns.record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
-
-  if (kernel::CaptureSession* capture = kernel::CaptureSession::active()) {
-    capture->record(
-        kernel::KernelId::kFingerprint,
-        {batch.count, batch.stride, cfg.primary.radix, cfg.primary.modulus,
-         cfg.secondary.radix, cfg.secondary.modulus, 0, 0},
-        kernel::concat_bytes(
-            {std::as_bytes(std::span<const std::uint8_t>(batch.codes)),
-             std::as_bytes(std::span<const std::uint16_t>(batch.lengths))}),
-        kernel::concat_bytes(
-            {std::as_bytes(std::span<const gpu::Key128>(out.prefix)),
-             std::as_bytes(std::span<const gpu::Key128>(out.suffix))}));
-  }
+  kernel::run_fingerprint(job, ctx);
   return out;
 }
 

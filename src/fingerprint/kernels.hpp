@@ -71,15 +71,15 @@ struct BatchFingerprints {
   std::vector<gpu::Key128> suffix;
 };
 
-/// Run the fingerprint kernel over a batch of reads, dispatching through
-/// the active kernel backend (kernel::active_backend()). On the default
-/// simulated backend transfers (encoded reads in, fingerprints out) are
-/// charged to `dev`, and with `streams` set each call rotates onto one leg
-/// of the pair so that consecutive batches double-buffer: transfers
-/// overlap the neighbouring batch's kernel while kernels serialize (one
-/// compute engine). Host backends (scalar/avx2) compute on the host and
-/// leave the modeled clock untouched. Outputs are byte-identical either
-/// way; an active kernel::CaptureSession records the invocation.
+/// Run the fingerprint kernel over a batch of reads through
+/// kernel::run_fingerprint (the active backend, timed and captured). On
+/// the default simulated backend transfers (encoded reads in, fingerprints
+/// out) are charged to `dev` on the next leg of `streams`, so consecutive
+/// batches double-buffer: transfers overlap the neighbouring batch's
+/// kernel while kernels serialize (one compute engine). Without a pair the
+/// charges land on the default stream. Host backends (scalar/avx2) compute
+/// on the host and leave the modeled clock untouched. Outputs are
+/// byte-identical either way.
 [[nodiscard]] BatchFingerprints compute_batch_fingerprints(
     gpu::Device& dev, std::span<const std::string> reads,
     const PlaceTable& places,

@@ -132,6 +132,11 @@ void Device::wait_event(StreamId stream, const Event& event) {
   }
 }
 
+// Out of line beside current_stream_'s definition (as set_current_stream
+// is): GCC's UBSan reports a false null dereference for inline accessors
+// of a thread_local defined in another translation unit.
+StreamId Device::current_stream() const { return current_stream_; }
+
 void Device::set_current_stream(StreamId stream) {
   (void)stream_clock(stream);  // validate
   current_stream_ = stream;

@@ -185,7 +185,7 @@ class Device {
   /// same device under different StreamScopes without clobbering each
   /// other's routing — which the distributed fused-ingest path relies on,
   /// sorting shuffle runs while the owner's map kernels are in flight.
-  [[nodiscard]] StreamId current_stream() const { return current_stream_; }
+  [[nodiscard]] StreamId current_stream() const;
   void set_current_stream(StreamId stream);
 
   /// Cumulative transferred bytes (both directions).

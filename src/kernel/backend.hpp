@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "fingerprint/rabin_karp.hpp"
+#include "gpu/device_buffer.hpp"
 #include "gpu/key128.hpp"
 
 namespace lasagna::gpu {
@@ -48,14 +49,24 @@ enum class KernelId : std::uint32_t {
 
 [[nodiscard]] const char* kernel_name(KernelId id);
 
-/// Device context for backends that execute on the simulated GPU: the
-/// device to charge and (optionally) a stream pair for double-buffered
-/// batches plus the block-per-read vs thread-per-read strategy choice.
-/// Host backends ignore it.
+/// Device context for backends that execute on the simulated GPU; host
+/// backends ignore it. Each call rotates onto the next leg of `streams`, so
+/// consecutive calls double-buffer; without a pair, calls charge the
+/// default stream. `thread_per_read` picks the naive fingerprint kernel.
+///
+/// The four match buffers outlive a call: the simulated backend's first
+/// match_bounds allocates each with room for max(match_window, call size)
+/// elements and later calls that fit reuse them, so a caller matching
+/// window after window (the reduce) allocates once, at its window size.
 struct DeviceContext {
   gpu::Device* device = nullptr;
   gpu::StreamPair* streams = nullptr;
   bool thread_per_read = false;
+  std::size_t match_window = 0;
+  gpu::DeviceBuffer<gpu::Key128> match_needles{};
+  gpu::DeviceBuffer<gpu::Key128> match_haystack{};
+  gpu::DeviceBuffer<std::uint32_t> match_lower{};
+  gpu::DeviceBuffer<std::uint32_t> match_upper{};
 };
 
 /// One fingerprint-generation workload: a batch of encoded reads
@@ -154,5 +165,21 @@ class ScopedBackend {
  private:
   Backend* previous_;
 };
+
+// ---- dispatch --------------------------------------------------------------
+
+// The pipeline's one call per kernel: each runs active_backend(), records
+// the call's wall time in the `kernel.<name>.wall_ns` histogram, and hands
+// inputs and outputs to an active CaptureSession (kernel/dump.hpp).
+
+void run_fingerprint(const FingerprintJob& job, DeviceContext& ctx);
+
+void run_match_bounds(std::span<const gpu::Key128> needles,
+                      std::span<const gpu::Key128> haystack,
+                      std::span<std::uint32_t> lower,
+                      std::span<std::uint32_t> upper, DeviceContext& ctx);
+
+void run_sort_pairs(std::span<gpu::Key128> keys,
+                    std::span<std::uint64_t> values, DeviceContext& ctx);
 
 }  // namespace lasagna::kernel

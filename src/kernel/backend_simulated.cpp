@@ -1,17 +1,18 @@
 // The simulated-GPU backend: the paper's kernels executed on the simulated
 // CUDA device (gpu::Device), charging its modeled clock. This is the
 // reference implementation every other backend is byte-compared against,
-// and the one the pipeline uses by default.
+// the one the pipeline uses by default, and the only simulated copy of the
+// kernels: the pipeline, kernel_replay and bench_kernels all run this code.
 //
-// The fingerprint kernels moved here verbatim from fingerprint/kernels.cpp:
-// the block-per-read Hillis-Steele prefix scan + suffix derivation (paper
-// Figs 5/6) and the naive thread-per-read rolling hash (charged the
-// uncoalesced-transaction penalty the paper's "excessive memory throttling"
-// corresponds to). match_bounds and sort_pairs wrap the device primitives
-// (gpu/primitives.hpp) with the alloc/H2D/kernel/D2H sequence the pipeline
-// performs — the pipeline's own device dispatch sites keep their inline,
-// buffer-reusing versions (see DESIGN.md), so these wrappers serve replay
-// and benchmarking.
+// The fingerprint kernels are the block-per-read Hillis-Steele prefix scan
+// + suffix derivation (paper Figs 5/6) and the naive thread-per-read
+// rolling hash (charged the uncoalesced-transaction penalty the paper's
+// "excessive memory throttling" corresponds to). match_bounds and
+// sort_pairs wrap the device primitives (gpu/primitives.hpp). Every call
+// runs the same sequence on one leg of the caller's stream pair: H2D
+// copies, the kernel section (serialized after the last kernel on either
+// leg), D2H copies.
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -89,47 +90,46 @@ void block_suffix_from_prefix(const gpu::BlockContext& ctx, unsigned len,
   });
 }
 
-/// Device-resident copies of the job's inputs (the pipeline uploads encoded
-/// reads, not fingerprints).
+/// Runs one call on the next leg of the caller's stream pair, or of a
+/// local synchronous pair (both legs alias the default stream) when the
+/// caller passes none: `upload(leg)` issues the H2D copies, `kernel()`
+/// runs under a StreamScope on the leg after the last kernel issued on
+/// either leg (one compute engine), and `download(leg)` issues the D2H
+/// copies. Transfers on one leg overlap the other leg's kernel.
+template <typename Upload, typename Kernel, typename Download>
+void on_next_leg(DeviceContext& ctx, Upload&& upload, Kernel&& kernel,
+                 Download&& download) {
+  gpu::StreamPair local(*ctx.device, /*dual=*/false);
+  gpu::StreamPair& streams = ctx.streams != nullptr ? *ctx.streams : local;
+  gpu::Stream& s = streams.rotate();
+  upload(s);
+  streams.begin_kernel(s);
+  {
+    gpu::StreamScope scope(*ctx.device, s);
+    kernel();
+  }
+  streams.end_kernel(s);
+  download(s);
+}
+
+/// Device-resident fingerprint batch: the uploaded encoded reads (the
+/// pipeline uploads reads, not fingerprints) and both output arrays.
 struct DeviceBatch {
   gpu::DeviceBuffer<std::uint8_t> codes;
   gpu::DeviceBuffer<std::uint16_t> lengths;
+  gpu::DeviceBuffer<Key128> prefix;
+  gpu::DeviceBuffer<Key128> suffix;
 };
 
-DeviceBatch upload(gpu::Device& dev, const FingerprintJob& job) {
-  DeviceBatch batch;
-  batch.codes = dev.alloc<std::uint8_t>(job.codes.size());
-  batch.lengths = dev.alloc<std::uint16_t>(job.lengths.size());
-  dev.copy_to_device(job.codes, batch.codes.span());
-  dev.copy_to_device(job.lengths, batch.lengths.span());
-  return batch;
-}
-
-void download(gpu::Device& dev, const FingerprintJob& job,
-              const gpu::DeviceBuffer<Key128>& d_prefix,
-              const gpu::DeviceBuffer<Key128>& d_suffix) {
-  const std::size_t total =
-      static_cast<std::size_t>(job.count) * job.stride;
-  dev.copy_to_host(std::span<const Key128>(d_prefix.span()),
-                   std::span<Key128>(job.prefix, total));
-  dev.copy_to_host(std::span<const Key128>(d_suffix.span()),
-                   std::span<Key128>(job.suffix, total));
-}
-
-void run_block_per_read(gpu::Device& dev, const FingerprintJob& job,
-                        gpu::StreamPair* streams, gpu::Stream* stream) {
+void block_per_read_kernel(gpu::Device& dev, const FingerprintJob& job,
+                           DeviceBatch& batch) {
   const unsigned stride = job.stride;
   const std::size_t total = static_cast<std::size_t>(job.count) * stride;
-
-  const DeviceBatch batch = upload(dev, job);
-  auto d_prefix = dev.alloc<Key128>(total);
-  auto d_suffix = dev.alloc<Key128>(total);
 
   // Shared memory per block: two double-buffered u64 arrays (work/next) plus
   // one output staging array per hash function.
   const std::size_t shared_bytes = static_cast<std::size_t>(stride) * 8 * 3;
 
-  if (streams != nullptr) streams->begin_kernel(*stream);
   dev.launch(job.count, stride, shared_bytes, [&](gpu::BlockContext& ctx) {
     const unsigned r = ctx.block_idx();
     const unsigned len = batch.lengths[r];
@@ -141,8 +141,9 @@ void run_block_per_read(gpu::Device& dev, const FingerprintJob& job,
     auto buf1 = work.subspan(stride, stride);
     auto stage = work.subspan(2 * static_cast<std::size_t>(stride), stride);
 
-    Key128* prefix_row = d_prefix.data() + static_cast<std::size_t>(r) * stride;
-    Key128* suffix_row = d_suffix.data() + static_cast<std::size_t>(r) * stride;
+    const std::size_t row = static_cast<std::size_t>(r) * stride;
+    Key128* prefix_row = batch.prefix.data() + row;
+    Key128* suffix_row = batch.suffix.data() + row;
 
     // Primary hash: prefix scan then suffix derivation.
     block_prefix_scan(ctx, len, job.primary, codes, buf0, buf1, stage);
@@ -172,25 +173,17 @@ void run_block_per_read(gpu::Device& dev, const FingerprintJob& job,
   const unsigned steps = stride <= 1 ? 1 : std::bit_width(stride - 1);
   dev.charge_kernel(total * (1 + 2 * sizeof(Key128)),
                     static_cast<std::uint64_t>(total) * steps * 2 * 2);
-  if (streams != nullptr) streams->end_kernel(*stream);
-
-  download(dev, job, d_prefix, d_suffix);
 }
 
-void run_thread_per_read(gpu::Device& dev, const FingerprintJob& job,
-                         gpu::StreamPair* streams, gpu::Stream* stream) {
+void thread_per_read_kernel(gpu::Device& dev, const FingerprintJob& job,
+                            DeviceBatch& batch) {
   const unsigned stride = job.stride;
   const std::size_t total = static_cast<std::size_t>(job.count) * stride;
-
-  const DeviceBatch batch = upload(dev, job);
-  auto d_prefix = dev.alloc<Key128>(total);
-  auto d_suffix = dev.alloc<Key128>(total);
 
   // One thread handles one whole read with a sequential rolling hash; block
   // size is an arbitrary tiling of the read array.
   constexpr unsigned kBlock = 128;
   const unsigned blocks = (job.count + kBlock - 1) / kBlock;
-  if (streams != nullptr) streams->begin_kernel(*stream);
   dev.launch(blocks, kBlock, 0, [&](gpu::BlockContext& ctx) {
     ctx.for_each_thread([&](unsigned tid) {
       const std::size_t r =
@@ -198,8 +191,8 @@ void run_thread_per_read(gpu::Device& dev, const FingerprintJob& job,
       if (r >= job.count) return;
       const unsigned len = batch.lengths[r];
       const std::uint8_t* codes = batch.codes.data() + r * stride;
-      Key128* prefix_row = d_prefix.data() + r * stride;
-      Key128* suffix_row = d_suffix.data() + r * stride;
+      Key128* prefix_row = batch.prefix.data() + r * stride;
+      Key128* suffix_row = batch.suffix.data() + r * stride;
 
       std::uint64_t ha = 0;
       std::uint64_t hb = 0;
@@ -233,9 +226,18 @@ void run_thread_per_read(gpu::Device& dev, const FingerprintJob& job,
   dev.charge_kernel(
       kUncoalescedPenalty * total * (1 + 2 * sizeof(Key128)),
       static_cast<std::uint64_t>(total) * 2 * 2);
-  if (streams != nullptr) streams->end_kernel(*stream);
+}
 
-  download(dev, job, d_prefix, d_suffix);
+/// `buffer` viewed as its first `n` elements, reallocated first (at
+/// max(window, n) elements) when it holds fewer.
+template <typename T>
+std::span<T> reserve(gpu::Device& dev, gpu::DeviceBuffer<T>& buffer,
+                     std::size_t window, std::size_t n) {
+  if (buffer.size() < n) {
+    buffer.reset();
+    buffer = dev.alloc<T>(std::max(window, n));
+  }
+  return buffer.first(n);
 }
 
 class SimulatedBackend final : public Backend {
@@ -247,24 +249,30 @@ class SimulatedBackend final : public Backend {
   void fingerprint(const FingerprintJob& job, DeviceContext* ctx) override {
     gpu::Device& dev = require_device(ctx);
     if (job.count == 0) return;
-    if (ctx->streams == nullptr) {
-      if (ctx->thread_per_read) {
-        run_thread_per_read(dev, job, nullptr, nullptr);
-      } else {
-        run_block_per_read(dev, job, nullptr, nullptr);
-      }
-      return;
-    }
-    // Double-buffered: batch i charges leg i % 2, so its transfers overlap
-    // the neighbouring batch's kernel while kernels serialize via the
-    // pair's event.
-    gpu::Stream& s = ctx->streams->rotate();
-    gpu::StreamScope scope(dev, s);
-    if (ctx->thread_per_read) {
-      run_thread_per_read(dev, job, ctx->streams, &s);
-    } else {
-      run_block_per_read(dev, job, ctx->streams, &s);
-    }
+    const std::size_t total =
+        static_cast<std::size_t>(job.count) * job.stride;
+    DeviceBatch batch{dev.alloc<std::uint8_t>(job.codes.size()),
+                      dev.alloc<std::uint16_t>(job.lengths.size()),
+                      dev.alloc<Key128>(total), dev.alloc<Key128>(total)};
+    on_next_leg(
+        *ctx,
+        [&](gpu::Stream& s) {
+          s.copy_to_device_async(job.codes, batch.codes.span());
+          s.copy_to_device_async(job.lengths, batch.lengths.span());
+        },
+        [&] {
+          if (ctx->thread_per_read) {
+            thread_per_read_kernel(dev, job, batch);
+          } else {
+            block_per_read_kernel(dev, job, batch);
+          }
+        },
+        [&](gpu::Stream& s) {
+          s.copy_to_host_async(std::span<const Key128>(batch.prefix.span()),
+                               std::span(job.prefix, total));
+          s.copy_to_host_async(std::span<const Key128>(batch.suffix.span()),
+                               std::span(job.suffix, total));
+        });
   }
 
   void match_bounds(std::span<const Key128> needles,
@@ -277,16 +285,26 @@ class SimulatedBackend final : public Backend {
       throw std::invalid_argument("match_bounds: output size mismatch");
     }
     if (needles.empty()) return;
-    auto d_sfx = dev.alloc<Key128>(needles.size());
-    auto d_pfx = dev.alloc<Key128>(haystack.size());
-    auto d_lower = dev.alloc<std::uint32_t>(needles.size());
-    auto d_upper = dev.alloc<std::uint32_t>(needles.size());
-    dev.copy_to_device(needles, d_sfx.span());
-    dev.copy_to_device(haystack, d_pfx.span());
-    gpu::vector_lower_bound(dev, d_sfx.span(), d_pfx.span(), d_lower.span());
-    gpu::vector_upper_bound(dev, d_sfx.span(), d_pfx.span(), d_upper.span());
-    dev.copy_to_host(std::span<const std::uint32_t>(d_lower.span()), lower);
-    dev.copy_to_host(std::span<const std::uint32_t>(d_upper.span()), upper);
+    const std::size_t window = ctx->match_window;
+    const auto d_sfx = reserve(dev, ctx->match_needles, window, needles.size());
+    const auto d_pfx =
+        reserve(dev, ctx->match_haystack, window, haystack.size());
+    const auto d_lower = reserve(dev, ctx->match_lower, window, needles.size());
+    const auto d_upper = reserve(dev, ctx->match_upper, window, needles.size());
+    on_next_leg(
+        *ctx,
+        [&](gpu::Stream& s) {
+          s.copy_to_device_async(needles, d_sfx);
+          s.copy_to_device_async(haystack, d_pfx);
+        },
+        [&] {
+          gpu::vector_lower_bound(dev, d_sfx, d_pfx, d_lower);
+          gpu::vector_upper_bound(dev, d_sfx, d_pfx, d_upper);
+        },
+        [&](gpu::Stream& s) {
+          s.copy_to_host_async(std::span<const std::uint32_t>(d_lower), lower);
+          s.copy_to_host_async(std::span<const std::uint32_t>(d_upper), upper);
+        });
   }
 
   void sort_pairs(std::span<Key128> keys, std::span<std::uint64_t> values,
@@ -298,11 +316,22 @@ class SimulatedBackend final : public Backend {
     if (keys.size() < 2) return;
     auto d_keys = dev.alloc<Key128>(keys.size());
     auto d_vals = dev.alloc<std::uint64_t>(values.size());
-    dev.copy_to_device(std::span<const Key128>(keys), d_keys.span());
-    dev.copy_to_device(std::span<const std::uint64_t>(values), d_vals.span());
-    gpu::sort_pairs<std::uint64_t>(dev, d_keys.span(), d_vals.span());
-    dev.copy_to_host(std::span<const Key128>(d_keys.span()), keys);
-    dev.copy_to_host(std::span<const std::uint64_t>(d_vals.span()), values);
+    on_next_leg(
+        *ctx,
+        [&](gpu::Stream& s) {
+          s.copy_to_device_async(std::span<const Key128>(keys),
+                                 d_keys.span());
+          s.copy_to_device_async(std::span<const std::uint64_t>(values),
+                                 d_vals.span());
+        },
+        [&] {
+          gpu::sort_pairs<std::uint64_t>(dev, d_keys.span(), d_vals.span());
+        },
+        [&](gpu::Stream& s) {
+          s.copy_to_host_async(std::span<const Key128>(d_keys.span()), keys);
+          s.copy_to_host_async(std::span<const std::uint64_t>(d_vals.span()),
+                               values);
+        });
   }
 
  private:

@@ -109,11 +109,11 @@ class DumpReader {
 };
 
 /// A capture session: one directory receiving the three kernel dump
-/// files. Install process-wide with ScopedCapture; the pipeline dispatch
-/// sites then record every invocation (up to `limit_per_kernel` each, to
-/// bound dump size on large runs). Thread-safe; capture order is the call
-/// order under the session mutex, which the pipeline's serialized kernel
-/// sites make deterministic for a fixed seed.
+/// files. Install process-wide with ScopedCapture; the dispatch wrappers
+/// (kernel::run_*) then record every invocation (up to `limit_per_kernel`
+/// each, to bound dump size on large runs). Thread-safe; capture order is
+/// the call order under the session mutex, which the pipeline's serialized
+/// kernel sites make deterministic for a fixed seed.
 class CaptureSession {
  public:
   CaptureSession(std::filesystem::path dir, std::size_t limit_per_kernel,
@@ -157,13 +157,7 @@ class ScopedCapture {
   CaptureSession* previous_;
 };
 
-// -- capture helpers for the dispatch sites ---------------------------------
-
-/// View any trivially-copyable span as bytes.
-template <typename T>
-[[nodiscard]] std::span<const std::byte> as_bytes_span(std::span<const T> s) {
-  return std::as_bytes(s);
-}
+// -- capture helper for the dispatch wrappers ---------------------------------
 
 /// Concatenate several byte views into one blob (capture is off the hot
 /// path; the copy only happens while dumping).

@@ -16,6 +16,17 @@ namespace lasagna::obs {
 std::atomic<Profiler*> Profiler::active_{nullptr};
 thread_local ProfEdgeKind Profiler::hint_ = ProfEdgeKind::kAm;
 
+// The accessors of the thread_local hint live beside its definition: GCC's
+// UBSan reports a false null dereference for inline accessors of a
+// thread_local defined in another translation unit.
+Profiler::EdgeHint::EdgeHint(ProfEdgeKind kind) : previous_(hint_) {
+  hint_ = kind;
+}
+
+Profiler::EdgeHint::~EdgeHint() { hint_ = previous_; }
+
+ProfEdgeKind Profiler::current_edge_kind() { return hint_; }
+
 namespace {
 
 /// Modeled clocks for one quantity can be rounded to picoseconds at

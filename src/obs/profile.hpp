@@ -132,8 +132,8 @@ class Profiler {
   /// compress marks its edge gather. Nested hints restore on destruction.
   class EdgeHint {
    public:
-    explicit EdgeHint(ProfEdgeKind kind) : previous_(hint_) { hint_ = kind; }
-    ~EdgeHint() { hint_ = previous_; }
+    explicit EdgeHint(ProfEdgeKind kind);
+    ~EdgeHint();
     EdgeHint(const EdgeHint&) = delete;
     EdgeHint& operator=(const EdgeHint&) = delete;
 
@@ -142,7 +142,7 @@ class Profiler {
   };
 
   /// The edge kind AM instrumentation should record right now.
-  [[nodiscard]] static ProfEdgeKind current_edge_kind() { return hint_; }
+  [[nodiscard]] static ProfEdgeKind current_edge_kind();
 
   // -- extraction ----------------------------------------------------------
 

@@ -41,13 +41,14 @@ void MemoryTracker::publish_metrics(const std::string& prefix) {
   auto& registry = obs::MetricsRegistry::global();
   current_gauge_ = &registry.gauge(prefix + ".current_bytes");
   peak_gauge_ = &registry.gauge(prefix + ".peak_bytes");
+  peak_gauge_->set(static_cast<std::int64_t>(peak()));
   publish();
 }
 
 void MemoryTracker::publish() {
   if (current_gauge_ == nullptr) return;
   current_gauge_->set(static_cast<std::int64_t>(current()));
-  peak_gauge_->set(static_cast<std::int64_t>(peak()));
+  peak_gauge_->set_max(static_cast<std::int64_t>(peak()));
 }
 
 }  // namespace lasagna::util

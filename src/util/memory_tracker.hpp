@@ -53,7 +53,9 @@ class MemoryTracker {
   /// Mirror this tracker into the global metrics registry as the gauges
   /// `<prefix>.current_bytes` / `<prefix>.peak_bytes`, updated on every
   /// allocate/release from now on. Lets tests and --metrics-out observe
-  /// budgets without reaching into the tracker.
+  /// budgets without reaching into the tracker. The peak gauge is the high-
+  /// water mark since this call: reset_peak() restarts peak() per phase but
+  /// never lowers the gauge.
   void publish_metrics(const std::string& prefix);
 
  private:

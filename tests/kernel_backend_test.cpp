@@ -6,16 +6,20 @@
 //    replay byte-compares every backend against the golden capture;
 //  - malformed or truncated dumps are rejected, and an existing dump is
 //    never overwritten without force;
-//  - the pipeline emits byte-identical contigs under every backend.
+//  - the pipeline emits byte-identical contigs under every backend, and
+//    reaches every kernel through the backend interface — the simulated
+//    device included — while host backends leave the device untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
 
 #include "core/pipeline.hpp"
+#include "dist/cluster.hpp"
 #include "fingerprint/kernels.hpp"
 #include "fingerprint/rabin_karp.hpp"
 #include "gpu/device.hpp"
@@ -483,6 +487,87 @@ TEST(KernelBackendPipelineTest, TieCorpusContigsIdenticalAcrossBackends) {
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(run_with("host"), golden);
   EXPECT_EQ(run_with("scalar"), golden);
+}
+
+/// Forwards every call to `inner` and counts the calls per kernel.
+class CountingBackend final : public kernel::Backend {
+ public:
+  explicit CountingBackend(kernel::Backend& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return inner_.name();
+  }
+  [[nodiscard]] bool available() const override { return inner_.available(); }
+  [[nodiscard]] bool uses_device() const override {
+    return inner_.uses_device();
+  }
+
+  void fingerprint(const kernel::FingerprintJob& job,
+                   kernel::DeviceContext* ctx) override {
+    ++fingerprints;
+    inner_.fingerprint(job, ctx);
+  }
+
+  void match_bounds(std::span<const Key128> needles,
+                    std::span<const Key128> haystack,
+                    std::span<std::uint32_t> lower,
+                    std::span<std::uint32_t> upper,
+                    kernel::DeviceContext* ctx) override {
+    ++matches;
+    inner_.match_bounds(needles, haystack, lower, upper, ctx);
+  }
+
+  void sort_pairs(std::span<Key128> keys, std::span<std::uint64_t> values,
+                  kernel::DeviceContext* ctx) override {
+    ++sorts;
+    inner_.sort_pairs(keys, values, ctx);
+  }
+
+  std::atomic<unsigned> fingerprints{0};
+  std::atomic<unsigned> matches{0};
+  std::atomic<unsigned> sorts{0};
+
+ private:
+  kernel::Backend& inner_;
+};
+
+TEST(KernelBackendPipelineTest, SimulatedDeviceRunsEveryKernelThroughBackend) {
+  // The simulated device has no private path at the call sites: a cluster
+  // run on it reaches all three kernels through the installed backend.
+  io::ScopedTempDir dir("lasagna-kdispatch");
+  const auto fastq = write_fastq(dir, 41);
+  dist::ClusterConfig config = dist::ClusterConfig::supermic(1);
+  config.min_overlap = 60;
+  config.machine.host_memory_bytes = 1 << 20;
+  config.machine.device_memory_bytes = 1 << 18;
+
+  CountingBackend counting(kernel::simulated_backend());
+  {
+    kernel::ScopedBackend scope(counting);
+    (void)dist::run_distributed(fastq, dir.file("contigs.fa"), config);
+  }
+  EXPECT_GT(counting.fingerprints.load(), 0u);
+  EXPECT_GT(counting.matches.load(), 0u);
+  EXPECT_GT(counting.sorts.load(), 0u);
+}
+
+TEST(KernelBackendPipelineTest, HostBackendReduceAllocatesNoDeviceMemory) {
+  io::ScopedTempDir dir("lasagna-khostreduce");
+  const auto fastq = write_fastq(dir, 43);
+  auto config = small_config();
+  config.machine.host_memory_bytes = 512 << 10;
+  config.machine.device_memory_bytes = 64 << 10;
+  config.kernel_backend = "scalar";
+  core::Assembler assembler(config);
+  const auto result = assembler.run(fastq, dir.file("contigs.fa"));
+
+  const util::PhaseStats& reduce = result.stats.phase("reduce");
+  EXPECT_GT(result.candidate_edges, 0u);
+  EXPECT_EQ(reduce.peak_device_bytes, 0u);
+  for (const auto& [name, delta] : reduce.metrics) {
+    EXPECT_NE(name, "gpu.allocs") << delta;
+    EXPECT_NE(name, "gpu.alloc_bytes") << delta;
+  }
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // vertex ascending — independent of sort-run boundaries, bucket layouts,
 // window geometry and chunk counts. These tests permute every layout knob
 // and assert the offer sequence, the greedy edge set and the final
-// contigs are byte-identical for the serial, speculative and distributed
-// (token, speculative) paths.
+// contigs are byte-identical for the serial and distributed (token,
+// speculative) paths.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -154,7 +154,7 @@ class ReduceTieOrderE2E : public ::testing::Test {
     lasagna::testing::write_tie_fastq(*fastq_, /*copies=*/12,
                                       /*read_length=*/80,
                                       /*coverage=*/9.0, /*seed=*/4242);
-    baseline_ = new std::string(run_single(1 << 19, 1 << 16, false, "base"));
+    baseline_ = new std::string(run_single(1 << 19, 1 << 16, "base"));
   }
 
   static void TearDownTestSuite() {
@@ -167,13 +167,12 @@ class ReduceTieOrderE2E : public ::testing::Test {
   }
 
   static std::string run_single(std::uint64_t host_bytes,
-                                std::uint64_t device_bytes, bool speculative,
+                                std::uint64_t device_bytes,
                                 const std::string& tag) {
     core::AssemblyConfig config;
     config.min_overlap = kMinOverlap;
     config.machine.host_memory_bytes = host_bytes;
     config.machine.device_memory_bytes = device_bytes;
-    config.speculative_reduce = speculative;
     core::Assembler assembler(config);
     const std::filesystem::path out = dir_->file(tag + ".fa");
     (void)assembler.run(*fastq_, out);
@@ -201,13 +200,8 @@ TEST_F(ReduceTieOrderE2E, MachineGeometriesAgree) {
   };
   unsigned index = 0;
   for (const auto& m : machines) {
-    for (const bool speculative : {false, true}) {
-      const std::string tag = "m" + std::to_string(index) +
-                              (speculative ? "_spec" : "_serial");
-      EXPECT_EQ(run_single(m.host, m.device, speculative, tag), *baseline_)
-          << tag;
-      ++index;
-    }
+    const std::string tag = "m" + std::to_string(index++) + "_serial";
+    EXPECT_EQ(run_single(m.host, m.device, tag), *baseline_) << tag;
   }
 }
 

@@ -5,9 +5,11 @@
 //    charges: >= 3 distinct modeled tracks, concurrent device-stream spans,
 //    and phase lanes that start together;
 //  - fault-injection and device-budget instrumentation surfaces through the
-//    global metrics registry and io::IoStats.
+//    global metrics registry and io::IoStats, and the device peak gauge is
+//    the run's high-water mark.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -217,6 +219,28 @@ TEST(TraceMetrics, FaultCountersSurfaceThroughRegistryAndIoStats) {
   EXPECT_EQ(registry.value("gpu.device.peak_bytes"),
             static_cast<std::int64_t>(tw.device().memory().peak()));
   EXPECT_GT(registry.value("gpu.device.peak_bytes"), 0);
+}
+
+TEST(TraceMetrics, DevicePeakGaugeIsTheRunHighWaterMark) {
+  // Phase boundaries restart the tracker's per-phase peak (Tables IV-V),
+  // but the exported gauge keeps the largest peak of the run.
+  io::ScopedTempDir dir("lasagna-peak-gauge");
+  simulate_reads(dir.file("reads.fq"));
+  AssemblyConfig config;
+  config.min_overlap = 63;
+  config.machine.host_memory_bytes = 1 << 20;
+  config.machine.device_memory_bytes = 1 << 16;
+  Assembler assembler(config);
+  const AssemblyResult result =
+      assembler.run(dir.file("reads.fq"), dir.file("contigs.fa"));
+
+  std::uint64_t largest = 0;
+  for (const util::PhaseStats& phase : result.stats.phases()) {
+    largest = std::max(largest, phase.peak_device_bytes);
+  }
+  EXPECT_GT(largest, 0u);
+  EXPECT_EQ(obs::MetricsRegistry::global().value("gpu.device.peak_bytes"),
+            static_cast<std::int64_t>(largest));
 }
 
 }  // namespace
