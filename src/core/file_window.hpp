@@ -1,8 +1,9 @@
 // Streaming window over a sorted FpRecord file, with carry-over support for
 // the window-equalized merge/match loops (Algorithms 1 and 2). Shared by the
 // sort phase (disk-level merge) and the reduce phase (suffix/prefix match);
-// templated over the reader so streamed paths can substitute the prefetching
-// io::AsyncRecordReader — both deliver the exact same record sequence.
+// the reader prefetches on a background thread when given a queue depth
+// and reads synchronously at depth 0, delivering the same records either
+// way.
 //
 // consume() only advances a cursor; the dead prefix is dropped lazily in
 // fill() once it spans at least one window, so advancing by n records costs
@@ -15,15 +16,19 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "io/async_record_stream.hpp"
 
 namespace lasagna::core {
 
-template <class Reader>
 class FileWindow {
  public:
-  template <class... ReaderArgs>
-  explicit FileWindow(std::size_t window_records, ReaderArgs&&... args)
-      : reader_(std::forward<ReaderArgs>(args)...), window_(window_records) {}
+  /// Reads `path` in blocks of `block_records` with up to `prefetch_blocks`
+  /// queued ahead (0: synchronous reads of exactly what fill() needs).
+  FileWindow(std::size_t window_records, const std::filesystem::path& path,
+             io::IoStats& stats, std::size_t block_records,
+             std::size_t prefetch_blocks)
+      : reader_(path, stats, block_records, prefetch_blocks),
+        window_(window_records) {}
 
   /// Top up the buffer to the window size; returns false when no data
   /// remains at all.
@@ -48,10 +53,6 @@ class FileWindow {
 
   void consume(std::size_t n) { head_ += n; }
 
-  [[nodiscard]] bool exhausted() const {
-    return reader_.eof() && head_ >= buffer_.size();
-  }
-
   /// True once the underlying reader has observed end of file (the live
   /// window may still hold records).
   [[nodiscard]] bool stream_done() const { return reader_.eof(); }
@@ -74,7 +75,7 @@ class FileWindow {
   }
 
  private:
-  Reader reader_;
+  io::AsyncRecordReader<FpRecord> reader_;
   std::size_t window_;
   std::vector<FpRecord> buffer_;
   std::size_t head_ = 0;

@@ -1,18 +1,14 @@
 #include "core/map_phase.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "gpu/stream.hpp"
 #include "obs/trace.hpp"
-#include "seq/async_batch_stream.hpp"
 #include "seq/dna.hpp"
 #include "seq/read_store.hpp"
+#include "util/background.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
@@ -215,81 +211,6 @@ class TupleEmitter {
   std::vector<ChunkStage> stages_;
 };
 
-/// Background drain stage of the streamed map pipeline: one emission job in
-/// flight while the device fingerprints the next batch. Jobs are processed
-/// strictly FIFO, so partition appends happen in batch order — identical to
-/// the synchronous path. Failures surface on the next submit() or finish().
-class EmitWorker {
- public:
-  explicit EmitWorker(TupleEmitter& emitter)
-      : emitter_(emitter), worker_([this] { run(); }) {}
-
-  ~EmitWorker() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (worker_.joinable()) worker_.join();
-  }
-
-  void submit(EmissionJob job) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return !job_.has_value() || error_ != nullptr; });
-    if (error_ != nullptr) std::rethrow_exception(error_);
-    job_.emplace(std::move(job));
-    cv_.notify_all();
-  }
-
-  /// Wait for the queue to drain and the worker to exit; rethrows failures.
-  void finish() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] {
-      return (!job_.has_value() && !busy_) || error_ != nullptr;
-    });
-    stop_ = true;
-    cv_.notify_all();
-    lock.unlock();
-    if (worker_.joinable()) worker_.join();
-    if (error_ != nullptr) std::rethrow_exception(error_);
-  }
-
- private:
-  void run() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-      cv_.wait(lock, [this] { return job_.has_value() || stop_; });
-      if (!job_.has_value()) return;  // stop requested, queue empty
-      EmissionJob job = std::move(*job_);
-      job_.reset();
-      busy_ = true;
-      cv_.notify_all();
-      lock.unlock();
-      try {
-        emitter_.emit(job);
-      } catch (...) {
-        lock.lock();
-        error_ = std::current_exception();
-        busy_ = false;
-        cv_.notify_all();
-        return;
-      }
-      lock.lock();
-      busy_ = false;
-      cv_.notify_all();
-    }
-  }
-
-  TupleEmitter& emitter_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::optional<EmissionJob> job_;
-  bool busy_ = false;
-  bool stop_ = false;
-  std::exception_ptr error_;
-  std::thread worker_;
-};
-
 }  // namespace
 
 MapResult run_map_phase(Workspace& ws,
@@ -306,65 +227,59 @@ MapResult run_map_phase(Workspace& ws,
   TupleEmitter emitter(result, options);
   gpu::StreamPair streams(*ws.device, options.streamed);
 
+  // Streamed, a three-stage software pipeline: the prefetch thread decodes
+  // batch i+1 while the device fingerprints batch i (double-buffered across
+  // the stream pair) and the emit drain appends batch i-1's tuples to the
+  // partition files in batch order, so disk input, device compute and
+  // partition output all overlap (paper Fig 8 across the map phase).
+  seq::ReadBatchStream stream(fastqs, batch_bases);
+  util::Prefetch<seq::ReadBatch> batches(
+      [&stream](seq::ReadBatch& batch) {
+        // Wall time spent in disk reads + FASTQ parsing for one batch.
+        obs::WallSpan span;
+        if (obs::Tracer* tracer = obs::Tracer::active()) {
+          span = obs::WallSpan(*tracer, tracer->track("io.fastq"), "decode");
+        }
+        if (!stream.next(batch)) return false;
+        span.add_arg("first_id", static_cast<std::int64_t>(batch.first_id));
+        span.add_arg("reads", static_cast<std::int64_t>(batch.size()));
+        return true;
+      },
+      options.streamed ? 2 : 0);
+  util::Drain<EmissionJob> emissions(
+      [&emitter](EmissionJob& job) { emitter.emit(job); },
+      options.streamed ? 1 : 0);
+
   std::vector<std::string> strands;
   seq::ReadBatch batch;
-
-  auto fingerprint_batch = [&](EmissionJob& job) {
-    obs::WallSpan span;
-    if (obs::Tracer* tracer = obs::Tracer::active()) {
-      span = obs::WallSpan(
-          *tracer, tracer->track("core.map"),
-          "batch:" + std::to_string(job.read_ids.front()),
-          {{"strands", static_cast<std::int64_t>(job.lengths.size())}});
+  while (batches.next(batch)) {
+    const std::uint64_t batch_first = batch.first_id;
+    if (batch_first + batch.size() <= options.first_read) continue;
+    if (options.max_reads != UINT64_MAX &&
+        batch_first >= options.first_read + options.max_reads) {
+      break;
     }
-    util::TrackedAllocation strand_mem(
-        *ws.host, strands.size() * (strands.front().size() + 32));
-    job.fps = fingerprint::compute_batch_fingerprints(
-        *ws.device, strands, places, options.strategy, &streams);
-  };
-
-  if (options.streamed) {
-    // Three-stage software pipeline: the background stream decodes batch
-    // i+1 while the device fingerprints batch i (double-buffered across the
-    // stream pair) and the emit worker drains batch i-1's tuples to the
-    // partition files — so at steady state disk input, device compute and
-    // partition output all overlap (paper Fig 8 across the map phase).
-    seq::AsyncReadBatchStream stream(fastqs, batch_bases);
-    EmitWorker worker(emitter);
-    while (stream.next(batch)) {
-      const std::uint64_t batch_first = batch.first_id;
-      if (batch_first + batch.size() <= options.first_read) continue;
-      if (options.max_reads != UINT64_MAX &&
-          batch_first >= options.first_read + options.max_reads) {
-        break;
+    EmissionJob job;
+    if (!prepare_batch(batch, options, strands, job)) continue;
+    {
+      obs::WallSpan span;
+      if (obs::Tracer* tracer = obs::Tracer::active()) {
+        span = obs::WallSpan(
+            *tracer, tracer->track("core.map"),
+            "batch:" + std::to_string(job.read_ids.front()),
+            {{"strands", static_cast<std::int64_t>(job.lengths.size())}});
       }
-      EmissionJob job;
-      if (!prepare_batch(batch, options, strands, job)) continue;
-      fingerprint_batch(job);
-      util::TrackedAllocation fp_mem(
-          *ws.host, (job.fps.prefix.size() + job.fps.suffix.size()) *
-                        sizeof(gpu::Key128));
-      worker.submit(std::move(job));
+      util::TrackedAllocation strand_mem(
+          *ws.host, strands.size() * (strands.front().size() + 32));
+      job.fps = fingerprint::compute_batch_fingerprints(
+          *ws.device, strands, places, options.strategy, &streams);
     }
-    worker.finish();
-  } else {
-    seq::ReadBatchStream stream(fastqs, batch_bases);
-    while (stream.next(batch)) {
-      const std::uint64_t batch_first = batch.first_id;
-      if (batch_first + batch.size() <= options.first_read) continue;
-      if (options.max_reads != UINT64_MAX &&
-          batch_first >= options.first_read + options.max_reads) {
-        break;
-      }
-      EmissionJob job;
-      if (!prepare_batch(batch, options, strands, job)) continue;
-      fingerprint_batch(job);
-      util::TrackedAllocation fp_mem(
-          *ws.host, (job.fps.prefix.size() + job.fps.suffix.size()) *
-                        sizeof(gpu::Key128));
-      emitter.emit(job);
-    }
+    util::TrackedAllocation fp_mem(
+        *ws.host, (job.fps.prefix.size() + job.fps.suffix.size()) *
+                      sizeof(gpu::Key128));
+    emissions.submit(std::move(job));
   }
+  emissions.finish();
 
   // total_bases counted both strands; report input bases (one strand).
   result.total_bases /= 2;

@@ -7,8 +7,6 @@
 #include "core/file_window.hpp"
 #include "gpu/stream.hpp"
 #include "kernel/backend.hpp"
-#include "io/async_record_stream.hpp"
-#include "io/record_stream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "seq/dna.hpp"
@@ -200,10 +198,9 @@ class WindowMatcher {
   PendingMatches staged_;   ///< window i, just bounded on the device
 };
 
-/// Core of Algorithm 2, generic over the record reader so the streamed path
-/// substitutes the prefetching io::AsyncRecordReader — both deliver the
-/// exact same record sequence, so the edge set is identical.
-template <class Reader>
+/// Core of Algorithm 2. Streamed, both files prefetch on background
+/// threads; the record sequence, and so the edge set, is the synchronous
+/// path's.
 PartitionReduceStats reduce_partition_impl(Workspace& ws,
                                            const SortedPartition& partition,
                                            graph::StringGraph& graph,
@@ -221,8 +218,9 @@ PartitionReduceStats reduce_partition_impl(Workspace& ws,
   util::TrackedAllocation window_mem(*ws.host,
                                      2 * window * sizeof(FpRecord));
 
-  FileWindow<Reader> sfx(window, partition.suffix_file, *ws.io);
-  FileWindow<Reader> pfx(window, partition.prefix_file, *ws.io);
+  const std::size_t prefetch = options.streamed ? 2 : 0;
+  FileWindow sfx(window, partition.suffix_file, *ws.io, 1 << 16, prefetch);
+  FileWindow pfx(window, partition.prefix_file, *ws.io, 1 << 16, prefetch);
   WindowMatcher matcher(ws, partition.length, window, options, graph, stats);
   std::vector<FpRecord> run_sfx;
   std::vector<FpRecord> run_pfx;
@@ -292,11 +290,7 @@ PartitionReduceStats reduce_partition(Workspace& ws,
         "partition:l" + std::to_string(partition.length),
         {{"length", static_cast<std::int64_t>(partition.length)}});
   }
-  return options.streamed
-             ? reduce_partition_impl<io::AsyncRecordReader<FpRecord>>(
-                   ws, partition, graph, options)
-             : reduce_partition_impl<io::RecordReader<FpRecord>>(
-                   ws, partition, graph, options);
+  return reduce_partition_impl(ws, partition, graph, options);
 }
 
 ReduceResult run_reduce_phase(Workspace& ws, const SortResult& sorted,

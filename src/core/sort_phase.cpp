@@ -1,11 +1,6 @@
 #include "core/sort_phase.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <optional>
-#include <thread>
 
 #include "core/checkpoint.hpp"
 #include "core/file_window.hpp"
@@ -15,6 +10,7 @@
 #include "kernel/backend.hpp"
 #include "io/record_stream.hpp"
 #include "obs/trace.hpp"
+#include "util/background.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
@@ -123,55 +119,81 @@ void device_merge_windows(Workspace& ws, std::span<const FpRecord> a,
   join_records(keys_out, vals_out, out);
 }
 
-void device_windowed_merge_impl(
-    Workspace& ws, std::span<const FpRecord> a, std::span<const FpRecord> b,
-    std::uint64_t device_block_records,
-    const std::function<void(std::span<const FpRecord>)>& sink,
-    DeviceStreams& streams) {
+using RecordSink = std::function<void(std::span<const FpRecord>)>;
+
+/// A sorted in-memory run read as a stream of windows, the way FileWindow
+/// reads a sorted file.
+struct SpanWindow {
+  std::span<const FpRecord> records;  ///< not yet consumed
+  std::size_t window;
+
+  [[nodiscard]] bool fill() const { return !records.empty(); }
+  [[nodiscard]] std::span<const FpRecord> view() const {
+    return records.first(std::min(window, records.size()));
+  }
+  void consume(std::size_t n) { records = records.subspan(n); }
+};
+
+/// Algorithm 1's loop over two sorted window streams while both hold
+/// records: a window entirely below the other side's passes straight to
+/// `sink` (lines 5-6); otherwise the window with the larger last key is cut
+/// at the upper bound of the smaller last key (lines 8-15) and `merge`
+/// merges the two equalized windows. A cut-off tail stays in its stream
+/// and is reconsidered next iteration, so cutting is always safe, even at
+/// end of file. Returns once either stream is drained; the caller passes
+/// the other's remainder through.
+template <class Window, class Merge>
+void merge_windows_loop(Window& wa, Window& wb, const RecordSink& sink,
+                        const Merge& merge) {
+  while (wa.fill() && wb.fill()) {
+    std::span<const FpRecord> va = wa.view();
+    std::span<const FpRecord> vb = wb.view();
+    if (fp_less(va.back(), vb.front())) {
+      sink(va);
+      wa.consume(va.size());
+      continue;
+    }
+    if (fp_less(vb.back(), va.front())) {
+      sink(vb);
+      wb.consume(vb.size());
+      continue;
+    }
+    const FpRecord k{std::min(va.back().fp, vb.back().fp), 0, 0};
+    auto cut = [&k](std::span<const FpRecord> w) {
+      return w.first(static_cast<std::size_t>(
+          std::upper_bound(w.begin(), w.end(), k, fp_less) - w.begin()));
+    };
+    if (k.fp == va.back().fp) {
+      vb = cut(vb);
+    } else {
+      va = cut(va);
+    }
+    merge(va, vb);
+    wa.consume(va.size());
+    wb.consume(vb.size());
+  }
+}
+
+/// Device-level Algorithm 1: merge two sorted host runs through device
+/// windows of m_d / 2 records.
+void device_windowed_merge_impl(Workspace& ws, std::span<const FpRecord> a,
+                                std::span<const FpRecord> b,
+                                std::uint64_t device_block_records,
+                                const RecordSink& sink,
+                                DeviceStreams& streams) {
   const std::size_t half =
       std::max<std::size_t>(1, device_block_records / 2);
+  SpanWindow wa{a, half};
+  SpanWindow wb{b, half};
   std::vector<FpRecord> merged;
-
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < a.size() && ib < b.size()) {
-    std::span<const FpRecord> wa = a.subspan(ia, std::min(half, a.size() - ia));
-    std::span<const FpRecord> wb = b.subspan(ib, std::min(half, b.size() - ib));
-
-    // Algorithm 1 lines 5-6: disjoint windows pass straight through.
-    if (!fp_less(wb.front(), wa.back()) && wa.back().fp != wb.front().fp) {
-      sink(wa);
-      ia += wa.size();
-      continue;
-    }
-    if (!fp_less(wa.front(), wb.back()) && wb.back().fp != wa.front().fp) {
-      sink(wb);
-      ib += wb.size();
-      continue;
-    }
-
-    // Lines 8-15: equalize so the larger-tailed window is cut at the
-    // upper bound of the smaller of the two last keys.
-    const gpu::Key128 k = std::min(wa.back().fp, wb.back().fp);
-    auto cut = [&k](std::span<const FpRecord> w) {
-      const FpRecord probe{k, 0, 0};
-      return static_cast<std::size_t>(
-          std::upper_bound(w.begin(), w.end(), probe, fp_less) - w.begin());
-    };
-    if (k == wa.back().fp) {
-      wb = wb.first(cut(wb));
-    } else {
-      wa = wa.first(cut(wa));
-    }
-
-    device_merge_windows(ws, wa, wb, merged, streams);
-    sink(merged);
-    ia += wa.size();
-    ib += wb.size();
-  }
-
-  if (ia < a.size()) sink(a.subspan(ia));
-  if (ib < b.size()) sink(b.subspan(ib));
+  merge_windows_loop(wa, wb, sink,
+                     [&](std::span<const FpRecord> va,
+                         std::span<const FpRecord> vb) {
+                       device_merge_windows(ws, va, vb, merged, streams);
+                       sink(merged);
+                     });
+  if (wa.fill()) sink(wa.records);
+  if (wb.fill()) sink(wb.records);
 }
 
 void sort_host_block_impl(Workspace& ws, std::span<FpRecord> block,
@@ -245,188 +267,65 @@ void sort_host_block(Workspace& ws, std::span<FpRecord> block,
 
 namespace {
 
-// FileWindow (core/file_window.hpp) provides the streaming windows; the
-// streamed path substitutes the prefetching io::AsyncRecordReader.
-
-/// Algorithm 1's outer loop: merge two sorted windows into `out`, with host
-/// windows of m_h / 2 records equalized by upper bound, and the actual
-/// merging done by the device-windowed merge.
-template <class WindowA, class WindowB, class Writer>
-void merge_windows_loop(Workspace& ws, WindowA& wa, WindowB& wb, Writer& out,
-                        const BlockGeometry& geometry,
-                        DeviceStreams& streams) {
-  auto sink = [&out](std::span<const FpRecord> part) { out.write(part); };
-
-  while (true) {
-    const bool has_a = wa.fill();
-    const bool has_b = wb.fill();
-    if (!has_a && !has_b) break;
-    if (!has_a) {
-      sink(wb.view());
-      wb.consume(wb.view().size());
-      continue;
-    }
-    if (!has_b) {
-      sink(wa.view());
-      wa.consume(wa.view().size());
-      continue;
-    }
-
-    std::span<const FpRecord> va = wa.view();
-    std::span<const FpRecord> vb = wb.view();
-
-    if (!fp_less(vb.front(), va.back()) && va.back().fp != vb.front().fp) {
-      sink(va);
-      wa.consume(va.size());
-      continue;
-    }
-    if (!fp_less(va.front(), vb.back()) && vb.back().fp != va.front().fp) {
-      sink(vb);
-      wb.consume(vb.size());
-      continue;
-    }
-
-    // Equalize: cut the window with the larger last key at the upper bound
-    // of the smaller last key (Algorithm 1 lines 8-15). The cut-off tail
-    // stays in that side's buffer and is re-considered next iteration, so
-    // cutting is always safe — even at end of file.
-    const gpu::Key128 k = std::min(va.back().fp, vb.back().fp);
-    auto cut = [&k](std::span<const FpRecord> w) {
-      const FpRecord probe{k, 0, 0};
-      return static_cast<std::size_t>(
-          std::upper_bound(w.begin(), w.end(), probe, fp_less) - w.begin());
-    };
-    if (k == va.back().fp) {
-      vb = vb.first(cut(vb));
-    } else {
-      va = va.first(cut(va));
-    }
-
-    device_windowed_merge_impl(ws, va, vb, geometry.device_block_records,
-                               sink, streams);
-    wa.consume(va.size());
-    wb.consume(vb.size());
-  }
-}
-
-/// Merge two sorted files into one. Streamed mode prefetches both inputs
-/// and drains the output on background threads while device merges
-/// double-buffer across the two streams.
+/// Disk-level Algorithm 1: merge two sorted files into one through host
+/// windows of m_h / 2 records, each equalized pair merged on the device.
+/// Streamed, both inputs prefetch a window ahead and the output drains
+/// behind on background threads while device merges double-buffer across
+/// the two streams.
 void merge_files(Workspace& ws, const std::filesystem::path& in_a,
                  const std::filesystem::path& in_b,
                  const std::filesystem::path& out_path,
                  const BlockGeometry& geometry, DeviceStreams& streams) {
   const std::size_t half = std::max<std::uint64_t>(
       2, geometry.host_block_records / 2);
-
-  if (geometry.streamed) {
-    // Per side: up to 2x window live in FileWindow (cursor + carry-over)
-    // plus one window of prefetch; output stages about one window.
-    util::TrackedAllocation window_mem(*ws.host,
-                                       7 * half * sizeof(FpRecord));
-    FileWindow<io::AsyncRecordReader<FpRecord>> wa(half, in_a, *ws.io, half,
-                                                   1);
-    FileWindow<io::AsyncRecordReader<FpRecord>> wb(half, in_b, *ws.io, half,
-                                                   1);
-    io::AsyncRecordWriter<FpRecord> out(out_path, *ws.io, half, 2);
-    merge_windows_loop(ws, wa, wb, out, geometry, streams);
-    out.close();
-    return;
+  // Streamed, per side up to 2x window live in FileWindow (cursor +
+  // carry-over) plus one window of prefetch, and the output stages about
+  // one window; synchronous, just the two windows.
+  util::TrackedAllocation window_mem(
+      *ws.host, (geometry.streamed ? 7 : 2) * half * sizeof(FpRecord));
+  const std::size_t prefetch = geometry.streamed ? 1 : 0;
+  FileWindow wa(half, in_a, *ws.io, half, prefetch);
+  FileWindow wb(half, in_b, *ws.io, half, prefetch);
+  io::AsyncRecordWriter<FpRecord> out(out_path, *ws.io, half,
+                                      geometry.streamed ? 2 : 0);
+  const RecordSink sink = [&out](std::span<const FpRecord> part) {
+    out.write(part);
+  };
+  merge_windows_loop(wa, wb, sink,
+                     [&](std::span<const FpRecord> va,
+                         std::span<const FpRecord> vb) {
+                       device_windowed_merge_impl(
+                           ws, va, vb, geometry.device_block_records, sink,
+                           streams);
+                     });
+  for (FileWindow* w : {&wa, &wb}) {
+    while (w->fill()) {
+      sink(w->view());
+      w->consume(w->view().size());
+    }
   }
-
-  util::TrackedAllocation window_mem(*ws.host, 2 * half * sizeof(FpRecord));
-  FileWindow<io::RecordReader<FpRecord>> wa(half, in_a, *ws.io);
-  FileWindow<io::RecordReader<FpRecord>> wb(half, in_b, *ws.io);
-  io::RecordWriter<FpRecord> out(out_path, *ws.io);
-  merge_windows_loop(ws, wa, wb, out, geometry, streams);
   out.close();
 }
 
-/// Background writer for finished level-1 runs: one run write in flight
-/// while the device sorts the next host block. Failures surface on the next
-/// submit() or on finish().
-class RunWriter {
- public:
-  explicit RunWriter(io::IoStats& stats)
-      : stats_(stats), worker_([this] { run(); }) {}
-
-  ~RunWriter() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (worker_.joinable()) worker_.join();
-  }
-
-  /// `on_done` (optional) runs on the writer thread after the run's bytes
-  /// are fully written — the sort phase marks the run's checkpoint there, so
-  /// a run is never recorded as done before it is durable.
-  void submit(std::filesystem::path path, std::vector<FpRecord> block,
-              std::function<void()> on_done = {}) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return !job_.has_value() || error_ != nullptr; });
-    if (error_ != nullptr) std::rethrow_exception(error_);
-    job_.emplace(Job{std::move(path), std::move(block), std::move(on_done)});
-    cv_.notify_all();
-  }
-
-  /// Wait for the queue to drain and the worker to exit; rethrows failures.
-  void finish() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] {
-      return (!job_.has_value() && !busy_) || error_ != nullptr;
-    });
-    stop_ = true;
-    cv_.notify_all();
-    lock.unlock();
-    if (worker_.joinable()) worker_.join();
-    if (error_ != nullptr) std::rethrow_exception(error_);
-  }
-
- private:
-  struct Job {
-    std::filesystem::path path;
-    std::vector<FpRecord> block;
-    std::function<void()> on_done;
-  };
-
-  void run() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-      cv_.wait(lock, [this] { return job_.has_value() || stop_; });
-      if (!job_.has_value()) return;  // stop requested, queue empty
-      Job job = std::move(*job_);
-      job_.reset();
-      busy_ = true;
-      cv_.notify_all();
-      lock.unlock();
-      try {
-        io::write_all_records<FpRecord>(
-            job.path, std::span<const FpRecord>(job.block), stats_);
-        if (job.on_done) job.on_done();
-      } catch (...) {
-        lock.lock();
-        error_ = std::current_exception();
-        busy_ = false;
-        cv_.notify_all();
-        return;
-      }
-      lock.lock();
-      busy_ = false;
-      cv_.notify_all();
-    }
-  }
-
-  io::IoStats& stats_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::optional<Job> job_;
-  bool busy_ = false;
-  bool stop_ = false;
-  std::exception_ptr error_;
-  std::thread worker_;
+/// One sorted level-1 run on its way to disk.
+struct RunJob {
+  std::filesystem::path path;
+  std::vector<FpRecord> block;
+  std::string checkpoint_key;
 };
+
+/// The level-1 run drain's consumer: write the run, then mark its
+/// checkpoint, so a run is never recorded as done before it is durable.
+std::function<void(RunJob&)> run_writer(io::IoStats& io,
+                                        CheckpointManager* cm) {
+  return [&io, cm](RunJob& job) {
+    io::write_all_records<FpRecord>(
+        job.path, std::span<const FpRecord>(job.block), io);
+    if (cm != nullptr) {
+      cm->record(job.checkpoint_key, {{"records", job.block.size()}});
+    }
+  };
+}
 
 /// True when `path` exists and holds exactly `records` whole records.
 bool file_holds_records(const std::filesystem::path& path,
@@ -472,6 +371,17 @@ std::string sort_run_key(const std::filesystem::path& output,
 /// without also matching scratch.
 std::string scratch_base(const std::filesystem::path& output) {
   return (output.parent_path() / output.stem()).string();
+}
+
+/// Submit sorted block i = runs.size() to the run drain as
+/// `<output stem>.run<i>`, checkpointed as sort:run:<file>:<i>.
+void submit_run(util::Drain<RunJob>& writer,
+                const std::filesystem::path& output,
+                std::vector<std::filesystem::path>& runs,
+                std::vector<FpRecord> block) {
+  const std::size_t i = runs.size();
+  runs.push_back(scratch_base(output) + ".run" + std::to_string(i));
+  writer.submit(RunJob{runs.back(), std::move(block), sort_run_key(output, i)});
 }
 
 /// Level 2: pairwise Algorithm-1 merges until one run remains, renamed to
@@ -575,59 +485,31 @@ SortFileStats external_sort_file(Workspace& ws,
   }
   stats.records = resume_skip;
 
-  // Level 1: produce sorted host-block runs.
-  if (geometry.streamed) {
-    // Software pipeline: the reader prefetches block i+1 while the device
-    // sorts block i and the RunWriter drains run i-1 — three host blocks
-    // live at the pipeline's steady state.
+  // Level 1: produce sorted host-block runs. Streamed, this is a software
+  // pipeline: block i+1 prefetches while the device sorts block i and run
+  // i-1 drains to disk, three host blocks live at steady state against one
+  // for the synchronous path.
+  {
     util::TrackedAllocation block_mem(
-        *ws.host, 3 * geometry.host_block_records * sizeof(FpRecord));
-    io::AsyncRecordReader<FpRecord> reader(
-        input, *ws.io, geometry.host_block_records, 1, resume_skip);
-    RunWriter writer(*ws.io);
-    while (true) {
-      std::vector<FpRecord> block;
-      reader.read(block, geometry.host_block_records);
-      if (block.empty()) break;
+        *ws.host, (geometry.streamed ? 3 : 1) * geometry.host_block_records *
+                      sizeof(FpRecord));
+    const std::size_t depth = geometry.streamed ? 1 : 0;
+    io::RecordReader<FpRecord> reader(input, *ws.io, resume_skip);
+    util::Prefetch<std::vector<FpRecord>> blocks(
+        [&](std::vector<FpRecord>& block) {
+          block.clear();
+          return reader.read(block, geometry.host_block_records) > 0;
+        },
+        depth);
+    util::Drain<RunJob> writer(run_writer(*ws.io, cm), depth);
+    std::vector<FpRecord> block;
+    while (blocks.next(block)) {
       stats.records += block.size();
       sort_host_block_impl(ws, block, geometry.device_block_records,
                            streams);
-      std::filesystem::path run_path =
-          scratch_base(output) + ".run" + std::to_string(runs.size());
-      std::function<void()> on_done;
-      if (cm != nullptr) {
-        on_done = [cm, key = sort_run_key(output, runs.size()),
-                   records = static_cast<std::uint64_t>(block.size())] {
-          cm->record(key, {{"records", records}});
-        };
-      }
-      runs.push_back(run_path);
-      writer.submit(std::move(run_path), std::move(block),
-                    std::move(on_done));
+      submit_run(writer, output, runs, std::move(block));
     }
     writer.finish();
-  } else {
-    io::RecordReader<FpRecord> reader(input, *ws.io, resume_skip);
-    std::vector<FpRecord> block;
-    util::TrackedAllocation block_mem(
-        *ws.host, geometry.host_block_records * sizeof(FpRecord));
-    while (true) {
-      block.clear();
-      reader.read(block, geometry.host_block_records);
-      if (block.empty()) break;
-      stats.records += block.size();
-      sort_host_block_impl(ws, block, geometry.device_block_records,
-                           streams);
-      const std::filesystem::path run_path =
-          scratch_base(output) + ".run" + std::to_string(runs.size());
-      io::write_all_records(run_path, std::span<const FpRecord>(block),
-                            *ws.io);
-      if (cm != nullptr) {
-        cm->record(sort_run_key(output, runs.size()),
-                   {{"records", block.size()}});
-      }
-      runs.push_back(run_path);
-    }
   }
   stats.host_blocks = static_cast<unsigned>(runs.size());
   stats.disk_passes = 1;
@@ -662,7 +544,7 @@ struct SortRunBuilder::Impl {
   BlockGeometry geometry;
   std::mutex* device_mutex = nullptr;
   DeviceStreams streams;
-  RunWriter writer;
+  util::Drain<RunJob> writer;
   util::TrackedAllocation mem;
   std::vector<FpRecord> block;
   std::vector<std::filesystem::path> runs;
@@ -676,10 +558,10 @@ struct SortRunBuilder::Impl {
         geometry(geo),
         device_mutex(dev_mutex),
         streams(*ws.device, geometry.streamed),
-        writer(*ws.io),
+        writer(run_writer(*ws.io, ws.checkpoint), geometry.streamed ? 1 : 0),
         // Steady state: one block filling + one sorted block in flight at
-        // the background writer (same budget shape as the streamed
-        // external sort's pipeline).
+        // the run drain (same budget shape as the streamed external sort's
+        // pipeline).
         mem(*ws.host, 2 * geometry.host_block_records * sizeof(FpRecord)) {
     std::filesystem::create_directories(output.parent_path());
     block.reserve(geometry.host_block_records);
@@ -695,18 +577,7 @@ struct SortRunBuilder::Impl {
       sort_host_block_impl(ws, block, geometry.device_block_records,
                            streams);
     }
-    std::filesystem::path run_path =
-        scratch_base(output) + ".run" + std::to_string(runs.size());
-    std::function<void()> on_done;
-    if (ws.checkpoint != nullptr) {
-      on_done = [cm = ws.checkpoint,
-                 key = sort_run_key(output, runs.size()),
-                 n = static_cast<std::uint64_t>(block.size())] {
-        cm->record(key, {{"records", n}});
-      };
-    }
-    runs.push_back(run_path);
-    writer.submit(std::move(run_path), std::move(block), std::move(on_done));
+    submit_run(writer, output, runs, std::move(block));
     block = {};
     block.reserve(geometry.host_block_records);
   }

@@ -67,9 +67,9 @@ SortFileStats external_sort_file(Workspace& ws,
 /// their on-disk order and the builder forms exactly the runs
 /// external_sort_file would — cut at `host_block_records` boundaries,
 /// device-sorted with the double-buffered stream pair, and drained to
-/// `<output stem>.run<N>` by a background writer while the next block
-/// fills. The distributed fused shuffle feeds this straight from arriving
-/// network chunks, skipping the staged partition file entirely.
+/// `<output stem>.run<N>` (streamed, by a background writer while the next
+/// block fills). The distributed fused shuffle feeds this straight from
+/// arriving network chunks, skipping the staged partition file entirely.
 ///
 /// `device_mutex` (optional) is held around each block's device sort so a
 /// builder can share a capacity-limited device with concurrently running

@@ -1,15 +1,13 @@
 #include "dist/shuffle_ingest.hpp"
 
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <set>
 #include <span>
 #include <stdexcept>
-#include <thread>
 
 #include "core/sort_phase.hpp"
 #include "dist/fnv.hpp"
+#include "util/background.hpp"
 
 namespace lasagna::dist {
 
@@ -37,7 +35,7 @@ struct ShuffleIngest::Impl {
     std::vector<std::byte> bytes;
   };
 
-  /// Per-(role, key) ingest state, owned by the worker thread.
+  /// Per-(role, key) ingest state, owned by the ingest thread.
   struct Stream {
     std::uint8_t role = 0;
     std::uint32_t key = 0;
@@ -52,28 +50,24 @@ struct ShuffleIngest::Impl {
   std::filesystem::path run_dir;
   std::mutex* device_mutex;
 
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Chunk> queue;
-  bool stop = false;
-  std::exception_ptr error;
-
-  // Worker-thread state.
+  // Ingest-thread state.
   std::map<std::uint64_t, Stream> streams;  ///< (role << 32 | key)
   std::set<std::uint32_t> done_blocks;
   std::uint32_t frontier = 0;  ///< smallest block not yet completed
-  std::map<unsigned, KeyResult> results;
 
-  std::thread worker;
+  /// Unbounded, so AM handlers never block on a device sort. Last member:
+  /// its thread uses everything above.
+  util::Drain<Chunk> chunks;
 
   Impl(const core::Workspace& workspace, const core::BlockGeometry& geo,
        std::filesystem::path dir, std::mutex* dev_mutex)
       : ws(workspace),
         geometry(geo),
         run_dir(std::move(dir)),
-        device_mutex(dev_mutex) {
+        device_mutex(dev_mutex),
+        chunks([this](Chunk& c) { process(std::move(c)); },
+               util::kUnboundedDepth) {
     std::filesystem::create_directories(run_dir);
-    worker = std::thread([this] { run(); });
   }
 
   static std::uint64_t stream_id(std::uint8_t role, std::uint32_t key) {
@@ -144,42 +138,29 @@ struct ShuffleIngest::Impl {
     s.pending[c.block].push_back(std::move(c.bytes));
   }
 
-  void run() {
-    try {
-      std::unique_lock<std::mutex> lock(mutex);
-      for (;;) {
-        cv.wait(lock, [this] { return !queue.empty() || stop; });
-        if (queue.empty() && stop) break;
-        Chunk c = std::move(queue.front());
-        queue.pop_front();
-        lock.unlock();
-        process(std::move(c));
-        lock.lock();
+  std::map<unsigned, KeyResult> finish() {
+    chunks.finish();
+    // Everything delivered: feed any remainder regardless of frontier
+    // (every block is complete once the map barrier has fallen), then
+    // flush the builders and collect results.
+    std::map<unsigned, KeyResult> results;
+    for (auto& [id, s] : streams) {
+      drain_ready(s, /*everything=*/true);
+      if (!s.carry.empty()) {
+        throw std::logic_error(
+            "shuffle ingest: partition bytes not a whole record count");
       }
-      lock.unlock();
-      // Everything delivered: feed any remainder regardless of frontier
-      // (every block is complete once the map barrier has fallen), then
-      // flush the builders and collect results.
-      for (auto& [id, s] : streams) {
-        drain_ready(s, /*everything=*/true);
-        if (!s.carry.empty()) {
-          throw std::logic_error(
-              "shuffle ingest: partition bytes not a whole record count");
-        }
-        if (s.builder != nullptr) {
-          s.builder->finish();
-          s.part.records = s.builder->records();
-          s.part.runs = s.builder->runs();
-          s.builder.reset();
-        }
-        KeyResult& kr = results[s.key];
-        (s.role == 0 ? kr.suffix : kr.prefix) = std::move(s.part);
+      if (s.builder != nullptr) {
+        s.builder->finish();
+        s.part.records = s.builder->records();
+        s.part.runs = s.builder->runs();
+        s.builder.reset();
       }
-      streams.clear();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex);
-      error = std::current_exception();
+      KeyResult& kr = results[s.key];
+      (s.role == 0 ? kr.suffix : kr.prefix) = std::move(s.part);
     }
+    streams.clear();
+    return results;
   }
 };
 
@@ -190,51 +171,22 @@ ShuffleIngest::ShuffleIngest(const core::Workspace& ws,
     : impl_(std::make_unique<Impl>(ws, geometry, std::move(run_dir),
                                    device_mutex)) {}
 
-ShuffleIngest::~ShuffleIngest() {
-  if (impl_ == nullptr || !impl_->worker.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->stop = true;
-  }
-  impl_->cv.notify_all();
-  impl_->worker.join();
-}
+ShuffleIngest::~ShuffleIngest() = default;
 
 void ShuffleIngest::deliver(std::uint8_t role, std::uint32_t key,
                             std::uint32_t block,
                             std::vector<std::byte> bytes) {
-  Impl::Chunk c;
-  c.role = role;
-  c.key = key;
-  c.block = block;
-  c.bytes = std::move(bytes);
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->queue.push_back(std::move(c));
-  }
-  impl_->cv.notify_all();
+  impl_->chunks.submit(Impl::Chunk{
+      .role = role, .key = key, .block = block, .bytes = std::move(bytes)});
 }
 
 void ShuffleIngest::block_done(std::uint32_t block) {
-  Impl::Chunk c;
-  c.block = block;
-  c.done = true;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->queue.push_back(std::move(c));
-  }
-  impl_->cv.notify_all();
+  impl_->chunks.submit(
+      Impl::Chunk{.block = block, .done = true, .bytes = {}});
 }
 
 std::map<unsigned, ShuffleIngest::KeyResult> ShuffleIngest::finish() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->stop = true;
-  }
-  impl_->cv.notify_all();
-  if (impl_->worker.joinable()) impl_->worker.join();
-  if (impl_->error != nullptr) std::rethrow_exception(impl_->error);
-  return std::move(impl_->results);
+  return impl_->finish();
 }
 
 }  // namespace lasagna::dist

@@ -19,10 +19,11 @@
 // host_block_records boundaries the staged external sort would use, so
 // the final merged .sorted bytes are identical.
 //
-// Threading: AM handlers only enqueue (deliver/block_done are cheap and
-// never touch the device); a single worker thread owns all per-key state
-// and performs the device block sorts, serialized against the owner's map
-// kernels through the shared device mutex.
+// Threading: AM handlers only enqueue onto an unbounded util::Drain
+// (deliver/block_done are cheap and never touch the device); its single
+// thread owns all per-key state and performs the device block sorts,
+// serialized against the owner's map kernels through the shared device
+// mutex.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +69,7 @@ class ShuffleIngest {
 
   /// Enqueue one pushed chunk (AM handler thread; takes ownership).
   /// A zero-length chunk still registers the (role, key) as present.
+  /// This and block_done() rethrow an earlier ingest failure.
   void deliver(std::uint8_t role, std::uint32_t key, std::uint32_t block,
                std::vector<std::byte> bytes);
 
@@ -76,8 +78,9 @@ class ShuffleIngest {
   void block_done(std::uint32_t block);
 
   /// Drain the queue, flush every run builder, and return the per-key
-  /// results. Rethrows any worker-side failure. Call exactly once, after
-  /// the map barrier (every block's chunks and completion delivered).
+  /// results. Rethrows any ingest failure. Call exactly once, after the
+  /// map barrier (every block's chunks and completion delivered).
+  /// Destroying an unfinished ingest abandons the queued chunks.
   [[nodiscard]] std::map<unsigned, KeyResult> finish();
 
  private:

@@ -1,34 +1,33 @@
-// Background-threaded record streams: the I/O half of the sort phase's
-// software pipeline.
+// Record streams with an optional background stage: the I/O half of the
+// sort and reduce phases' software pipelines.
 //
-// AsyncRecordReader runs a RecordReader on a private thread that prefetches
-// fixed-size blocks into a bounded queue, so disk reads overlap the
-// consumer's (device) work while read order — and therefore every record
-// the consumer sees — is identical to the synchronous reader's.
+// AsyncRecordReader prefetches fixed-size blocks through a util::Prefetch,
+// so disk reads overlap the consumer's (device) work while read order, and
+// therefore every record the consumer sees, is the synchronous reader's.
 // AsyncRecordWriter is the mirror image: write() stages records and a
-// private thread drains full blocks to disk in FIFO order.
+// util::Drain writes full blocks to disk in FIFO order. With a queue depth
+// of 0 neither starts a thread and every call goes straight through to
+// RecordReader / RecordWriter, so the synchronous path keeps its exact
+// reads, writes and eof() meaning.
 //
 // Both charge the same IoStats as their synchronous counterparts (the
-// counters are atomic) and propagate background exceptions to the consumer:
+// counters are atomic) and propagate background exceptions to the caller:
 // the reader rethrows from read(), the writer from write()/close().
 #pragma once
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstddef>
-#include <deque>
-#include <exception>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "io/record_stream.hpp"
+#include "util/background.hpp"
 
 namespace lasagna::io {
 
-/// Prefetching reader with RecordReader's contract: read() appends up to
-/// `max_records` and returns fewer only at end of file; eof() turns true
-/// once a read has observed the end.
+/// RecordReader's contract: read() appends up to `max_records` and returns
+/// fewer only at end of file; eof() turns true once a read has observed the
+/// end.
 template <TrivialRecord T>
 class AsyncRecordReader {
  public:
@@ -42,105 +41,58 @@ class AsyncRecordReader {
       : reader_(path, stats,
                 skip_records),  // open failures throw in the caller's thread
         block_records_(std::max<std::size_t>(1, block_records)),
-        max_queued_(std::max<std::size_t>(1, max_queued_blocks)),
-        worker_([this] { run(); }) {}
-
-  ~AsyncRecordReader() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
-
-  AsyncRecordReader(const AsyncRecordReader&) = delete;
-  AsyncRecordReader& operator=(const AsyncRecordReader&) = delete;
+        prefetch_(max_queued_blocks > 0),
+        blocks_(
+            [this](std::vector<T>& block) {
+              return reader_.read(block, block_records_) > 0;
+            },
+            max_queued_blocks) {}
 
   /// Read up to `max_records` records into `out` (appended). Returns the
   /// number of records read; fewer than requested only at end of file.
   /// Rethrows any exception the prefetch thread hit at the point in the
   /// stream where it occurred.
   std::size_t read(std::vector<T>& out, std::size_t max_records) {
+    if (!prefetch_) return reader_.read(out, max_records);
     std::size_t got = 0;
-    while (got < max_records) {
-      if (cursor_ < current_.size()) {
-        const std::size_t take =
-            std::min(max_records - got, current_.size() - cursor_);
-        out.insert(out.end(), current_.begin() + cursor_,
-                   current_.begin() + cursor_ + take);
-        cursor_ += take;
-        got += take;
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return !queue_.empty() || done_; });
-      if (!queue_.empty()) {
-        current_ = std::move(queue_.front());
-        queue_.pop_front();
+    while (got < max_records && !eof_) {
+      if (cursor_ == current_.size()) {
         cursor_ = 0;
-        cv_.notify_all();  // queue slot freed for the prefetcher
+        current_.clear();
+        eof_ = !blocks_.next(current_);
         continue;
       }
-      if (error_ != nullptr) std::rethrow_exception(error_);
-      eof_ = true;
-      break;
+      const std::size_t take =
+          std::min(max_records - got, current_.size() - cursor_);
+      out.insert(out.end(), current_.begin() + cursor_,
+                 current_.begin() + cursor_ + take);
+      cursor_ += take;
+      got += take;
     }
     return got;
   }
 
   /// True once a read has hit end of file (consumer-side view).
-  [[nodiscard]] bool eof() const { return eof_; }
-
- private:
-  void run() {
-    try {
-      while (true) {
-        std::vector<T> block;
-        block.reserve(block_records_);
-        const std::size_t n = reader_.read(block, block_records_);
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (n == 0) {
-          done_ = true;
-          cv_.notify_all();
-          return;
-        }
-        cv_.wait(lock,
-                 [this] { return queue_.size() < max_queued_ || stop_; });
-        if (stop_) return;
-        queue_.push_back(std::move(block));
-        cv_.notify_all();
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      error_ = std::current_exception();
-      done_ = true;
-      cv_.notify_all();
-    }
+  [[nodiscard]] bool eof() const {
+    return prefetch_ ? eof_ : reader_.eof();
   }
 
-  RecordReader<T> reader_;  // touched only by worker_ after construction
+ private:
+  RecordReader<T> reader_;  // the prefetch thread's, once it runs
   std::size_t block_records_;
-  std::size_t max_queued_;
+  bool prefetch_;
 
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::vector<T>> queue_;
-  bool done_ = false;
-  bool stop_ = false;
-  std::exception_ptr error_;
-
-  // Consumer-side state (no lock needed).
+  // Consumer-side state.
   std::vector<T> current_;
   std::size_t cursor_ = 0;
   bool eof_ = false;
 
-  std::thread worker_;  // last member: starts after everything is built
+  util::Prefetch<std::vector<T>> blocks_;  // last: its thread reads reader_
 };
 
-/// Draining writer with RecordWriter's interface. Records are staged into
-/// blocks of `block_records` and written by a private thread in FIFO order,
-/// so the file contents are byte-identical to a synchronous writer's.
+/// RecordWriter's interface. Records are staged into blocks of
+/// `block_records` and written by the drain thread in FIFO order, so the
+/// file contents are byte-identical to a synchronous writer's.
 template <TrivialRecord T>
 class AsyncRecordWriter {
  public:
@@ -150,29 +102,26 @@ class AsyncRecordWriter {
                              std::size_t max_queued_blocks = 2)
       : writer_(path, stats),
         block_records_(std::max<std::size_t>(1, block_records)),
-        max_queued_(std::max<std::size_t>(1, max_queued_blocks)),
-        worker_([this] { run(); }) {
-    staging_.reserve(block_records_);
+        stage_(max_queued_blocks > 0),
+        blocks_(
+            [this](std::vector<T>& block) {
+              writer_.write(std::span<const T>(block));
+            },
+            max_queued_blocks) {
+    if (stage_) staging_.reserve(block_records_);
   }
 
-  ~AsyncRecordWriter() {
-    // Unclosed writers abandon queued blocks (mirrors WriteOnlyStream's
-    // destructor swallowing errors); call close() to flush and check.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (worker_.joinable()) worker_.join();
-  }
-
-  AsyncRecordWriter(const AsyncRecordWriter&) = delete;
-  AsyncRecordWriter& operator=(const AsyncRecordWriter&) = delete;
+  // An unclosed writer abandons queued blocks (mirrors WriteOnlyStream's
+  // destructor swallowing errors); call close() to flush and check.
 
   void write(std::span<const T> records) {
     count_ += records.size();
+    if (!stage_) {
+      writer_.write(records);
+      return;
+    }
     staging_.insert(staging_.end(), records.begin(), records.end());
-    if (staging_.size() >= block_records_) enqueue_staging();
+    if (staging_.size() >= block_records_) submit_staging();
   }
 
   void write_one(const T& record) { write(std::span<const T>(&record, 1)); }
@@ -187,78 +136,30 @@ class AsyncRecordWriter {
   /// any background write failure.
   void close() {
     if (closed_) return;
-    enqueue_staging();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      finish_ = true;
-    }
-    cv_.notify_all();
-    if (worker_.joinable()) worker_.join();
+    submit_staging();
     closed_ = true;
-    if (error_ != nullptr) std::rethrow_exception(error_);
+    blocks_.finish();
     writer_.close();
   }
 
  private:
-  void enqueue_staging() {
+  void submit_staging() {
     if (staging_.empty()) return;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] {
-        return queue_.size() < max_queued_ || error_ != nullptr;
-      });
-      if (error_ != nullptr) std::rethrow_exception(error_);
-      queue_.push_back(std::move(staging_));
-      cv_.notify_all();
-    }
+    blocks_.submit(std::move(staging_));
     staging_ = {};
     staging_.reserve(block_records_);
   }
 
-  void run() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-      cv_.wait(lock,
-               [this] { return !queue_.empty() || finish_ || stop_; });
-      if (stop_) return;
-      if (queue_.empty()) {
-        if (finish_) return;
-        continue;
-      }
-      std::vector<T> block = std::move(queue_.front());
-      queue_.pop_front();
-      cv_.notify_all();  // queue slot freed for the producer
-      lock.unlock();
-      try {
-        writer_.write(std::span<const T>(block));
-      } catch (...) {
-        lock.lock();
-        error_ = std::current_exception();
-        queue_.clear();
-        cv_.notify_all();
-        return;
-      }
-      lock.lock();
-    }
-  }
-
-  RecordWriter<T> writer_;  // worker-owned between start and join
+  RecordWriter<T> writer_;  // the drain thread's, once it runs
   std::size_t block_records_;
-  std::size_t max_queued_;
+  bool stage_;
 
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::vector<T>> queue_;
-  bool finish_ = false;
-  bool stop_ = false;
-  std::exception_ptr error_;
-
-  // Producer-side state (no lock needed).
+  // Producer-side state.
   std::vector<T> staging_;
   std::uint64_t count_ = 0;
   bool closed_ = false;
 
-  std::thread worker_;  // last member: starts after everything is built
+  util::Drain<std::vector<T>> blocks_;  // last: its thread writes writer_
 };
 
 }  // namespace lasagna::io

@@ -51,6 +51,18 @@ unsigned RunStats::resumed_phase_count() const {
   return count;
 }
 
+namespace {
+
+/// Wall seconds with two decimals: format_duration rounds anything of 1 s
+/// or more to whole seconds, too coarse for a phase's wall time.
+std::string format_wall(double seconds) {
+  std::array<char, 32> buf{};
+  std::snprintf(buf.data(), buf.size(), "%.2fs", seconds);
+  return buf.data();
+}
+
+}  // namespace
+
 std::string RunStats::to_table() const {
   std::ostringstream out;
   std::array<char, 320> line{};
@@ -65,7 +77,7 @@ std::string RunStats::to_table() const {
         line.data(), line.size(),
         "%-11s %-11s %-11s %-11s %-11s %-11s %-8.2f %-11s %-11s %-11s "
         "%-11s\n",
-        p.name.c_str(), format_duration(p.wall_seconds).c_str(),
+        p.name.c_str(), format_wall(p.wall_seconds).c_str(),
         format_duration(p.modeled_seconds).c_str(),
         format_duration(p.device_seconds).c_str(),
         format_duration(p.disk_seconds).c_str(),
@@ -80,7 +92,7 @@ std::string RunStats::to_table() const {
     fatal += p.faults_fatal;
   }
   std::snprintf(line.data(), line.size(), "%-11s %-11s %-11s\n", "total",
-                format_duration(total_wall_seconds()).c_str(),
+                format_wall(total_wall_seconds()).c_str(),
                 format_duration(total_modeled_seconds()).c_str());
   out << line.data();
   if (injected + retried + fatal > 0) {

@@ -1,14 +1,22 @@
-// Background-threaded record streams: ordering, EOF contract, stats
-// accounting, and error propagation from the worker thread.
+// Background stages and the record streams built on them: ordering, EOF
+// contract, stats accounting, error propagation from the background thread,
+// and the threadless depth-0 path.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <future>
+#include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "io/async_record_stream.hpp"
 #include "io/record_stream.hpp"
 #include "io/tempdir.hpp"
+#include "util/background.hpp"
 
 namespace lasagna::io {
 namespace {
@@ -99,6 +107,25 @@ TEST(AsyncRecordReader, TruncatedRecordPropagatesError) {
       std::runtime_error);
 }
 
+TEST(AsyncRecordReader, DepthZeroIsTheSynchronousReader) {
+  ScopedTempDir dir("lasagna-test");
+  IoStats write_stats;
+  write_all_records<Pod>(dir.file("pods.bin"), make_pods(50), write_stats);
+
+  IoStats sync_stats;
+  IoStats async_stats;
+  RecordReader<Pod> sync(dir.file("pods.bin"), sync_stats);
+  AsyncRecordReader<Pod> async(dir.file("pods.bin"), async_stats, 8, 0);
+  std::vector<Pod> a;
+  std::vector<Pod> b;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(async.read(b, 30), sync.read(a, 30));
+    EXPECT_EQ(async.eof(), sync.eof());
+  }
+  EXPECT_EQ(b.size(), a.size());
+  EXPECT_EQ(async_stats.read_ops(), sync_stats.read_ops());
+}
+
 TEST(AsyncRecordWriter, MatchesSynchronousWriter) {
   ScopedTempDir dir("lasagna-test");
   IoStats stats;
@@ -159,5 +186,170 @@ TEST(AsyncRecordWriter, WriteFailurePropagatesOnClose) {
   }
 }
 
+TEST(AsyncRecordWriter, DepthZeroWritesThrough) {
+  ScopedTempDir dir("lasagna-test");
+  IoStats stats;
+  const auto pods = make_pods(100);
+  AsyncRecordWriter<Pod> writer(dir.file("sync.bin"), stats, 64, 0);
+  writer.write(std::span<const Pod>(pods).first(10));
+  EXPECT_EQ(stats.snapshot().bytes_written, 10 * sizeof(Pod));
+  writer.write(std::span<const Pod>(pods).subspan(10));
+  writer.close();
+  EXPECT_EQ(stats.write_ops(), 2u);  // one per call, no restaging
+  EXPECT_EQ(read_all_records<Pod>(dir.file("sync.bin"), stats).size(), 100u);
+}
+
 }  // namespace
 }  // namespace lasagna::io
+
+namespace lasagna::util {
+namespace {
+
+/// A Prefetch over the integers [0, n).
+std::unique_ptr<Prefetch<int>> count_to(int n, std::size_t depth) {
+  return std::make_unique<Prefetch<int>>(
+      [n, i = 0](int& item) mutable {
+        if (i == n) return false;
+        item = i++;
+        return true;
+      },
+      depth);
+}
+
+TEST(BackgroundStage, KeepsOrderAtEveryDepth) {
+  for (std::size_t depth : {0u, 1u, 3u}) {
+    auto source = count_to(200, depth);
+    std::vector<int> drained;
+    Drain<int> sink([&drained](int& item) { drained.push_back(item); },
+                    depth);
+    int item = 0;
+    int expected = 0;
+    while (source->next(item)) {
+      EXPECT_EQ(item, expected++) << "depth " << depth;
+      sink.submit(item);
+    }
+    EXPECT_EQ(expected, 200) << "depth " << depth;
+    EXPECT_FALSE(source->next(item)) << "depth " << depth;
+    sink.finish();
+    ASSERT_EQ(drained.size(), 200u) << "depth " << depth;
+    for (int i = 0; i < 200; ++i) EXPECT_EQ(drained[i], i);
+  }
+}
+
+TEST(BackgroundStage, ProducerErrorArrivesAfterEarlierItems) {
+  for (std::size_t depth : {0u, 1u, 3u}) {
+    Prefetch<int> source(
+        [i = 0](int& item) mutable {
+          if (i == 5) throw std::runtime_error("producer failed");
+          item = i++;
+          return true;
+        },
+        depth);
+    int item = 0;
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(source.next(item)) << "depth " << depth;
+      EXPECT_EQ(item, i);
+    }
+    EXPECT_THROW(source.next(item), std::runtime_error) << "depth " << depth;
+  }
+}
+
+TEST(BackgroundStage, ConsumerErrorSurfacesOnSubmitAndFinish) {
+  Drain<int> sink([](int&) { throw std::runtime_error("consumer failed"); },
+                  1);
+  // The first item is accepted; by the third, the one slot is taken and
+  // submit() waits until the consumer's failure is visible.
+  EXPECT_THROW(
+      {
+        for (int i = 0; i < 3; ++i) sink.submit(i);
+      },
+      std::runtime_error);
+  EXPECT_THROW(sink.submit(3), std::runtime_error);
+  EXPECT_THROW(sink.finish(), std::runtime_error);
+}
+
+TEST(BackgroundStage, DestructionAbandonsQueuedWork) {
+  std::atomic<int> consumed{0};
+  std::promise<void> started;
+  {
+    Drain<int> sink(
+        [&](int& item) {
+          if (item == 0) {
+            started.set_value();
+            // Hold item 0 until the destructor has asked the thread to stop.
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+          }
+          ++consumed;
+        },
+        1);
+    sink.submit(0);
+    started.get_future().wait();
+    sink.submit(1);  // queued behind the busy consumer
+  }
+  EXPECT_EQ(consumed.load(), 1);
+
+  std::atomic<int> produced{0};
+  {
+    Prefetch<int> endless(
+        [&produced](int& item) {
+          item = produced++;
+          return true;
+        },
+        2);
+    int item = 0;
+    ASSERT_TRUE(endless.next(item));
+  }
+  // One taken, two queued, one in the producer's hand when it stopped.
+  EXPECT_LE(produced.load(), 4);
+}
+
+TEST(BackgroundStage, DepthZeroRunsOnTheCallersThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (std::size_t depth : {0u, 1u}) {
+    std::thread::id producer_thread;
+    std::thread::id consumer_thread;
+    Prefetch<int> source(
+        [&producer_thread](int& item) {
+          producer_thread = std::this_thread::get_id();
+          item = 1;
+          return true;
+        },
+        depth);
+    Drain<int> sink(
+        [&consumer_thread](int&) {
+          consumer_thread = std::this_thread::get_id();
+        },
+        depth);
+    int item = 0;
+    ASSERT_TRUE(source.next(item));
+    sink.submit(item);
+    sink.finish();
+    EXPECT_EQ(consumer_thread == caller, depth == 0) << "depth " << depth;
+    if (depth == 0) {
+      EXPECT_EQ(producer_thread, caller);
+    }
+  }
+}
+
+TEST(BackgroundStage, ConcurrentSubmitsRunEachItemOnce) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 250;
+  for (std::size_t depth : {std::size_t{0}, std::size_t{2}, kUnboundedDepth}) {
+    std::vector<int> seen(kThreads * kPerThread, 0);
+    Drain<int> sink([&seen](int& item) { ++seen[item]; }, depth);
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&sink, t] {
+        for (int i = 0; i < kPerThread; ++i) sink.submit(t * kPerThread + i);
+      });
+    }
+    for (auto& thread : submitters) thread.join();
+    sink.finish();
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i], 1) << "item " << i << ", depth " << depth;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace lasagna::util

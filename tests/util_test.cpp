@@ -209,5 +209,17 @@ TEST(RunStats, TotalsAndLookup) {
   EXPECT_NE(stats.to_table().find("sort"), std::string::npos);
 }
 
+TEST(RunStats, TableShowsWallWithTwoDecimals) {
+  RunStats stats;
+  stats.add(PhaseStats{
+      .name = "map", .wall_seconds = 1.4, .modeled_seconds = 1.4});
+  const std::string table = stats.to_table();
+  // format_duration would round the 1.4 s wall time to "1s".
+  EXPECT_NE(table.find("map         1.40s "), std::string::npos) << table;
+  EXPECT_NE(table.find("total       1.40s "), std::string::npos) << table;
+  // The modeled column keeps the paper's h/m/s form.
+  EXPECT_NE(table.find("1.40s       1s "), std::string::npos) << table;
+}
+
 }  // namespace
 }  // namespace lasagna::util
