@@ -63,60 +63,27 @@ void device_sort_chunk(Workspace& ws, std::span<FpRecord> chunk,
   join_records(keys, vals, chunk);
 }
 
-/// Device merge of two host windows that both fit on the device together.
-void device_merge_windows(Workspace& ws, std::span<const FpRecord> a,
+/// Device merge of two non-empty host windows that fit on the device
+/// together. The records merge in host memory; the next leg of `streams` is
+/// charged the device round trip: keys and values of both windows in, the
+/// merge kernel, the merged keys and values out.
+void device_merge_windows(std::span<const FpRecord> a,
                           std::span<const FpRecord> b,
                           std::vector<FpRecord>& out,
                           DeviceStreams& streams) {
-  gpu::Device& dev = *ws.device;
+  constexpr std::size_t kKeyBytes = sizeof(gpu::Key128);
+  constexpr std::size_t kValueBytes = sizeof(std::uint64_t);
   out.resize(a.size() + b.size());
-  if (a.empty()) {
-    std::copy(b.begin(), b.end(), out.begin());
-    return;
-  }
-  if (b.empty()) {
-    std::copy(a.begin(), a.end(), out.begin());
-    return;
-  }
-
-  std::vector<gpu::Key128> keys_a;
-  std::vector<std::uint64_t> vals_a;
-  std::vector<gpu::Key128> keys_b;
-  std::vector<std::uint64_t> vals_b;
-  split_records(a, keys_a, vals_a);
-  split_records(b, keys_b, vals_b);
-
-  auto d_ka = dev.alloc<gpu::Key128>(a.size());
-  auto d_va = dev.alloc<std::uint64_t>(a.size());
-  auto d_kb = dev.alloc<gpu::Key128>(b.size());
-  auto d_vb = dev.alloc<std::uint64_t>(b.size());
-  auto d_ko = dev.alloc<gpu::Key128>(out.size());
-  auto d_vo = dev.alloc<std::uint64_t>(out.size());
-
   gpu::Stream& s = streams.rotate();
-  s.copy_to_device_async(std::span<const gpu::Key128>(keys_a), d_ka.span());
-  s.copy_to_device_async(std::span<const std::uint64_t>(vals_a),
-                         d_va.span());
-  s.copy_to_device_async(std::span<const gpu::Key128>(keys_b), d_kb.span());
-  s.copy_to_device_async(std::span<const std::uint64_t>(vals_b),
-                         d_vb.span());
-
-  streams.begin_kernel(s);
-  {
-    gpu::StreamScope scope(dev, s);
-    gpu::merge_pairs<std::uint64_t>(
-        dev, d_ka.span(), d_va.span(), d_kb.span(), d_vb.span(), d_ko.span(),
-        d_vo.span());
+  for (const std::size_t n : {a.size(), b.size()}) {
+    s.charge_transfer(kKeyBytes * n);
+    s.charge_transfer(kValueBytes * n);
   }
+  streams.begin_kernel(s);
+  gpu::merge_pairs(s, a, b, std::span<FpRecord>(out), fp_less);
   streams.end_kernel(s);
-
-  std::vector<gpu::Key128> keys_out(out.size());
-  std::vector<std::uint64_t> vals_out(out.size());
-  s.copy_to_host_async(std::span<const gpu::Key128>(d_ko.span()),
-                       std::span<gpu::Key128>(keys_out));
-  s.copy_to_host_async(std::span<const std::uint64_t>(d_vo.span()),
-                       std::span<std::uint64_t>(vals_out));
-  join_records(keys_out, vals_out, out);
+  s.charge_transfer(kKeyBytes * out.size());
+  s.charge_transfer(kValueBytes * out.size());
 }
 
 using RecordSink = std::function<void(std::span<const FpRecord>)>;
@@ -176,7 +143,7 @@ void merge_windows_loop(Window& wa, Window& wb, const RecordSink& sink,
 
 /// Device-level Algorithm 1: merge two sorted host runs through device
 /// windows of m_d / 2 records.
-void device_windowed_merge_impl(Workspace& ws, std::span<const FpRecord> a,
+void device_windowed_merge_impl(std::span<const FpRecord> a,
                                 std::span<const FpRecord> b,
                                 std::uint64_t device_block_records,
                                 const RecordSink& sink,
@@ -189,7 +156,7 @@ void device_windowed_merge_impl(Workspace& ws, std::span<const FpRecord> a,
   merge_windows_loop(wa, wb, sink,
                      [&](std::span<const FpRecord> va,
                          std::span<const FpRecord> vb) {
-                       device_merge_windows(ws, va, vb, merged, streams);
+                       device_merge_windows(va, vb, merged, streams);
                        sink(merged);
                      });
   if (wa.fill()) sink(wa.records);
@@ -228,7 +195,7 @@ void sort_host_block_impl(Workspace& ws, std::span<FpRecord> block,
       const std::size_t merged_size = runs[i].size() + runs[i + 1].size();
       std::size_t cursor = out_off;
       device_windowed_merge_impl(
-          ws, runs[i], runs[i + 1], device_block_records,
+          runs[i], runs[i + 1], device_block_records,
           [&scratch, &cursor](std::span<const FpRecord> part) {
             std::copy(part.begin(), part.end(), scratch.begin() + cursor);
             cursor += part.size();
@@ -256,7 +223,7 @@ void device_windowed_merge(
     std::uint64_t device_block_records,
     const std::function<void(std::span<const FpRecord>)>& sink) {
   DeviceStreams streams(*ws.device, false);
-  device_windowed_merge_impl(ws, a, b, device_block_records, sink, streams);
+  device_windowed_merge_impl(a, b, device_block_records, sink, streams);
 }
 
 void sort_host_block(Workspace& ws, std::span<FpRecord> block,
@@ -295,7 +262,7 @@ void merge_files(Workspace& ws, const std::filesystem::path& in_a,
                      [&](std::span<const FpRecord> va,
                          std::span<const FpRecord> vb) {
                        device_windowed_merge_impl(
-                           ws, va, vb, geometry.device_block_records, sink,
+                           va, vb, geometry.device_block_records, sink,
                            streams);
                      });
   for (FileWindow* w : {&wa, &wb}) {

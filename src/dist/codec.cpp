@@ -111,8 +111,15 @@ Payload decode_delta(std::span<const std::byte> wire) {
   const std::size_t head_len = get_varint(wire, pos);
   const std::size_t n = get_varint(wire, pos);
   const std::size_t tail_len = get_varint(wire, pos);
-  if (pos + head_len > wire.size()) {
+  // Bound every size by the wire bytes left before sizing the output: each
+  // record takes at least 4 wire bytes (one varint per field).
+  std::size_t left = wire.size() - pos;
+  if (head_len > left) {
     throw std::invalid_argument("codec: truncated delta head");
+  }
+  left -= head_len;
+  if (n > left / 4 || tail_len > left - 4 * n) {
+    throw std::invalid_argument("codec: delta sizes exceed the payload");
   }
 
   Payload out(head_len + n * kRecordBytes + tail_len);
@@ -216,6 +223,10 @@ Payload encode_lz(std::span<const std::byte> logical) {
 Payload decode_lz(std::span<const std::byte> wire) {
   std::size_t pos = 1;
   const std::size_t logical_size = get_varint(wire, pos);
+  // No token expands a wire byte into more than kLzMaxMatch bytes.
+  if (logical_size > (wire.size() - pos) * kLzMaxMatch) {
+    throw std::invalid_argument("codec: lz size exceeds the payload");
+  }
   Payload out;
   out.reserve(logical_size);
   unsigned flag = 0;

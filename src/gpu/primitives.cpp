@@ -9,9 +9,5 @@ template void sort_pairs<std::uint32_t>(Device&, std::span<Key128>,
                                         std::span<std::uint32_t>);
 template void sort_pairs<std::uint64_t>(Device&, std::span<Key128>,
                                         std::span<std::uint64_t>);
-template void merge_pairs<std::uint32_t>(
-    Device&, std::span<const Key128>, std::span<const std::uint32_t>,
-    std::span<const Key128>, std::span<const std::uint32_t>,
-    std::span<Key128>, std::span<std::uint32_t>);
 
 }  // namespace lasagna::gpu

@@ -1,11 +1,11 @@
 // Thrust-style device primitives used by the pipeline:
 //   - sort_pairs:     LSD radix sort of (Key128, value) pairs
-//   - merge_pairs:    stable merge of two key-sorted pair sequences
-//   - scans:          inclusive/exclusive prefix sums
+//   - merge_pairs:    stable merge of two sorted record sequences
+//   - exclusive_scan: exclusive prefix sum
 //   - vector bounds:  batched lower_bound/upper_bound (Algorithm 2, lines 8-9)
 //   - gather:         permutation copy (contig layout, section III-D)
 //
-// Each primitive executes for real on the host pool *and* charges the
+// Each primitive executes for real on the host *and* charges the
 // device's modeled clock according to the bytes it moves and the operations
 // it performs, so modeled timings reflect what a Thrust implementation of
 // the same operation costs on the profiled GPU.
@@ -21,14 +21,14 @@
 
 #include "gpu/device.hpp"
 #include "gpu/key128.hpp"
+#include "gpu/stream.hpp"
 
 namespace lasagna::gpu {
 
 namespace detail {
 
 /// Number of parallel partitions used by the block-structured primitives.
-inline std::size_t partition_count(std::size_t n, const Device& dev) {
-  (void)dev;
+inline std::size_t partition_count(std::size_t n) {
   // Enough to keep any host pool busy while bounding histogram memory.
   const std::size_t kMax = 32;
   return std::clamp<std::size_t>(n / 4096, 1, kMax);
@@ -51,7 +51,7 @@ void sort_pairs(Device& dev, std::span<Key128> keys, std::span<V> values) {
   auto tmp_vals = dev.alloc<V>(n);
 
   auto& pool = util::ThreadPool::global();
-  const std::size_t parts = detail::partition_count(n, dev);
+  const std::size_t parts = detail::partition_count(n);
   const std::size_t step = (n + parts - 1) / parts;
 
   // One pre-pass builds all 16 digit histograms so degenerate passes
@@ -149,73 +149,22 @@ void sort_pairs(Device& dev, std::span<Key128> keys, std::span<V> values) {
   }
 }
 
-/// Stable merge of two key-sorted pair sequences into `out_*`
-/// (sizes must satisfy out == a + b). Ties take from `a` first.
-template <typename V>
-void merge_pairs(Device& dev, std::span<const Key128> a_keys,
-                 std::span<const V> a_vals, std::span<const Key128> b_keys,
-                 std::span<const V> b_vals, std::span<Key128> out_keys,
-                 std::span<V> out_vals) {
-  const std::size_t na = a_keys.size();
-  const std::size_t nb = b_keys.size();
-  const std::size_t n = na + nb;
-  if (a_vals.size() != na || b_vals.size() != nb || out_keys.size() != n ||
-      out_vals.size() != n) {
+/// Stable merge of two sorted record sequences into `out` (whose size must
+/// be a.size() + b.size()); ties take from `a` first. The records merge in
+/// host memory, and `stream` is charged what a merge-path merge of the
+/// records costs on the device: every record read and written once, one
+/// compare per output plus 64 per partition for the split searches.
+template <typename R, typename Less>
+void merge_pairs(Stream& stream, std::span<const R> a, std::span<const R> b,
+                 std::span<R> out, Less less) {
+  const std::size_t n = a.size() + b.size();
+  if (out.size() != n) {
     throw std::invalid_argument("merge_pairs: size mismatch");
   }
   if (n == 0) return;
-
-  auto& pool = util::ThreadPool::global();
-  const std::size_t parts = detail::partition_count(n, dev);
-  const std::size_t step = (n + parts - 1) / parts;
-
-  // Merge-path partitioning: for output diagonal k, find the split (i, j)
-  // with i + j = k such that a[0..i) and b[0..j) are exactly the first k
-  // outputs of the stable merge.
-  auto split_for = [&](std::size_t k) -> std::size_t {
-    std::size_t lo = k > nb ? k - nb : 0;
-    std::size_t hi = std::min(k, na);
-    while (lo < hi) {
-      const std::size_t i = lo + (hi - lo) / 2;
-      const std::size_t j = k - i;
-      // Stability: ties take from `a`, so a[i] <= b[j-1] means a[i] belongs
-      // among the first k outputs and the split must move right. This
-      // predicate is monotone in i, and the smallest i where it fails also
-      // satisfies a[i-1] <= b[j] (the complementary validity condition).
-      if (i < na && j > 0 && a_keys[i] <= b_keys[j - 1]) {
-        lo = i + 1;
-      } else {
-        hi = i;
-      }
-    }
-    return lo;
-  };
-
-  pool.parallel_for_chunked(parts, [&](std::size_t pb, std::size_t pe) {
-    for (std::size_t p = pb; p < pe; ++p) {
-      const std::size_t out_begin = p * step;
-      const std::size_t out_end = std::min(n, out_begin + step);
-      if (out_begin >= out_end) continue;
-      std::size_t i = split_for(out_begin);
-      std::size_t j = out_begin - i;
-      for (std::size_t k = out_begin; k < out_end; ++k) {
-        const bool take_a =
-            j >= nb || (i < na && a_keys[i] <= b_keys[j]);
-        if (take_a) {
-          out_keys[k] = a_keys[i];
-          out_vals[k] = a_vals[i];
-          ++i;
-        } else {
-          out_keys[k] = b_keys[j];
-          out_vals[k] = b_vals[j];
-          ++j;
-        }
-      }
-    }
-  });
-
-  dev.charge_kernel(2 * n * (sizeof(Key128) + sizeof(V)),
-                    n + parts * 64 /* split searches */);
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin(), less);
+  stream.charge_kernel(2 * n * sizeof(R),
+                       n + detail::partition_count(n) * 64);
 }
 
 /// Exclusive prefix sum; `out` may alias `in`. Returns the total.
@@ -229,21 +178,6 @@ T exclusive_scan(Device& dev, std::span<const T> in, std::span<T> out) {
     const T v = in[i];
     out[i] = running;
     running += v;
-  }
-  dev.charge_kernel(2 * in.size() * sizeof(T), 2 * in.size());
-  return running;
-}
-
-/// Inclusive prefix sum; `out` may alias `in`. Returns the total.
-template <typename T>
-T inclusive_scan(Device& dev, std::span<const T> in, std::span<T> out) {
-  if (out.size() != in.size()) {
-    throw std::invalid_argument("inclusive_scan: size mismatch");
-  }
-  T running{};
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    running += in[i];
-    out[i] = running;
   }
   dev.charge_kernel(2 * in.size() * sizeof(T), 2 * in.size());
   return running;
@@ -308,32 +242,6 @@ void gather(Device& dev, std::span<const T> src, std::span<const I> indices,
       });
   dev.charge_kernel(indices.size() * (2 * sizeof(T) + sizeof(I)),
                     indices.size());
-}
-
-/// out[indices[i]] = src[i] (indices must be unique).
-template <typename T, typename I>
-void scatter(Device& dev, std::span<const T> src, std::span<const I> indices,
-             std::span<T> out) {
-  if (src.size() != indices.size()) {
-    throw std::invalid_argument("scatter: size mismatch");
-  }
-  util::ThreadPool::global().parallel_for_chunked(
-      indices.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          out[static_cast<std::size_t>(indices[i])] = src[i];
-        }
-      });
-  dev.charge_kernel(indices.size() * (2 * sizeof(T) + sizeof(I)),
-                    indices.size());
-}
-
-/// Sum reduction.
-template <typename T>
-T reduce_sum(Device& dev, std::span<const T> in) {
-  T total{};
-  for (const T& v : in) total += v;
-  dev.charge_kernel(in.size() * sizeof(T), in.size());
-  return total;
 }
 
 }  // namespace lasagna::gpu

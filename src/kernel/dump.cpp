@@ -12,10 +12,6 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
-/// Sanity cap on a single blob: a corrupted size field must not drive a
-/// multi-terabyte allocation before the checksum gets a chance to fail.
-constexpr std::uint64_t kMaxBlobBytes = 1ull << 36;  // 64 GiB
-
 void write_u32(std::ofstream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -122,6 +118,7 @@ DumpReader::DumpReader(const std::filesystem::path& path) : path_(path) {
   if (!in_) {
     throw std::runtime_error("cannot open kernel dump: " + path.string());
   }
+  file_bytes_ = std::filesystem::file_size(path);
   if (read_u32(in_, "magic") != kDumpMagic) {
     throw std::runtime_error("not a kernel dump (bad magic): " +
                              path.string());
@@ -147,12 +144,16 @@ bool DumpReader::next(DumpRecord& record) {
   for (std::uint64_t& m : record.meta) m = read_u64(in_, "record meta");
   const std::uint64_t input_bytes = read_u64(in_, "input size");
   const std::uint64_t output_bytes = read_u64(in_, "output size");
-  if (input_bytes > kMaxBlobBytes || output_bytes > kMaxBlobBytes) {
-    throw std::runtime_error("kernel dump blob size implausible: " +
-                             path_.string());
-  }
   const std::uint64_t input_fnv = read_u64(in_, "input checksum");
   const std::uint64_t output_fnv = read_u64(in_, "output checksum");
+  // A corrupted size field must not drive a huge allocation before the
+  // read or the checksum gets a chance to fail.
+  const auto left = file_bytes_ - static_cast<std::uint64_t>(in_.tellg());
+  if (input_bytes > left || output_bytes > left - input_bytes) {
+    throw std::runtime_error(
+        "kernel dump blob sizes exceed the bytes left in the file: " +
+        path_.string());
+  }
   record.input.resize(input_bytes);
   record.output.resize(output_bytes);
   if (!in_.read(reinterpret_cast<char*>(record.input.data()),

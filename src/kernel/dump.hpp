@@ -103,6 +103,7 @@ class DumpReader {
  private:
   std::filesystem::path path_;
   std::ifstream in_;
+  std::uint64_t file_bytes_ = 0;
   KernelId kernel_{};
   std::uint64_t records_ = 0;
   std::uint64_t read_ = 0;

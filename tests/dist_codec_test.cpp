@@ -113,6 +113,37 @@ TEST(Codec, MalformedPayloadsThrow) {
   const std::span<const std::byte> truncated(wire.data(),
                                              wire.size() / 2);
   EXPECT_THROW(decode_chunk(truncated), std::invalid_argument);
+
+  // Hostile sizes are rejected before the decoder sizes its output: a tag,
+  // the method's size varints, then 8 zero bytes.
+  const auto hostile = [](codec::Method m,
+                          std::initializer_list<std::uint64_t> sizes) {
+    codec::Payload out{static_cast<std::byte>(m)};
+    for (std::uint64_t v : sizes) {
+      for (; v >= 0x80; v >>= 7) {
+        out.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
+      }
+      out.push_back(static_cast<std::byte>(v));
+    }
+    out.resize(out.size() + 8, std::byte{0});
+    return out;
+  };
+  // Delta: head_len, record count, tail_len. The first count wraps
+  // count * 24 to 8 bytes.
+  for (const auto& sizes :
+       {std::initializer_list<std::uint64_t>{0, 0x0AAAAAAAAAAAAAABull, 0},
+        {0, 1ull << 40, 0},
+        {0, 3, 0},
+        {0, 0, 1ull << 62},
+        {1ull << 62, 0, 0}}) {
+    EXPECT_THROW(decode_chunk(hostile(codec::Method::kDelta, sizes)),
+                 std::invalid_argument);
+  }
+  // LZ: a logical size no token stream of 8 bytes can produce.
+  for (const std::uint64_t size : {~0ull, 1ull << 40, 8ull * 19 + 1}) {
+    EXPECT_THROW(decode_chunk(hostile(codec::Method::kLz, {size})),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Topology, EffectiveBandwidthAndLatencyFollowRacks) {

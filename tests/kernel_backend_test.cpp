@@ -435,6 +435,30 @@ TEST(KernelBackendDumpTest, RejectsMalformedAndTruncatedDumps) {
     EXPECT_THROW((void)reader.next(rec), std::runtime_error);
   }
 
+  // A short file claiming a 1 GiB input blob is rejected before the reader
+  // sizes its buffer. The record's input size sits after the 24-byte
+  // header and the 8 meta words.
+  const auto huge = dir.file("huge.lkd");
+  {
+    std::ofstream out(huge, std::ios::binary);
+    std::string bytes = full;
+    const std::uint64_t claimed = 1ull << 30;
+    std::memcpy(bytes.data() + 24 + 8 * 8, &claimed, sizeof(claimed));
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  {
+    kernel::DumpReader reader(huge);
+    kernel::DumpRecord rec;
+    try {
+      (void)reader.next(rec);
+      ADD_FAILURE() << "a 1 GiB blob in a short file was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("exceed the bytes left"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
   // Replay refuses an empty directory outright.
   EXPECT_THROW(
       (void)kernel::replay_dump(dir.file("empty"),
@@ -568,6 +592,32 @@ TEST(KernelBackendPipelineTest, HostBackendReduceAllocatesNoDeviceMemory) {
     EXPECT_NE(name, "gpu.allocs") << delta;
     EXPECT_NE(name, "gpu.alloc_bytes") << delta;
   }
+}
+
+TEST(KernelBackendPipelineTest, HostBackendSortAllocatesNoDeviceMemory) {
+  // A 16 KiB device makes m_d = 170 records, so every host block spans
+  // several device chunks and the sort runs Algorithm-1 window merges. The
+  // merges still charge their modeled device round trip, but no backend
+  // allocates device memory for them.
+  io::ScopedTempDir dir("lasagna-khostsort");
+  const auto fastq = write_fastq(dir, 47);
+  auto config = small_config();
+  config.machine.host_memory_bytes = 512 << 10;
+  config.machine.device_memory_bytes = 16 << 10;
+  config.kernel_backend = "scalar";
+  core::Assembler assembler(config);
+  const auto result = assembler.run(fastq, dir.file("contigs.fa"));
+
+  const util::PhaseStats& sort = result.stats.phase("sort");
+  EXPECT_GT(result.candidate_edges, 0u);
+  EXPECT_EQ(sort.peak_device_bytes, 0u);
+  bool merged = false;
+  for (const auto& [name, delta] : sort.metrics) {
+    EXPECT_NE(name, "gpu.allocs") << delta;
+    EXPECT_NE(name, "gpu.alloc_bytes") << delta;
+    merged = merged || (name == "gpu.kernel_charges" && delta > 0);
+  }
+  EXPECT_TRUE(merged) << "the sort ran no device merge";
 }
 
 }  // namespace

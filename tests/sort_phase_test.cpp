@@ -7,6 +7,7 @@
 
 #include "core/sort_phase.hpp"
 #include "io/record_stream.hpp"
+#include "obs/metrics.hpp"
 #include "test_workspace.hpp"
 
 namespace lasagna::core {
@@ -217,6 +218,70 @@ TEST(StreamedExternalSort, ByteIdenticalToSynchronousAndFaster) {
   // completion time strictly drops.
   EXPECT_LT(streamed_ps, sync_ps);
   EXPECT_GT(streamed_ps, 0u);
+}
+
+std::uint64_t fnv1a(const std::vector<char>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(StreamedExternalSort, DeviceMergeChargesAndTieOrderArePinned) {
+  // The device-level Algorithm-1 merge's contract: records, tie order and
+  // every modeled charge. Algorithm 1's windows are not globally a-first on
+  // ties, so the digests pin the recorded order rather than a stable-sort
+  // reference. 6,000 records over 64 distinct keys, 3 host blocks of 8
+  // device chunks each.
+  struct Expected {
+    bool streamed;
+    double modeled_seconds;
+    std::int64_t transfer_charges;
+    std::int64_t transfer_bytes;
+    std::int64_t kernel_charges;
+    std::int64_t kernel_bytes;
+    std::int64_t kernel_ops;
+    std::uint64_t digest;
+  };
+  const Expected cases[] = {
+      {false, 6.7614178999999996e-05, 912, 1636128, 208, 3748128, 156790,
+       0xb94b282a68bb124full},
+      {true, 3.5091112e-05, 912, 1636128, 208, 3748128, 156790,
+       0xb94b282a68bb124full},
+  };
+  const char* counters[] = {"gpu.transfer_charges", "gpu.transfer_bytes",
+                            "gpu.kernel_charges", "gpu.kernel_bytes",
+                            "gpu.kernel_ops"};
+  for (const Expected& want : cases) {
+    SCOPED_TRACE(want.streamed ? "streamed" : "sync");
+    TestWorkspace tw;
+    const auto records = random_records(6000, 29, 7);
+    io::write_all_records<FpRecord>(tw.dir().file("in.bin"), records,
+                                    tw.io());
+    auto& registry = obs::MetricsRegistry::global();
+    std::vector<std::int64_t> before;
+    for (const char* name : counters) before.push_back(registry.value(name));
+
+    BlockGeometry g{2048, 256, want.streamed};
+    const auto stats = external_sort_file(
+        tw.ws(), tw.dir().file("in.bin"), tw.dir().file("out.bin"), g);
+    ASSERT_EQ(stats.host_blocks, 3u);
+
+    std::vector<std::int64_t> delta;
+    for (std::size_t i = 0; i < std::size(counters); ++i) {
+      delta.push_back(registry.value(counters[i]) - before[i]);
+    }
+    const std::uint64_t digest = fnv1a(slurp(tw.dir().file("out.bin")));
+    EXPECT_EQ(tw.device().modeled_seconds(), want.modeled_seconds);
+    EXPECT_EQ(delta[0], want.transfer_charges);
+    EXPECT_EQ(delta[1], want.transfer_bytes);
+    EXPECT_EQ(delta[2], want.kernel_charges);
+    EXPECT_EQ(delta[3], want.kernel_bytes);
+    EXPECT_EQ(delta[4], want.kernel_ops);
+    EXPECT_EQ(digest, want.digest);
+  }
 }
 
 TEST(StreamedExternalSort, EmptyAndTinyInputs) {
