@@ -5,6 +5,7 @@
 #include <sstream>
 #include <system_error>
 
+#include "io/file_stream.hpp"
 #include "obs/trace.hpp"
 
 namespace lasagna::core {
@@ -12,7 +13,7 @@ namespace lasagna::core {
 namespace {
 
 constexpr const char* kManifestName = "checkpoint.manifest";
-constexpr const char* kHeader = "lasagna-checkpoint 1";
+constexpr const char* kHeader = "lasagna-checkpoint 2";
 
 std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
@@ -35,14 +36,29 @@ std::uint64_t fnv1a_value(std::uint64_t hash, const T& value) {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 
+struct SidecarHeader {
+  std::uint64_t magic = 0;
+  std::uint32_t version = 0;
+  std::uint32_t record_size = 0;
+  std::uint64_t count = 0;
+  std::uint64_t checksum = 0;  ///< FNV-1a-64 of the payload bytes
+};
+static_assert(sizeof(SidecarHeader) ==
+              CheckpointManager::kSidecarHeaderBytes);
+
+constexpr std::uint64_t kSidecarMagic = 0x54504b434e47534cULL;  // "LSGNCKPT"
+constexpr std::uint32_t kSidecarVersion = 1;
+
 }  // namespace
 
 CheckpointManager::CheckpointManager(std::filesystem::path dir,
                                      std::uint64_t input_fingerprint,
-                                     std::uint64_t config_hash)
+                                     std::uint64_t config_hash,
+                                     io::IoStats& io)
     : dir_(std::move(dir)),
       input_fingerprint_(input_fingerprint),
-      config_hash_(config_hash) {}
+      config_hash_(config_hash),
+      io_(&io) {}
 
 bool CheckpointManager::load() {
   obs::WallSpan span;
@@ -179,6 +195,48 @@ void CheckpointManager::persist_locked() {
     }
   }
   std::filesystem::rename(tmp_path, final_path);
+}
+
+void CheckpointManager::save_bytes(const std::string& name,
+                                   std::size_t record_size,
+                                   std::uint64_t count,
+                                   std::span<const std::byte> payload) {
+  const std::filesystem::path path = dir_ / ("checkpoint." + name);
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  const SidecarHeader header{kSidecarMagic, kSidecarVersion,
+                             static_cast<std::uint32_t>(record_size), count,
+                             fnv1a(kFnvOffset, payload.data(), payload.size())};
+  {
+    io::WriteOnlyStream out(tmp, *io_);
+    out.write_bytes(std::as_bytes(std::span<const SidecarHeader>(&header, 1)));
+    out.write_bytes(payload);
+    out.close();
+  }
+  std::filesystem::rename(tmp, path);
+}
+
+bool CheckpointManager::load_bytes(
+    const std::string& name, std::size_t record_size,
+    const std::function<std::span<std::byte>(std::uint64_t)>& alloc) const {
+  const std::filesystem::path path = dir_ / ("checkpoint." + name);
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec || size < sizeof(SidecarHeader)) return false;
+  io::ReadOnlyStream in(path, *io_);
+  SidecarHeader header;
+  in.read_bytes(std::as_writable_bytes(std::span<SidecarHeader>(&header, 1)));
+  // The count is checked against the bytes actually present before it
+  // sizes anything.
+  const std::uintmax_t payload_bytes = size - sizeof(SidecarHeader);
+  if (header.magic != kSidecarMagic || header.version != kSidecarVersion ||
+      header.record_size != record_size ||
+      header.count != payload_bytes / record_size ||
+      payload_bytes % record_size != 0) {
+    return false;
+  }
+  const std::span<std::byte> payload = alloc(header.count);
+  return in.read_bytes(payload) == payload.size() &&
+         fnv1a(kFnvOffset, payload.data(), payload.size()) == header.checksum;
 }
 
 std::uint64_t CheckpointManager::fingerprint_inputs(

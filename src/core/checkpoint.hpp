@@ -1,27 +1,35 @@
 // Phase-granular checkpoint/restart for the assembly pipeline.
 //
 // A CheckpointManager owns a small text manifest in the workspace directory
-// plus binary sidecar files (read lengths, graph edges) written with the
-// usual record streams. Entries are recorded at phase boundaries and — in
-// the sort phase — per level-1 run, so a run killed mid-sort resumes from
-// the last finished run instead of the phase start. The manifest carries an
-// input fingerprint and a config hash; a resume against different inputs or
-// parameters is detected and falls back to a fresh run.
+// plus binary sidecar files (read lengths, graph edges, the distributed
+// reduce's per-partition state). Entries are recorded at phase boundaries
+// and — in the sort phase — per level-1 run, so a run killed mid-sort
+// resumes from the last finished run instead of the phase start. The
+// manifest carries an input fingerprint and a config hash; a resume against
+// different inputs or parameters is detected and falls back to a fresh run.
 //
 // Durability model: every record() rewrites the manifest to a temp file and
 // renames it over the old one, so the manifest on disk is always a
 // consistent prefix of the work actually completed (rename is atomic on
-// POSIX). Sidecars are written before the entry that references them.
+// POSIX). Sidecars are written the same way, before the entry that
+// references them, and check themselves: a header carries the record size,
+// the record count and a checksum of the payload, so a torn, resized or
+// corrupted sidecar loads as missing and its work is recomputed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/config.hpp"
+#include "io/record_stream.hpp"
 
 namespace lasagna::core {
 
@@ -30,12 +38,16 @@ class CheckpointManager {
   /// Named uint64 counters attached to one manifest entry.
   using Counters = std::map<std::string, std::uint64_t>;
 
+  /// Bytes in front of a sidecar's first record.
+  static constexpr std::size_t kSidecarHeaderBytes = 32;
+
   /// `dir` is the workspace directory the manifest lives in;
   /// `input_fingerprint` and `config_hash` guard against resuming across
-  /// different inputs or parameters.
+  /// different inputs or parameters. Sidecar traffic is charged to `io`.
   CheckpointManager(std::filesystem::path dir,
                     std::uint64_t input_fingerprint,
-                    std::uint64_t config_hash);
+                    std::uint64_t config_hash,
+                    io::IoStats& io = io::IoStats::global());
 
   /// Load an existing manifest. Returns true when one exists and matches
   /// this run's input fingerprint and config hash (entries become
@@ -66,12 +78,28 @@ class CheckpointManager {
   /// Thread-safe: the streamed sort marks runs from its writer thread.
   void record(const std::string& key, const Counters& counters);
 
-  /// Path of a binary sidecar file inside the checkpoint's directory.
-  [[nodiscard]] std::filesystem::path sidecar(const std::string& name) const {
-    return dir_ / ("checkpoint." + name);
+  /// Write `records` as the sidecar `checkpoint.<name>`: a header (magic,
+  /// format version, record size, record count, FNV-1a-64 of the payload)
+  /// and the records go to `checkpoint.<name>.tmp`, which is then renamed
+  /// into place. Thread-safe across distinct names.
+  template <io::TrivialRecord T>
+  void save(const std::string& name, std::span<const T> records) {
+    save_bytes(name, sizeof(T), records.size(), std::as_bytes(records));
   }
 
-  [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
+  /// The records of sidecar `name`, or nothing when the file is missing,
+  /// torn, resized, holds records of another size or fails its checksum.
+  template <io::TrivialRecord T>
+  [[nodiscard]] std::optional<std::vector<T>> load(
+      const std::string& name) const {
+    std::vector<T> records;
+    const bool ok = load_bytes(name, sizeof(T), [&records](std::uint64_t n) {
+      records.resize(n);
+      return std::as_writable_bytes(std::span<T>(records));
+    });
+    if (!ok) return std::nullopt;
+    return records;
+  }
 
   /// FNV-1a over each input's filename and size — cheap, order-sensitive,
   /// and enough to catch "resumed against a different dataset".
@@ -81,9 +109,18 @@ class CheckpointManager {
  private:
   void persist_locked();  ///< rewrite manifest.tmp + rename (mutex held)
 
+  void save_bytes(const std::string& name, std::size_t record_size,
+                  std::uint64_t count, std::span<const std::byte> payload);
+  /// Validates the header against the file, then reads the payload into
+  /// the span `alloc(count)` returns and checks its checksum.
+  bool load_bytes(
+      const std::string& name, std::size_t record_size,
+      const std::function<std::span<std::byte>(std::uint64_t)>& alloc) const;
+
   std::filesystem::path dir_;
   std::uint64_t input_fingerprint_;
   std::uint64_t config_hash_;
+  io::IoStats* io_;
   mutable std::mutex mutex_;
   std::map<std::string, Counters> entries_;
 };

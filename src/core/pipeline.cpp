@@ -8,7 +8,6 @@
 #include "core/checkpoint.hpp"
 #include "graph/gfa.hpp"
 #include "graph/transitive.hpp"
-#include "io/record_stream.hpp"
 #include "kernel/backend.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -49,8 +48,13 @@ class PhaseScope {
     }
   }
 
-  /// The phase was restored from a checkpoint rather than executed.
-  void mark_resumed() { resumed_ = true; }
+  /// The phase was restored from a checkpoint rather than executed: it
+  /// re-streams no input and has nothing to overlap.
+  void mark_resumed() {
+    resumed_ = true;
+    overlapped_ = false;
+    extra_input_bytes_ = 0.0;
+  }
 
   /// Report the bytes the phase pushed through its host stage (tuple
   /// emission, greedy edge insertion); they are charged at the machine's
@@ -174,29 +178,15 @@ bool file_has_size(const std::filesystem::path& path, std::uint64_t size) {
 
 // ---- map phase restore ---------------------------------------------------
 
-struct MapRestorePlan {
-  bool ok = false;
-  std::map<unsigned, std::uint64_t> suffix_counts;
-  std::map<unsigned, std::uint64_t> prefix_counts;
-};
-
-/// Metadata-only validation that the recorded map phase is restorable: the
-/// read-length sidecar has the right size and every recorded partition is
-/// either intact on disk or already consumed by a *finished* sort of it
-/// (its `sort:file` entry exists — the records live in the sorted output).
-MapRestorePlan plan_map_restore(const CheckpointManager& cm,
-                                const std::filesystem::path& work_dir) {
-  MapRestorePlan plan;
-  if (!cm.has("phase:map")) return plan;
-  const std::uint64_t read_count = cm.counter("phase:map", "read_count");
-  if (!file_has_size(cm.sidecar("read_lengths.bin"),
-                     read_count * sizeof(std::uint16_t))) {
-    return plan;
-  }
-
-  const std::filesystem::path map_dir = work_dir / "map";
+/// Restore a recorded map phase into `map`. Every recorded partition must
+/// be intact on disk or already consumed by a *finished* sort of it (its
+/// `sort:file` entry exists — the records live in the sorted output), and
+/// the read-length sidecar must hold one length per read.
+bool restore_map(Workspace& ws, const CheckpointManager& cm, MapResult& map) {
+  if (!cm.has("phase:map")) return false;
+  const std::filesystem::path map_dir = ws.dir / "map";
+  std::map<unsigned, std::uint64_t> counts[2];  // [sfx, pfx]
   for (const char* role : {"sfx", "pfx"}) {
-    auto& counts = role[0] == 's' ? plan.suffix_counts : plan.prefix_counts;
     const std::string prefix = std::string("map:") + role + ":";
     for (const std::string& key : cm.keys_with_prefix(prefix)) {
       const auto length =
@@ -207,43 +197,32 @@ MapRestorePlan plan_map_restore(const CheckpointManager& cm,
       if (!file_has_size(map_dir / name, records * sizeof(FpRecord))) {
         std::snprintf(name, sizeof(name), "sort:file:%s_%05u.sorted", role,
                       length);
-        if (!cm.has(name)) return plan;  // partition lost before its sort
+        if (!cm.has(name)) return false;  // partition lost before its sort
       }
-      counts[length] = records;
+      counts[role[0] == 's' ? 0 : 1][length] = records;
     }
   }
-  plan.ok = true;
-  return plan;
-}
+  auto lengths = cm.load<std::uint16_t>("read_lengths.bin");
+  const std::uint64_t read_count = cm.counter("phase:map", "read_count");
+  if (!lengths.has_value() || lengths->size() != read_count) return false;
 
-MapResult restore_map(Workspace& ws, const CheckpointManager& cm,
-                      const MapRestorePlan& plan) {
-  MapResult map;
-  map.read_count =
-      static_cast<std::uint32_t>(cm.counter("phase:map", "read_count"));
+  map.read_count = static_cast<std::uint32_t>(read_count);
   map.total_bases = cm.counter("phase:map", "total_bases");
   map.tuples_emitted = cm.counter("phase:map", "tuples_emitted");
   map.max_read_length =
       static_cast<unsigned>(cm.counter("phase:map", "max_read_length"));
-  map.read_lengths = io::read_all_records<std::uint16_t>(
-      cm.sidecar("read_lengths.bin"), *ws.io);
-  if (map.read_lengths.size() != map.read_count) {
-    throw std::runtime_error("checkpoint read_lengths sidecar corrupt");
-  }
+  map.read_lengths = std::move(*lengths);
   map.suffixes = std::make_unique<io::PartitionSet<FpRecord>>(
-      ws.dir / "map", "sfx", *ws.io);
-  map.suffixes->restore_finalized(plan.suffix_counts);
+      map_dir, "sfx", *ws.io);
+  map.suffixes->restore_finalized(counts[0]);
   map.prefixes = std::make_unique<io::PartitionSet<FpRecord>>(
-      ws.dir / "map", "pfx", *ws.io);
-  map.prefixes->restore_finalized(plan.prefix_counts);
-  return map;
+      map_dir, "pfx", *ws.io);
+  map.prefixes->restore_finalized(counts[1]);
+  return true;
 }
 
-void record_map_checkpoint(Workspace& ws, CheckpointManager& cm,
-                           const MapResult& map) {
-  io::write_all_records<std::uint16_t>(
-      cm.sidecar("read_lengths.bin"),
-      std::span<const std::uint16_t>(map.read_lengths), *ws.io);
+void record_map_checkpoint(CheckpointManager& cm, const MapResult& map) {
+  cm.save<std::uint16_t>("read_lengths.bin", map.read_lengths);
   for (unsigned length : map.suffixes->lengths()) {
     cm.record(map_key("sfx", length),
               {{"records", map.suffixes->count(length)}});
@@ -258,47 +237,23 @@ void record_map_checkpoint(Workspace& ws, CheckpointManager& cm,
                           {"max_read_length", map.max_read_length}});
 }
 
-// ---- sort phase restore --------------------------------------------------
+// ---- graph sidecars --------------------------------------------------------
 
-/// Rebuild a completed sort phase's SortResult from `sort:part` entries,
-/// validating every sorted file's size. Returns ok=false (and an empty
-/// result) on any mismatch — the caller then re-runs the phase, which skips
-/// per-file via the finer-grained `sort:file` / `sort:run` entries anyway.
-struct SortRestorePlan {
-  bool ok = false;
-  SortResult result;
-};
+/// The string graph saved as sidecar `name`, or null when it does not load.
+std::unique_ptr<graph::StringGraph> load_graph(const CheckpointManager& cm,
+                                               const std::string& name,
+                                               std::uint32_t read_count) {
+  const auto edges = cm.load<graph::Edge>(name);
+  if (!edges.has_value()) return nullptr;
+  auto graph = std::make_unique<graph::StringGraph>(read_count);
+  graph->import_edges(*edges);
+  return graph;
+}
 
-SortRestorePlan plan_sort_restore(const CheckpointManager& cm,
-                                  const std::filesystem::path& work_dir) {
-  SortRestorePlan plan;
-  if (!cm.has("phase:sort")) return plan;
-  const std::filesystem::path sorted_dir = work_dir / "sorted";
-  const std::string prefix = "sort:part:";
-  for (const std::string& key : cm.keys_with_prefix(prefix)) {
-    SortedPartition part;
-    part.length =
-        static_cast<unsigned>(std::stoul(key.substr(prefix.size())));
-    part.suffix_records = cm.counter(key, "suffix_records");
-    part.prefix_records = cm.counter(key, "prefix_records");
-    char name[64];
-    std::snprintf(name, sizeof(name), "sfx_%05u.sorted", part.length);
-    part.suffix_file = sorted_dir / name;
-    std::snprintf(name, sizeof(name), "pfx_%05u.sorted", part.length);
-    part.prefix_file = sorted_dir / name;
-    if (!file_has_size(part.suffix_file,
-                       part.suffix_records * sizeof(FpRecord)) ||
-        !file_has_size(part.prefix_file,
-                       part.prefix_records * sizeof(FpRecord))) {
-      return SortRestorePlan{};
-    }
-    plan.result.partitions.push_back(std::move(part));
-  }
-  plan.result.records_sorted = cm.counter("phase:sort", "records_sorted");
-  plan.result.max_disk_passes =
-      static_cast<unsigned>(cm.counter("phase:sort", "max_disk_passes"));
-  plan.ok = true;
-  return plan;
+std::unique_ptr<graph::FullStringGraph> new_full_graph(const MapResult& map) {
+  const std::vector<std::uint32_t> lengths32(map.read_lengths.begin(),
+                                             map.read_lengths.end());
+  return std::make_unique<graph::FullStringGraph>(map.read_count, lengths32);
 }
 
 }  // namespace
@@ -343,7 +298,7 @@ AssemblyResult Assembler::run(
   if (!config_.work_dir.empty() && !config_.verify_overlaps) {
     checkpoint = std::make_unique<CheckpointManager>(
         work, CheckpointManager::fingerprint_inputs(fastqs),
-        hash_assembly_config(config_));
+        hash_assembly_config(config_), io_stats);
     resumable = config_.resume && checkpoint->load();
     if (!resumable) checkpoint->reset();
     ws.checkpoint = checkpoint.get();
@@ -395,11 +350,7 @@ AssemblyResult Assembler::run(
         }
       }
       result.read_count = static_cast<std::uint32_t>(reads);
-      if (any_skipped && pending_bytes == 0.0) {
-        scope.mark_resumed();
-        ++result.phases_resumed;
-      }
-      if (cm != nullptr) cm->record("phase:load", {{"read_count", reads}});
+      if (any_skipped && pending_bytes == 0.0) scope.mark_resumed();
     }
   }
 
@@ -410,52 +361,40 @@ AssemblyResult Assembler::run(
   map_options.streamed = config_.streamed_map;
   MapResult map;
   {
-    MapRestorePlan plan;
-    if (resumable) plan = plan_map_restore(*cm, work);
-    PhaseScope scope("map", ws, config_.machine, result.stats,
-                     plan.ok ? 0.0 : fastq_bytes,
-                     /*overlapped=*/config_.streamed_map && !plan.ok);
-    if (plan.ok) {
-      map = restore_map(ws, *cm, plan);
+    PhaseScope scope("map", ws, config_.machine, result.stats, fastq_bytes,
+                     /*overlapped=*/config_.streamed_map);
+    if (resumable && restore_map(ws, *cm, map)) {
       scope.mark_resumed();
-      ++result.phases_resumed;
     } else {
       map = run_map_phase(ws, fastqs, map_options);
       scope.set_host_bytes(map.host_bytes);
-      if (cm != nullptr) record_map_checkpoint(ws, *cm, map);
+      if (cm != nullptr) record_map_checkpoint(*cm, map);
     }
   }
   result.read_count = map.read_count;
   result.total_bases = map.total_bases;
   result.tuples_emitted = map.tuples_emitted;
 
-  // ---- Sort.
+  // ---- Sort. Resumes per file (and per level-1 run) from its own
+  // checkpoint entries.
   BlockGeometry geometry = BlockGeometry::from(config_.machine);
   geometry.streamed = config_.streamed_sort;
   SortResult sorted;
   {
-    SortRestorePlan plan;
-    if (resumable) plan = plan_sort_restore(*cm, work);
     PhaseScope scope("sort", ws, config_.machine, result.stats,
                      /*extra_input_bytes=*/0.0,
-                     /*overlapped=*/config_.streamed_sort && !plan.ok);
-    if (plan.ok) {
-      sorted = std::move(plan.result);
-      scope.mark_resumed();
-      ++result.phases_resumed;
-    } else {
-      sorted = run_sort_phase(ws, map, geometry);
-      if (cm != nullptr) {
-        cm->record("phase:sort",
-                   {{"records_sorted", sorted.records_sorted},
-                    {"max_disk_passes", sorted.max_disk_passes}});
-      }
-    }
+                     /*overlapped=*/config_.streamed_sort);
+    sorted = run_sort_phase(ws, map, geometry);
+    if (sorted.resumed) scope.mark_resumed();
   }
   result.records_sorted = sorted.records_sorted;
   result.sort_disk_passes = sorted.max_disk_passes;
 
-  // ---- Reduce.
+  // ---- Reduce. Greedy mode checkpoints the greedy graph (graph.bin).
+  // Reduced mode checkpoints the *full* overlap graph after the scan
+  // (full_graph.bin) and the unitig graph after the reduction phase
+  // (reduced_graph.bin), which restores both phases.
+  const bool reduced_mode = config_.graph == GraphMode::kReduced;
   ReduceOptions reduce_options;
   reduce_options.verify_overlaps = config_.verify_overlaps;
   reduce_options.reads = packed.has_value() ? &*packed : nullptr;
@@ -464,96 +403,55 @@ AssemblyResult Assembler::run(
   std::unique_ptr<graph::FullStringGraph> full;  // reduced graph mode only
   bool reduction_restored = false;
   {
-    bool restorable = false;
-    if (config_.graph == GraphMode::kReduced) {
-      // Reduced mode checkpoints the *full* overlap graph after the scan
-      // (full_graph.bin) and the unitig graph after the reduction phase
-      // (reduced_graph.bin). Either sidecar makes the scan restorable; the
-      // reduction phase below re-runs unless the second one is intact.
-      if (resumable && cm->has("phase:reduction")) {
-        reduction_restored = file_has_size(
-            cm->sidecar("reduced_graph.bin"),
-            cm->counter("phase:reduction", "graph_edges") *
-                sizeof(graph::Edge));
-      }
-      bool full_restorable = false;
-      if (resumable && !reduction_restored && cm->has("phase:reduce")) {
-        full_restorable = file_has_size(
-            cm->sidecar("full_graph.bin"),
-            cm->counter("phase:reduce", "full_edges") * sizeof(graph::Edge));
-      }
-      restorable = reduction_restored || full_restorable;
-    } else if (resumable && cm->has("phase:reduce")) {
-      restorable = file_has_size(
-          cm->sidecar("graph.bin"),
-          cm->counter("phase:reduce", "graph_edges") * sizeof(graph::Edge));
-    }
     PhaseScope scope("reduce", ws, config_.machine, result.stats,
                      /*extra_input_bytes=*/0.0,
-                     /*overlapped=*/config_.streamed_reduce && !restorable);
-    if (restorable && config_.graph == GraphMode::kReduced) {
-      reduced.candidate_edges = cm->counter("phase:reduce", "candidate_edges");
-      reduced.false_positives =
-          cm->counter("phase:reduce", "false_positives");
-      if (!reduction_restored) {
-        const std::vector<std::uint32_t> lengths32(map.read_lengths.begin(),
-                                                   map.read_lengths.end());
-        full = std::make_unique<graph::FullStringGraph>(map.read_count,
-                                                        lengths32);
-        full->import_edges(io::read_all_records<graph::Edge>(
-            cm->sidecar("full_graph.bin"), *ws.io));
+                     /*overlapped=*/config_.streamed_reduce);
+    if (resumable && cm->has("phase:reduce")) {
+      if (!reduced_mode) {
+        reduced.graph = load_graph(*cm, "graph.bin", map.read_count);
+      } else {
+        if (cm->has("phase:reduction")) {
+          reduced.graph =
+              load_graph(*cm, "reduced_graph.bin", map.read_count);
+        }
+        reduction_restored = reduced.graph != nullptr;
+        if (!reduction_restored) {
+          if (auto edges = cm->load<graph::Edge>("full_graph.bin")) {
+            full = new_full_graph(map);
+            full->import_edges(*edges);
+          }
+        }
       }
-      scope.mark_resumed();
-      ++result.phases_resumed;
-    } else if (restorable) {
-      const auto edges =
-          io::read_all_records<graph::Edge>(cm->sidecar("graph.bin"),
-                                            *ws.io);
-      reduced.graph = std::make_unique<graph::StringGraph>(map.read_count);
-      reduced.graph->import_edges(edges);
+    }
+    if (reduced.graph != nullptr || full != nullptr) {
       reduced.candidate_edges = cm->counter("phase:reduce", "candidate_edges");
       reduced.accepted_edges = cm->counter("phase:reduce", "accepted_edges");
       reduced.false_positives =
           cm->counter("phase:reduce", "false_positives");
       scope.mark_resumed();
-      ++result.phases_resumed;
-    } else if (config_.graph == GraphMode::kReduced) {
-      // Full-graph collection: the scan delivers every candidate through
-      // the sink (canonical offer order) into the full string graph
-      // instead of the greedy insertion; the blocked transitive reduction
-      // and the unitig walk run as their own phase below.
-      const std::vector<std::uint32_t> lengths32(map.read_lengths.begin(),
-                                                 map.read_lengths.end());
-      full =
-          std::make_unique<graph::FullStringGraph>(map.read_count, lengths32);
-      reduce_options.candidate_sink =
-          [&full](graph::VertexId u, graph::VertexId v, std::uint16_t overlap,
-                  const gpu::Key128&) { full->add_edge(u, v, overlap); };
-      reduced = run_reduce_phase(ws, sorted, map.read_count, reduce_options);
-      scope.set_host_bytes(reduced.host_bytes);
-      if (cm != nullptr) {
-        const std::vector<graph::Edge> edges = full->all_edges();
-        io::write_all_records<graph::Edge>(
-            cm->sidecar("full_graph.bin"),
-            std::span<const graph::Edge>(edges), *ws.io);
-        cm->record("phase:reduce",
-                   {{"candidate_edges", reduced.candidate_edges},
-                    {"false_positives", reduced.false_positives},
-                    {"full_edges", full->edge_count()}});
-      }
     } else {
+      if (reduced_mode) {
+        // Full-graph collection: the scan delivers every candidate through
+        // the sink (canonical offer order) into the full string graph
+        // instead of the greedy insertion; the blocked transitive reduction
+        // and the unitig walk run as their own phase below.
+        full = new_full_graph(map);
+        reduce_options.candidate_sink =
+            [&full](graph::VertexId u, graph::VertexId v,
+                    std::uint16_t overlap,
+                    const gpu::Key128&) { full->add_edge(u, v, overlap); };
+      }
       reduced = run_reduce_phase(ws, sorted, map.read_count, reduce_options);
       scope.set_host_bytes(reduced.host_bytes);
       if (cm != nullptr) {
-        const std::vector<graph::Edge> edges = reduced.graph->edges();
-        io::write_all_records<graph::Edge>(
-            cm->sidecar("graph.bin"), std::span<const graph::Edge>(edges),
-            *ws.io);
+        cm->save<graph::Edge>(
+            reduced_mode ? "full_graph.bin" : "graph.bin",
+            reduced_mode ? full->all_edges() : reduced.graph->edges());
         cm->record("phase:reduce",
                    {{"candidate_edges", reduced.candidate_edges},
                     {"accepted_edges", reduced.accepted_edges},
                     {"false_positives", reduced.false_positives},
-                    {"graph_edges", reduced.graph->edge_count()}});
+                    {"full_edges", reduced_mode ? full->edge_count() : 0}});
       }
     }
   }
@@ -562,18 +460,13 @@ AssemblyResult Assembler::run(
   // that keeps the unambiguous chain links. Deterministic at any thread
   // count/block size, so the contigs are byte-identical to a sequential
   // reduction (and to the distributed per-owner reduction).
-  if (config_.graph == GraphMode::kReduced) {
+  if (reduced_mode) {
     PhaseScope scope("reduction", ws, config_.machine, result.stats);
     if (reduction_restored) {
-      const auto edges = io::read_all_records<graph::Edge>(
-          cm->sidecar("reduced_graph.bin"), *ws.io);
-      reduced.graph = std::make_unique<graph::StringGraph>(map.read_count);
-      reduced.graph->import_edges(edges);
       result.full_edges = cm->counter("phase:reduce", "full_edges");
       result.transitive_removed =
           cm->counter("phase:reduction", "removed_edges");
       scope.mark_resumed();
-      ++result.phases_resumed;
     } else {
       result.full_edges = full->edge_count();
       result.transitive_removed =
@@ -592,13 +485,9 @@ AssemblyResult Assembler::run(
       registry.counter("graph.reduce.unitig_edges")
           .add(static_cast<std::int64_t>(reduced.graph->edge_count()));
       if (cm != nullptr) {
-        const std::vector<graph::Edge> edges = reduced.graph->edges();
-        io::write_all_records<graph::Edge>(
-            cm->sidecar("reduced_graph.bin"),
-            std::span<const graph::Edge>(edges), *ws.io);
+        cm->save<graph::Edge>("reduced_graph.bin", reduced.graph->edges());
         cm->record("phase:reduction",
-                   {{"removed_edges", result.transitive_removed},
-                    {"graph_edges", reduced.graph->edge_count()}});
+                   {{"removed_edges", result.transitive_removed}});
       }
     }
     reduced.accepted_edges = reduced.graph->edge_count() / 2;
@@ -636,6 +525,7 @@ AssemblyResult Assembler::run(
   result.paths = compressed.paths;
   result.contigs = compressed.stats;
 
+  result.phases_resumed = result.stats.resumed_phase_count();
   if (result.phases_resumed > 0) {
     LOG_INFO << "resume: " << result.phases_resumed
              << " phase(s) restored from checkpoint in " << work.string();

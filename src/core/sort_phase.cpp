@@ -420,6 +420,7 @@ SortFileStats external_sort_file(Workspace& ws,
                                             "host_blocks"));
       stats.disk_passes =
           static_cast<unsigned>(cm->counter(sort_file_key(output), "passes"));
+      stats.restored = true;
       return stats;
     }
   }
@@ -627,6 +628,7 @@ SortResult run_sort_phase(Workspace& ws, MapResult& map,
   SortResult result;
   const std::filesystem::path sorted_dir = ws.dir / "sorted";
   std::filesystem::create_directories(sorted_dir);
+  bool all_restored = true;
 
   for (unsigned length : map.suffixes->lengths()) {
     SortedPartition part;
@@ -650,17 +652,10 @@ SortResult run_sort_phase(Workspace& ws, MapResult& map,
     result.records_sorted += s1.records + s2.records;
     result.max_disk_passes =
         std::max({result.max_disk_passes, s1.disk_passes, s2.disk_passes});
-
-    if (ws.checkpoint != nullptr) {
-      std::snprintf(name, sizeof(name), "sort:part:%05u", length);
-      ws.checkpoint->record(name,
-                            {{"suffix_records", part.suffix_records},
-                             {"prefix_records", part.prefix_records},
-                             {"suffix_passes", s1.disk_passes},
-                             {"prefix_passes", s2.disk_passes}});
-    }
+    all_restored = all_restored && s1.restored && s2.restored;
     result.partitions.push_back(std::move(part));
   }
+  result.resumed = all_restored && !result.partitions.empty();
   LOG_INFO << "sort: " << result.records_sorted << " records, "
            << result.partitions.size() << " partitions, max passes "
            << result.max_disk_passes;

@@ -55,9 +55,12 @@ struct SortFileStats {
   std::uint64_t records = 0;
   unsigned host_blocks = 0;   ///< level-1 runs produced
   unsigned disk_passes = 0;   ///< full read+write passes over the data
+  bool restored = false;      ///< a finished sort's checkpoint covered it
 };
 
 /// External-memory sort of one record file (Algorithm 1 at the disk level).
+/// With a checkpoint that records `output` as finished and an output of the
+/// recorded size, returns the recorded stats without reading either file.
 SortFileStats external_sort_file(Workspace& ws,
                                  const std::filesystem::path& input,
                                  const std::filesystem::path& output,
@@ -128,6 +131,7 @@ struct SortResult {
   std::vector<SortedPartition> partitions;  ///< ascending length
   std::uint64_t records_sorted = 0;
   unsigned max_disk_passes = 0;
+  bool resumed = false;  ///< every sorted file came from the checkpoint
 };
 
 /// Sort every partition produced by the map phase; original partition files

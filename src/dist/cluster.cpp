@@ -347,7 +347,6 @@ void push_partition_file(ClusterRun& run, NodeContext& node,
   obs::Counter& c_wire_bytes = registry.counter("dist.shuffle.wire_bytes");
   obs::Counter& c_logical_bytes =
       registry.counter("dist.shuffle.logical_bytes");
-  const bool compress = run.config.compress_wire;
   const unsigned owner = owner_of(key, run.config.node_count);
   io::ReadOnlyStream in(file, node.shuffle_io);
   std::vector<std::byte> buffer(kShuffleChunkBytes);
@@ -366,8 +365,8 @@ void push_partition_file(ClusterRun& run, NodeContext& node,
     // Self-pushes never hit the wire; only remote chunks pay the encode
     // cost and earn the compression.
     const std::vector<std::byte> body =
-        (owner != node.id && compress) ? codec::encode_chunk(chunk, phase)
-                                       : codec::encode_raw(chunk);
+        owner != node.id ? codec::encode_chunk(chunk, phase)
+                         : codec::encode_raw(chunk);
     Payload payload;
     payload.reserve(sizeof(hdr) + body.size());
     put(payload, hdr);
@@ -376,13 +375,9 @@ void push_partition_file(ClusterRun& run, NodeContext& node,
     c_chunks.add(1);
     c_stage_bytes.add(static_cast<std::int64_t>(n));
     if (owner != node.id) {
-      if (compress) node.codec_bytes.fetch_add(n, std::memory_order_relaxed);
+      node.codec_bytes.fetch_add(n, std::memory_order_relaxed);
       c_logical_bytes.add(static_cast<std::int64_t>(n));
-      // Uncompressed chunks report their logical size: the codec tag is
-      // framing, not traffic, and keeping raw runs at ratio exactly 1.0
-      // makes the counter self-describing.
-      c_wire_bytes.add(
-          static_cast<std::int64_t>(compress ? body.size() : n));
+      c_wire_bytes.add(static_cast<std::int64_t>(body.size()));
     }
     offset += n;
     if (n < buffer.size()) break;
@@ -1194,7 +1189,7 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
                               node.dir};
     if (!config.work_dir.empty()) {
       node.checkpoint = std::make_unique<core::CheckpointManager>(
-          node.dir, input_fp, config_hash);
+          node.dir, input_fp, config_hash, node.io);
       if (!(config.resume && node.checkpoint->load())) {
         node.checkpoint->reset();
       }

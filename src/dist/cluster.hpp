@@ -94,10 +94,6 @@ struct ClusterConfig {
   /// re-pushes splice into); ignored otherwise. Contigs and the shuffle
   /// hash are byte-identical either way.
   bool fuse_shuffle = true;
-  /// Compress pushed chunks on the wire (dist/codec.hpp). The network
-  /// lane charges compressed bytes; disk, device and the shuffle hash see
-  /// logical bytes only, so this cannot perturb output.
-  bool compress_wire = true;
   /// Modeled host-side cost of offering one candidate edge to the greedy
   /// graph (the serialized t_g component of the distributed reduce).
   /// Scaled runs shrink the candidate count but not the real-world insert
@@ -161,13 +157,13 @@ struct DistributedResult {
   std::uint64_t candidate_edges = 0;
   std::uint64_t accepted_edges = 0;
   /// Logical tuple bytes of all owned partitions — mode-independent, so
-  /// fused/staged and compressed/raw runs of the same input agree exactly.
+  /// fused and staged runs of the same input agree exactly.
   std::uint64_t shuffle_bytes = 0;
   /// Compressed bytes the push shuffle actually put on the wire (remote
   /// pushes only; self-pushes travel raw and free).
   std::uint64_t wire_bytes = 0;
   /// Logical / wire ratio of the remote push traffic (1.0 when nothing
-  /// was compressed).
+  /// was pushed to another node).
   double compression_ratio = 1.0;
   /// High-water mark of the summed per-node workspace directories,
   /// sampled at phase boundaries and at each shuffle/sort key step.

@@ -1,8 +1,8 @@
 // The distributed reduce's three strategies (see cluster.hpp): the token
 // ring, the partitioned speculative greedy, and the reduced-graph build.
 // Each scans its partitions through scan_partition, checkpoints them as
-// record-file sidecars, and hands its lane seconds back to the reduce
-// phase's close in cluster.cpp.
+// CheckpointManager sidecars, and hands its lane seconds back to the
+// reduce phase's close in cluster.cpp.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -17,7 +17,6 @@
 #include "dist/cluster_run.hpp"
 #include "graph/transitive.hpp"
 #include "io/fault_injector.hpp"
-#include "io/record_stream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -29,11 +28,10 @@ using SpecProposal = core::SpeculativeResolver::Proposal;
 
 // ---- checkpoint keys and sidecars ----------------------------------------
 //
-// Every sidecar is a record file written before the manifest entry that
-// records its element count (for scan sidecars, one record per candidate:
-// the entry's `candidates` counter); a restore reads it only when the file
-// size matches that count, so an orphan, short or extended sidecar is
-// ignored and its partition cleanly re-processed.
+// Every sidecar is saved before the manifest entry that covers it; a
+// restore uses it only when the entry exists and the sidecar loads, so an
+// orphan, torn or corrupted sidecar is ignored and its partition cleanly
+// re-processed.
 
 std::string ck_name(const char* format, unsigned key) {
   char buf[40];
@@ -43,10 +41,10 @@ std::string ck_name(const char* format, unsigned key) {
 
 /// Token-ring partition: the token after it, and the edges it added.
 std::string token_key(unsigned key) { return ck_name("reduce:l%08u", key); }
-std::string token_bits_sidecar(unsigned key) {
+std::string token_bits_file(unsigned key) {
   return ck_name("reduce.l%08u.token", key);
 }
-std::string token_edges_sidecar(unsigned key) {
+std::string token_edges_file(unsigned key) {
   return ck_name("reduce.l%08u.edges", key);
 }
 
@@ -55,11 +53,11 @@ std::string token_edges_sidecar(unsigned key) {
 std::string spec_cand_key(unsigned key) {
   return ck_name("reduce:cand:l%08u", key);
 }
-std::string spec_cand_sidecar(unsigned key) {
+std::string spec_cand_file(unsigned key) {
   return ck_name("spec.cand.l%08u", key);
 }
 constexpr const char* kSpecCommittedKey = "reduce:spec:committed";
-constexpr const char* kSpecCommittedSidecar = "spec.committed";
+constexpr const char* kSpecCommittedFile = "spec.committed";
 
 /// Fault-hook label for a reconciliation round boundary (node 0). Not a
 /// manifest key — it exists so "node:...,match=reduce:spec:round" policies
@@ -75,35 +73,8 @@ std::string spec_round_key(unsigned round) {
 std::string full_cand_key(unsigned key) {
   return ck_name("reduce:fullcand:l%08u", key);
 }
-std::string full_cand_sidecar(unsigned key) {
+std::string full_cand_file(unsigned key) {
   return ck_name("full.cand.l%08u", key);
-}
-
-template <typename T>
-void write_sidecar(NodeContext& node, const std::string& name,
-                   std::span<const T> records) {
-  const std::filesystem::path path = node.checkpoint->sidecar(name);
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  io::write_all_records<T>(tmp, records, node.io);
-  std::filesystem::rename(tmp, path);
-}
-
-/// The sidecar's records when it holds exactly `count` of them.
-template <typename T>
-std::optional<std::vector<T>> read_sidecar(NodeContext& node,
-                                           const std::string& name,
-                                           std::uint64_t count) {
-  const std::filesystem::path path = node.checkpoint->sidecar(name);
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (ec || size % sizeof(T) != 0 || size / sizeof(T) != count) {
-    return std::nullopt;
-  }
-  try {
-    return io::read_all_records<T>(path, node.io);
-  } catch (...) {
-    return std::nullopt;
-  }
 }
 
 // ---- partition scans -----------------------------------------------------
@@ -186,10 +157,9 @@ Candidates<T> scan_candidates(ClusterRun& run, NodeContext& node,
                               const std::string& sidecar, Make make) {
   Candidates<T> found;
   if (node.checkpoint != nullptr && node.checkpoint->has(key)) {
-    found.count = node.checkpoint->counter(key, "candidates");
-    auto restored = read_sidecar<T>(node, sidecar, found.count);
-    if (restored.has_value()) {
+    if (auto restored = node.checkpoint->load<T>(sidecar)) {
       found.records = std::move(*restored);
+      found.count = found.records.size();
       return found;
     }
   }
@@ -203,9 +173,9 @@ Candidates<T> scan_candidates(ClusterRun& run, NodeContext& node,
   graph::StringGraph scratch(0);  // unused in sink mode
   found.cost = scan_partition(
       run, node, part, scratch, std::move(options),
-      [&](const core::PartitionReduceStats& stats) {
-        write_sidecar<T>(node, sidecar, found.records);
-        node.checkpoint->record(key, {{"candidates", stats.candidates}});
+      [&](const core::PartitionReduceStats&) {
+        node.checkpoint->save<T>(sidecar, found.records);
+        node.checkpoint->record(key, {});
       });
   found.count = found.cost->stats.candidates;
   return found;
@@ -291,8 +261,8 @@ ReduceOutcome reduce_token(ClusterRun& run) {
 
   // Restore the completed prefix (highest lengths first): import each
   // partition's edge delta into its owner's graph and take the token from
-  // the last restored sidecar. An entry whose sidecars are missing or
-  // stale ends the prefix — that partition re-runs cleanly.
+  // the last restored sidecar. An entry whose sidecars do not load ends
+  // the prefix — that partition re-runs cleanly.
   std::size_t restored = 0;
   unsigned previous_owner = UINT32_MAX;
   for (; restored < descending.size(); ++restored) {
@@ -300,11 +270,13 @@ ReduceOutcome reduce_token(ClusterRun& run) {
     NodeContext& node = run.nodes[owner_of(l, config.node_count)];
     const std::string ck = token_key(l);
     if (node.checkpoint == nullptr || !node.checkpoint->has(ck)) break;
-    const auto words = read_sidecar<std::uint64_t>(
-        node, token_bits_sidecar(l), token.byte_size() / 8);
-    const auto edges = read_sidecar<graph::Edge>(
-        node, token_edges_sidecar(l), node.checkpoint->counter(ck, "edges"));
-    if (!words.has_value() || !edges.has_value()) break;
+    const auto words =
+        node.checkpoint->load<std::uint64_t>(token_bits_file(l));
+    const auto edges = node.checkpoint->load<graph::Edge>(token_edges_file(l));
+    if (!words.has_value() || words->size() != token.byte_size() / 8 ||
+        !edges.has_value()) {
+      break;
+    }
     node.graph->import_edges(*edges);
     token = util::AtomicBitVector::from_words(token.size(), *words);
     result.candidate_edges += node.checkpoint->counter(ck, "candidates");
@@ -339,14 +311,12 @@ ReduceOutcome reduce_token(ClusterRun& run) {
           for (const graph::Edge& e : node.graph->edges()) {
             if (!token.test(e.src)) added.push_back(e);
           }
-          const std::vector<std::uint64_t> words =
-              node.graph->out_degree_bits().to_words();
-          write_sidecar<std::uint64_t>(node, token_bits_sidecar(l), words);
-          write_sidecar<graph::Edge>(node, token_edges_sidecar(l), added);
+          node.checkpoint->save<std::uint64_t>(
+              token_bits_file(l), node.graph->out_degree_bits().to_words());
+          node.checkpoint->save<graph::Edge>(token_edges_file(l), added);
           node.checkpoint->record(token_key(l),
                                   {{"candidates", stats.candidates},
-                                   {"accepted", stats.accepted},
-                                   {"edges", added.size()}});
+                                   {"accepted", stats.accepted}});
         });
     token = node.graph->out_degree_bits();
     result.candidate_edges += scan.stats.candidates;
@@ -456,7 +426,7 @@ SpecScan scan_speculative(ClusterRun& run,
       on_node_op(node, spec_cand_key(l));
       std::uint64_t offer = 0;
       Candidates<SpecProposal> found = scan_candidates<SpecProposal>(
-          run, node, *part, spec_cand_key(l), spec_cand_sidecar(l),
+          run, node, *part, spec_cand_key(l), spec_cand_file(l),
           [idx, &offer](graph::VertexId u, graph::VertexId v,
                         std::uint16_t overlap) {
             return SpecProposal{
@@ -556,12 +526,9 @@ void drain_to_fixpoint(ClusterRun& run, Reconciliation& rec, double& clock) {
                              report.delta.end());
     NodeContext& master = run.nodes[0];
     if (master.checkpoint != nullptr) {
-      write_sidecar<graph::Edge>(master, kSpecCommittedSidecar,
-                                 rec.committed_log);
-      master.checkpoint->record(
-          kSpecCommittedKey,
-          {{"committed",
-            static_cast<std::uint64_t>(rec.committed_log.size())}});
+      master.checkpoint->save<graph::Edge>(kSpecCommittedFile,
+                                           rec.committed_log);
+      master.checkpoint->record(kSpecCommittedKey, {});
     }
 
     // Reconciliation is probe-bound: the master rank-merges the proposal
@@ -625,9 +592,8 @@ ReduceOutcome reduce_speculative(ClusterRun& run) {
   NodeContext& master = run.nodes[0];
   if (master.checkpoint != nullptr &&
       master.checkpoint->has(kSpecCommittedKey)) {
-    const auto edges = read_sidecar<graph::Edge>(
-        master, kSpecCommittedSidecar,
-        master.checkpoint->counter(kSpecCommittedKey, "committed"));
+    const auto edges =
+        master.checkpoint->load<graph::Edge>(kSpecCommittedFile);
     for (const graph::Edge& e : edges.value_or(std::vector<graph::Edge>{})) {
       if (rec.resolver.graph().try_add_edge(e.src, e.dst, e.overlap)) {
         rec.committed_log.push_back(e);
@@ -860,7 +826,7 @@ FullScan scan_and_route(ClusterRun& run, const VertexRanges& ranges,
       parts_total.fetch_add(1, std::memory_order_relaxed);
       on_node_op(node, full_cand_key(l));
       const Candidates<graph::Edge> found = scan_candidates<graph::Edge>(
-          run, node, part, full_cand_key(l), full_cand_sidecar(l),
+          run, node, part, full_cand_key(l), full_cand_file(l),
           [](graph::VertexId u, graph::VertexId v, std::uint16_t overlap) {
             return graph::Edge{u, v, overlap};
           });

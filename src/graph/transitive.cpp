@@ -177,22 +177,4 @@ StringGraph FullStringGraph::to_unitig_graph() const {
   return unitigs;
 }
 
-StringGraph FullStringGraph::to_greedy() const {
-  StringGraph greedy(vertex_count() / 2);
-  // Candidates in descending overlap order, mirroring the reduce phase's
-  // longest-first partition processing.
-  std::vector<Edge> all;
-  all.reserve(edge_count());
-  for (const auto& adj : adjacency_) {
-    all.insert(all.end(), adj.begin(), adj.end());
-  }
-  std::sort(all.begin(), all.end(), [](const Edge& a, const Edge& b) {
-    if (a.overlap != b.overlap) return a.overlap > b.overlap;
-    if (a.src != b.src) return a.src < b.src;
-    return a.dst < b.dst;
-  });
-  for (const Edge& e : all) greedy.try_add_edge(e.src, e.dst, e.overlap);
-  return greedy;
-}
-
 }  // namespace lasagna::graph

@@ -161,10 +161,6 @@ class FullStringGraph {
   /// unchanged. Call after reduce().
   [[nodiscard]] StringGraph to_unitig_graph() const;
 
-  /// Convert to a greedy StringGraph by keeping, per vertex, the longest
-  /// surviving out-edge whose target still has a free in-slot.
-  [[nodiscard]] StringGraph to_greedy() const;
-
  private:
   std::vector<std::uint32_t> vertex_length_;  // read length per vertex
   std::vector<std::vector<Edge>> adjacency_;

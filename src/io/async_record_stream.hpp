@@ -90,9 +90,10 @@ class AsyncRecordReader {
   util::Prefetch<std::vector<T>> blocks_;  // last: its thread reads reader_
 };
 
-/// RecordWriter's interface. Records are staged into blocks of
-/// `block_records` and written by the drain thread in FIFO order, so the
-/// file contents are byte-identical to a synchronous writer's.
+/// RecordWriter's interface. Records are staged into blocks of exactly
+/// `block_records` (the last may be short) and written by the drain thread
+/// in FIFO order, so the file contents are byte-identical to a synchronous
+/// writer's.
 template <TrivialRecord T>
 class AsyncRecordWriter {
  public:
@@ -120,8 +121,15 @@ class AsyncRecordWriter {
       writer_.write(records);
       return;
     }
-    staging_.insert(staging_.end(), records.begin(), records.end());
-    if (staging_.size() >= block_records_) submit_staging();
+    // Fill staging to exactly one block before submitting it, so staging
+    // never holds more than a block whatever the part sizes.
+    while (!records.empty()) {
+      const std::size_t take =
+          std::min(block_records_ - staging_.size(), records.size());
+      staging_.insert(staging_.end(), records.begin(), records.begin() + take);
+      records = records.subspan(take);
+      if (staging_.size() == block_records_) submit_staging();
+    }
   }
 
   void write_one(const T& record) { write(std::span<const T>(&record, 1)); }

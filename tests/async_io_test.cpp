@@ -3,11 +3,13 @@
 // and the threadless depth-0 path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -148,6 +150,27 @@ TEST(AsyncRecordWriter, MatchesSynchronousWriter) {
     EXPECT_EQ(got[i].key, pods[i].key) << "record " << i;
   }
   EXPECT_EQ(stats.snapshot().bytes_written, pods.size() * sizeof(Pod));
+}
+
+TEST(AsyncRecordWriter, SplitsLargeWritesIntoWholeBlocks) {
+  // One write of 2.5 blocks goes out as blocks of 100, 100 and 50 records:
+  // staging never grows past one block.
+  ScopedTempDir dir("lasagna-test");
+  IoStats stats;
+  const auto pods = make_pods(250);
+  AsyncRecordWriter<Pod> writer(dir.file("async.bin"), stats, 100, 2);
+  writer.write(std::span<const Pod>(pods));
+  writer.close();
+  EXPECT_EQ(stats.write_ops(), 3u);
+  EXPECT_EQ(stats.bytes_written(), pods.size() * sizeof(Pod));
+
+  write_all_records<Pod>(dir.file("sync.bin"), pods);
+  std::ifstream a(dir.file("async.bin"), std::ios::binary);
+  std::ifstream b(dir.file("sync.bin"), std::ios::binary);
+  EXPECT_TRUE(std::equal(std::istreambuf_iterator<char>(a),
+                         std::istreambuf_iterator<char>(),
+                         std::istreambuf_iterator<char>(b),
+                         std::istreambuf_iterator<char>()));
 }
 
 TEST(AsyncRecordWriter, CloseIsIdempotentAndDtorAbandons) {

@@ -207,14 +207,13 @@ TEST(AmProperty, ShuffleBytesAreIdenticalAcrossRunsUnderAmFaults) {
                            config);
   };
 
-  // Defaults exercise fusion + wire compression under faults; the staged,
-  // uncompressed pipeline must land on the same bytes.
+  // Defaults exercise fusion under faults; the staged pipeline must land
+  // on the same bytes.
   const DistributedResult a = run_faulted("a");
   const DistributedResult b = run_faulted("b");
   const DistributedResult clean = run_distributed(
       dir.file("reads.fq"), dir.file("clean.fa"), config);
   config.fuse_shuffle = false;
-  config.compress_wire = false;
   const DistributedResult staged = run_faulted("staged");
 
   EXPECT_NE(a.shuffle_hash, 0u);

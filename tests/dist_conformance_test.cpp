@@ -226,11 +226,11 @@ TEST_F(DistConformance, StreamedReduceNeverRegresses) {
   }
 }
 
-// 16/32-node sweep of the (fused x compressed) square — the `dist-scaling`
-// ctest shard. Every cell must reproduce the single-node contigs byte for
-// byte and agree on the order-independent shuffle fingerprint and logical
-// byte count; fusing must also shrink the owner-side workspace high-water
-// mark (no staged copy of the shuffle volume).
+// 16/32-node sweep of fused and staged shuffles — the `dist-scaling`
+// ctest shard. Both must reproduce the single-node contigs byte for byte,
+// agree on the order-independent shuffle fingerprint and logical byte
+// count, and compress the wire; fusing must also shrink the owner-side
+// workspace high-water mark (no staged copy of the shuffle volume).
 class DistScaling : public DistConformance {};
 
 TEST_F(DistScaling, FusedAndStagedAgreeAt16And32Nodes) {
@@ -241,35 +241,24 @@ TEST_F(DistScaling, FusedAndStagedAgreeAt16And32Nodes) {
     std::uint64_t fused_peak = 0;
     std::uint64_t staged_peak = 0;
     for (const bool fuse : {true, false}) {
-      for (const bool wire : {true, false}) {
-        ClusterConfig config =
-            cluster(nodes, ReduceStrategy::kLengthToken, true);
-        config.fuse_shuffle = fuse;
-        config.compress_wire = wire;
-        const std::string tag = "sc_n" + std::to_string(nodes) +
-                                (fuse ? "_fused" : "_staged") +
-                                (wire ? "_comp" : "_raw");
-        const DistributedResult r =
-            run_distributed(d.fastq, dir_->file(tag + ".fa"), config);
-        EXPECT_EQ(r.candidate_edges, d.candidate_edges) << tag;
-        EXPECT_EQ(r.accepted_edges, d.accepted_edges) << tag;
-        EXPECT_EQ(slurp(dir_->file(tag + ".fa")), d.baseline_fa) << tag;
-        if (hash == 0) {
-          hash = r.shuffle_hash;
-          bytes = r.shuffle_bytes;
-        }
-        EXPECT_EQ(r.shuffle_hash, hash) << tag;
-        EXPECT_EQ(r.shuffle_bytes, bytes) << tag;
-        if (wire) {
-          EXPECT_GT(r.compression_ratio, 1.0) << tag;
-          EXPECT_LT(r.wire_bytes, r.shuffle_bytes) << tag;
-        } else {
-          EXPECT_EQ(r.compression_ratio, 1.0) << tag;
-        }
-        (fuse ? fused_peak : staged_peak) =
-            std::max(fuse ? fused_peak : staged_peak,
-                     r.peak_workspace_bytes);
+      ClusterConfig config = cluster(nodes, ReduceStrategy::kLengthToken, true);
+      config.fuse_shuffle = fuse;
+      const std::string tag =
+          "sc_n" + std::to_string(nodes) + (fuse ? "_fused" : "_staged");
+      const DistributedResult r =
+          run_distributed(d.fastq, dir_->file(tag + ".fa"), config);
+      EXPECT_EQ(r.candidate_edges, d.candidate_edges) << tag;
+      EXPECT_EQ(r.accepted_edges, d.accepted_edges) << tag;
+      EXPECT_EQ(slurp(dir_->file(tag + ".fa")), d.baseline_fa) << tag;
+      if (hash == 0) {
+        hash = r.shuffle_hash;
+        bytes = r.shuffle_bytes;
       }
+      EXPECT_EQ(r.shuffle_hash, hash) << tag;
+      EXPECT_EQ(r.shuffle_bytes, bytes) << tag;
+      EXPECT_GT(r.compression_ratio, 1.0) << tag;
+      EXPECT_LT(r.wire_bytes, r.shuffle_bytes) << tag;
+      (fuse ? fused_peak : staged_peak) = r.peak_workspace_bytes;
     }
     // Fusion never materializes the staged shuffle copy, so the summed
     // per-node disk high-water must drop.

@@ -6,8 +6,8 @@
 // (and the work the master rebalanced onto them after the kill) is not
 // redone. It also pins the resume guards: a finished run resumes into
 // identical contigs in every reduce mode, a checkpoint made with different
-// fingerprint parameters restores nothing, and a sidecar whose size no
-// longer matches its manifest count is recomputed.
+// fingerprint parameters restores nothing, and a cut, extended or
+// bit-flipped sidecar is recomputed.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -19,6 +19,7 @@
 #include "io/tempdir.hpp"
 #include "seq/genome.hpp"
 #include "seq/simulator.hpp"
+#include "sidecar_damage.hpp"
 
 namespace lasagna::dist {
 namespace {
@@ -31,8 +32,8 @@ std::string slurp(const std::filesystem::path& path) {
   return out.str();
 }
 
-/// The lexicographically first non-empty sidecar under any node of
-/// `work_dir` named `prefix`...`suffix`, or an empty path.
+/// The lexicographically first sidecar holding at least one record under
+/// any node of `work_dir` named `prefix`...`suffix`, or an empty path.
 std::filesystem::path first_sidecar(const std::filesystem::path& work_dir,
                                     const std::string& prefix,
                                     const std::string& suffix) {
@@ -40,7 +41,8 @@ std::filesystem::path first_sidecar(const std::filesystem::path& work_dir,
   for (const auto& entry :
        std::filesystem::recursive_directory_iterator(work_dir)) {
     const std::string name = entry.path().filename().string();
-    if (entry.is_regular_file() && entry.file_size() > 0 &&
+    if (entry.is_regular_file() &&
+        entry.file_size() > core::CheckpointManager::kSidecarHeaderBytes &&
         name.rfind(prefix, 0) == 0 && name.size() >= suffix.size() &&
         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
             0) {
@@ -243,9 +245,9 @@ TEST_F(DistRecoveryTest, ResumeWithChangedFingerprintsRestoresNothing) {
 }
 
 TEST_F(DistRecoveryTest, ResizedSidecarsAreRecomputed) {
-  // Each reduce sidecar kind, one byte short or one byte long: its element
-  // count no longer matches the manifest, so the resume ignores it and
-  // recomputes — the partition it covered for scan sidecars, the
+  // Each reduce sidecar kind, one byte short, one byte long or with one bit
+  // of its first record flipped: it no longer loads, so the resume ignores
+  // it and recomputes — the partition it covered for scan sidecars, the
   // reconciliation from scratch for the committed set.
   struct Kind {
     const char* name;
@@ -267,19 +269,18 @@ TEST_F(DistRecoveryTest, ResizedSidecarsAreRecomputed) {
        "checkpoint.full.cand.l", ""},
   };
   for (const Kind& kind : kinds) {
-    for (const int delta : {-1, 1}) {
+    for (const testing::SidecarDamage damage : testing::kSidecarDamages) {
       strategy_ = kind.strategy;
       graph_ = kind.graph;
-      const std::string scenario = std::string("resized-") + kind.name +
-                                   (delta < 0 ? "-short" : "-long");
+      const std::string scenario = std::string("damaged-") + kind.name +
+                                   "-" + testing::damage_name(damage);
       (void)run_full(scenario);
       const std::string reference = slurp(out(scenario));
 
       const std::filesystem::path victim =
           first_sidecar(config(scenario).work_dir, kind.prefix, kind.suffix);
       ASSERT_FALSE(victim.empty()) << scenario;
-      std::filesystem::resize_file(
-          victim, std::filesystem::file_size(victim) + delta);
+      testing::damage_sidecar(victim, damage);
 
       ClusterConfig c = config(scenario);
       c.resume = true;

@@ -281,28 +281,5 @@ TEST(Transitive, UnitigGraphKeepsOnlyUnambiguousChainLinks) {
   EXPECT_FALSE(unitigs.out_edge(forward_vertex(0)).has_value());
 }
 
-TEST(Transitive, ChainReductionThenGreedyMatchesDirectGreedy) {
-  // On a clean chain with transitive extras, reduce() + to_greedy() and the
-  // direct greedy construction must give the same contiguous chain.
-  constexpr int kReads = 10;
-  std::vector<std::uint32_t> lens(kReads, 100);
-  FullStringGraph full(kReads, lens);
-  for (int i = 0; i + 1 < kReads; ++i) {
-    full.add_edge(forward_vertex(i), forward_vertex(i + 1), 75);
-  }
-  for (int i = 0; i + 2 < kReads; ++i) {  // two-hop transitive extras
-    full.add_edge(forward_vertex(i), forward_vertex(i + 2), 50);
-  }
-  const std::uint64_t removed = full.reduce();
-  EXPECT_EQ(removed, 2u * (kReads - 2));
-
-  const StringGraph greedy = full.to_greedy();
-  for (int i = 0; i + 1 < kReads; ++i) {
-    const auto e = greedy.out_edge(forward_vertex(i));
-    ASSERT_TRUE(e.has_value());
-    EXPECT_EQ(e->dst, forward_vertex(i + 1));
-  }
-}
-
 }  // namespace
 }  // namespace lasagna::graph

@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "seq/genome.hpp"
 #include "seq/simulator.hpp"
+#include "sidecar_damage.hpp"
 
 namespace lasagna {
 namespace {
@@ -184,6 +185,63 @@ TEST_F(RecoveryTest, ResumeAfterSuccessfulRunSkipsEveryPhaseButCompress) {
   }
 }
 
+TEST_F(RecoveryTest, DamagedSidecarsAreRecomputed) {
+  // Each single-node sidecar kind, cut, extended or bit-flipped after a
+  // finished run: it must load as missing, so the phase it restores runs
+  // again and the contigs match the uninterrupted run byte for byte.
+  struct Kind {
+    const char* sidecar;
+    core::GraphMode graph;
+    const char* phase;  ///< the phase the sidecar restores
+    const char* drop;   ///< sidecar removed first, or nullptr
+  };
+  const Kind kinds[] = {
+      {"checkpoint.read_lengths.bin", core::GraphMode::kGreedy, "map",
+       nullptr},
+      {"checkpoint.graph.bin", core::GraphMode::kGreedy, "reduce", nullptr},
+      // An intact unitig graph restores the reduce without reading the full
+      // graph, so the full graph is damaged in the state a run killed
+      // during the reduction leaves: no unitig graph yet.
+      {"checkpoint.full_graph.bin", core::GraphMode::kReduced, "reduce",
+       "checkpoint.reduced_graph.bin"},
+      // The reduce restores from the full graph; the reduction re-runs.
+      {"checkpoint.reduced_graph.bin", core::GraphMode::kReduced,
+       "reduction", nullptr},
+  };
+  for (const Kind& kind : kinds) {
+    for (const testing::SidecarDamage damage : testing::kSidecarDamages) {
+      const std::string scenario = std::string(kind.sidecar) + "-" +
+                                   testing::damage_name(damage);
+      core::AssemblyConfig c = config(scenario);
+      c.graph = kind.graph;
+      const core::AssemblyResult full =
+          core::Assembler(c).run(fastqs_, out(scenario));
+      const std::string reference = slurp(out(scenario));
+
+      if (kind.drop != nullptr) {
+        ASSERT_TRUE(std::filesystem::remove(c.work_dir / kind.drop));
+      }
+      testing::damage_sidecar(c.work_dir / kind.sidecar, damage);
+      c.resume = true;
+      const core::AssemblyResult resumed =
+          core::Assembler(c).run(fastqs_, out(scenario));
+      EXPECT_EQ(slurp(out(scenario)), reference) << scenario;
+      expect_equal_results(resumed, full);
+      EXPECT_EQ(resumed.full_edges, full.full_edges) << scenario;
+      EXPECT_EQ(resumed.transitive_removed, full.transitive_removed)
+          << scenario;
+      // Only the damaged sidecar's phase runs again, with the reduction
+      // downstream of a re-run reduce, and compress, which always runs.
+      for (const auto& phase : resumed.stats.phases()) {
+        const bool reruns =
+            phase.name == kind.phase || phase.name == "compress" ||
+            (phase.name == "reduction" && std::string(kind.phase) == "reduce");
+        EXPECT_EQ(phase.resumed, !reruns) << scenario << " " << phase.name;
+      }
+    }
+  }
+}
+
 TEST_F(RecoveryTest, ChangedInputInvalidatesTheCheckpoint) {
   (void)run_full("fpr");
   // Appending one record changes the input fingerprint: resume must fall
@@ -227,6 +285,41 @@ TEST(CheckpointManager, RecordsSurviveReloadAndRejectMismatchedGuards) {
   EXPECT_FALSE(wrong_input.load());
   core::CheckpointManager wrong_config(dir.path(), 0x1111, 0x9999);
   EXPECT_FALSE(wrong_config.load());
+}
+
+TEST(CheckpointManager, SidecarsRoundTripAndRejectDamage) {
+  io::ScopedTempDir dir("lasagna-ckpt");
+  io::IoStats stats;
+  core::CheckpointManager cm(dir.path(), 1, 2, stats);
+  cm.reset();
+  const std::vector<std::uint32_t> records = {7, 11, 13};
+  cm.save<std::uint32_t>("x.bin", records);
+  EXPECT_FALSE(std::filesystem::exists(dir.file("checkpoint.x.bin.tmp")));
+  EXPECT_EQ(stats.bytes_written(),
+            core::CheckpointManager::kSidecarHeaderBytes +
+                sizeof(std::uint32_t) * records.size());
+  EXPECT_EQ(cm.load<std::uint32_t>("x.bin"), records);
+  EXPECT_EQ(stats.bytes_read(), stats.bytes_written());
+  cm.save<std::uint32_t>("empty.bin", {});
+  EXPECT_EQ(cm.load<std::uint32_t>("empty.bin"),
+            std::vector<std::uint32_t>{});
+
+  EXPECT_FALSE(cm.load<std::uint32_t>("missing.bin").has_value());
+  // Same bytes read as records of another size.
+  EXPECT_FALSE(cm.load<std::uint16_t>("x.bin").has_value());
+  for (const testing::SidecarDamage damage : testing::kSidecarDamages) {
+    cm.save<std::uint32_t>("x.bin", records);
+    testing::damage_sidecar(dir.file("checkpoint.x.bin"), damage);
+    EXPECT_FALSE(cm.load<std::uint32_t>("x.bin").has_value())
+        << testing::damage_name(damage);
+  }
+  // A header alone, torn mid-way.
+  cm.save<std::uint32_t>("x.bin", records);
+  std::filesystem::resize_file(dir.file("checkpoint.x.bin"), 20);
+  EXPECT_FALSE(cm.load<std::uint32_t>("x.bin").has_value());
+  // reset() clears sidecars with the manifest.
+  cm.reset();
+  EXPECT_FALSE(std::filesystem::exists(dir.file("checkpoint.empty.bin")));
 }
 
 TEST(CheckpointManager, TruncatedManifestIsRejectedNotTrusted) {
