@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <system_error>
 
@@ -13,7 +14,7 @@ namespace lasagna::core {
 namespace {
 
 constexpr const char* kManifestName = "checkpoint.manifest";
-constexpr const char* kHeader = "lasagna-checkpoint 2";
+constexpr const char* kHeader = "lasagna-checkpoint 3";
 
 std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
@@ -65,16 +66,26 @@ bool CheckpointManager::load() {
   if (obs::Tracer* tracer = obs::Tracer::active()) {
     span = obs::WallSpan(*tracer, tracer->track("core.checkpoint"), "load");
   }
-  std::ifstream in(dir_ / kManifestName);
+  const std::filesystem::path path = dir_ / kManifestName;
+  std::ifstream in(path, std::ios::binary);
   if (!in) return false;
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  // A final line without its newline is an append a crash cut short: the
+  // work it names is redone. Cut it off the file too, so that the next
+  // append starts a line of its own.
+  const std::size_t complete = text.rfind('\n') + 1;  // 0 when there is none
+  const bool torn = complete != text.size();
+  text.resize(complete);
 
+  std::istringstream lines(text);
   std::string line;
-  if (!std::getline(in, line) || line != kHeader) return false;
+  if (!std::getline(lines, line) || line != kHeader) return false;
 
   std::uint64_t input = 0;
   std::uint64_t config = 0;
   std::map<std::string, Counters> entries;
-  while (std::getline(in, line)) {
+  while (std::getline(lines, line)) {
     if (line.empty()) continue;
     std::istringstream fields(line);
     std::string tag;
@@ -86,7 +97,7 @@ bool CheckpointManager::load() {
     } else if (tag == "entry") {
       std::string key;
       fields >> key;
-      if (key.empty()) return false;  // truncated line: reject the manifest
+      if (key.empty()) return false;  // malformed line: reject the manifest
       Counters counters;
       std::string pair;
       while (fields >> pair) {
@@ -94,12 +105,13 @@ bool CheckpointManager::load() {
         if (eq == std::string::npos) return false;
         counters[pair.substr(0, eq)] = std::stoull(pair.substr(eq + 1));
       }
-      entries[key] = std::move(counters);
+      entries[key] = std::move(counters);  // a later line for a key wins
     } else {
       return false;  // unknown tag: written by a newer format
     }
   }
   if (input != input_fingerprint_ || config != config_hash_) return false;
+  if (torn) std::filesystem::resize_file(path, complete);
 
   const std::scoped_lock lock(mutex_);
   entries_ = std::move(entries);
@@ -116,7 +128,7 @@ void CheckpointManager::reset() {
       std::filesystem::remove(entry.path(), ec);
     }
   }
-  persist_locked();
+  write_header_locked();
 }
 
 bool CheckpointManager::has(const std::string& key) const {
@@ -159,16 +171,29 @@ void CheckpointManager::record(const std::string& key,
     span = obs::WallSpan(*tracer, tracer->track("core.checkpoint"),
                          "record:" + key);
   }
+  std::string line = "entry " + key;
+  for (const auto& [name, value] : counters) {
+    line += ' ' + name + '=' + std::to_string(value);
+  }
+  line += '\n';
   const std::scoped_lock lock(mutex_);
+  const std::filesystem::path path = dir_ / kManifestName;
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out << line;
+  out.flush();
+  if (!out) {
+    throw std::runtime_error("cannot append to checkpoint manifest " +
+                             path.string());
+  }
   entries_[key] = counters;
-  persist_locked();
 }
 
-void CheckpointManager::persist_locked() {
+void CheckpointManager::write_header_locked() {
   const std::filesystem::path final_path = dir_ / kManifestName;
-  const std::filesystem::path tmp_path = dir_ / (std::string(kManifestName) + ".tmp");
+  const std::filesystem::path tmp_path =
+      dir_ / (std::string(kManifestName) + ".tmp");
   {
-    std::ofstream out(tmp_path, std::ios::trunc);
+    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out) {
       throw std::runtime_error("cannot write checkpoint manifest " +
                                tmp_path.string());
@@ -181,13 +206,6 @@ void CheckpointManager::persist_locked() {
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(config_hash_));
     out << "config " << hex << '\n';
-    for (const auto& [key, counters] : entries_) {
-      out << "entry " << key;
-      for (const auto& [name, value] : counters) {
-        out << ' ' << name << '=' << value;
-      }
-      out << '\n';
-    }
     out.flush();
     if (!out) {
       throw std::runtime_error("short write to checkpoint manifest " +

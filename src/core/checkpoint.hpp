@@ -8,13 +8,16 @@
 // manifest carries an input fingerprint and a config hash; a resume against
 // different inputs or parameters is detected and falls back to a fresh run.
 //
-// Durability model: every record() rewrites the manifest to a temp file and
-// renames it over the old one, so the manifest on disk is always a
-// consistent prefix of the work actually completed (rename is atomic on
-// POSIX). Sidecars are written the same way, before the entry that
-// references them, and check themselves: a header carries the record size,
-// the record count and a checksum of the payload, so a torn, resized or
-// corrupted sidecar loads as missing and its work is recomputed.
+// Durability model: reset() writes the manifest's header to a temp file and
+// renames it into place (rename is atomic on POSIX); every record() then
+// appends one `entry` line and flushes it, so the manifest on disk is
+// always a prefix of the work actually completed. load() keeps the last
+// line for each key and drops a final line without its newline (an append
+// a crash cut short). Sidecars are written by temp file and rename, before
+// the entry that references them, and check themselves: a header carries
+// the record size, the record count and a checksum of the payload, so a
+// torn, resized or corrupted sidecar loads as missing and its work is
+// recomputed.
 #pragma once
 
 #include <cstddef>
@@ -49,9 +52,10 @@ class CheckpointManager {
                     std::uint64_t config_hash,
                     io::IoStats& io = io::IoStats::global());
 
-  /// Load an existing manifest. Returns true when one exists and matches
-  /// this run's input fingerprint and config hash (entries become
-  /// queryable); false otherwise (state stays empty).
+  /// Load an existing manifest. Returns true when one exists, every
+  /// complete line parses, and it matches this run's input fingerprint and
+  /// config hash (entries become queryable, and a torn final line is cut
+  /// off the file); false otherwise (state stays empty).
   bool load();
 
   /// Discard any previous checkpoint state in the directory and write a
@@ -74,7 +78,7 @@ class CheckpointManager {
   [[nodiscard]] std::vector<std::string> keys_with_prefix(
       const std::string& prefix) const;
 
-  /// Record (or overwrite) an entry and atomically persist the manifest.
+  /// Record (or overwrite) an entry by appending its line to the manifest.
   /// Thread-safe: the streamed sort marks runs from its writer thread.
   void record(const std::string& key, const Counters& counters);
 
@@ -107,7 +111,7 @@ class CheckpointManager {
       const std::vector<std::filesystem::path>& files);
 
  private:
-  void persist_locked();  ///< rewrite manifest.tmp + rename (mutex held)
+  void write_header_locked();  ///< header-only manifest.tmp + rename
 
   void save_bytes(const std::string& name, std::size_t record_size,
                   std::uint64_t count, std::span<const std::byte> payload);

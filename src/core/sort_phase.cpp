@@ -22,68 +22,77 @@ namespace {
 /// aliases both legs to the default stream, keeping legacy modeled sums.
 using DeviceStreams = gpu::StreamPair;
 
-/// AoS -> SoA split for the device primitives.
-void split_records(std::span<const FpRecord> records,
-                   std::vector<gpu::Key128>& keys,
-                   std::vector<std::uint64_t>& vals) {
-  keys.resize(records.size());
-  vals.resize(records.size());
-  util::ThreadPool::global().parallel_for_chunked(
-      records.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          keys[i] = records[i].fp;
-          vals[i] = records[i].vertex;
-        }
-      });
-}
-
-void join_records(std::span<const gpu::Key128> keys,
-                  std::span<const std::uint64_t> vals,
-                  std::span<FpRecord> out) {
-  util::ThreadPool::global().parallel_for_chunked(
-      keys.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          out[i] = FpRecord{keys[i], static_cast<std::uint32_t>(vals[i]), 0};
-        }
-      });
-}
-
-/// Device radix sort of one chunk (must fit m_d) through the active kernel
-/// backend. On the simulated device the H2D/sort/D2H legs charge the
-/// chunk's stream; alternating chunks across the two legs models transfers
-/// hidden behind the neighbouring chunk's kernel.
-void device_sort_chunk(Workspace& ws, std::span<FpRecord> chunk,
-                       DeviceStreams& streams) {
-  if (chunk.size() < 2) return;
-  std::vector<gpu::Key128> keys;
-  std::vector<std::uint64_t> vals;
-  split_records(chunk, keys, vals);
+/// Level 2a: the device radix sort of each m_d chunk of `block`, one batch
+/// through the active kernel backend. On the simulated device the
+/// H2D/sort/D2H legs charge the chunk's stream; alternating chunks across
+/// the two legs models transfers hidden behind the neighbouring chunk's
+/// kernel. A one-record tail chunk is already sorted and is not sent.
+void sort_chunks(Workspace& ws, std::span<FpRecord> block, std::size_t m_d,
+                 DeviceStreams& streams) {
+  const std::size_t chunks =
+      block.size() / m_d + (block.size() % m_d > 1 ? 1 : 0);
+  auto chunk = [block, m_d](std::size_t i) {
+    return block.subspan(i * m_d, std::min(m_d, block.size() - i * m_d));
+  };
   kernel::DeviceContext ctx{ws.device, &streams};
-  kernel::run_sort_pairs(keys, vals, ctx);
-  join_records(keys, vals, chunk);
+  kernel::run_sort_pairs_batch(
+      chunks,
+      [&chunk](std::size_t i, std::vector<gpu::Key128>& keys,
+               std::vector<std::uint64_t>& vals) {
+        const std::span<const FpRecord> records = chunk(i);
+        keys.resize(records.size());
+        vals.resize(records.size());
+        for (std::size_t j = 0; j < records.size(); ++j) {
+          keys[j] = records[j].fp;
+          vals[j] = records[j].vertex;
+        }
+      },
+      [&chunk](std::size_t i, std::span<const gpu::Key128> keys,
+               std::span<const std::uint64_t> vals) {
+        const std::span<FpRecord> records = chunk(i);
+        for (std::size_t j = 0; j < records.size(); ++j) {
+          records[j] =
+              FpRecord{keys[j], static_cast<std::uint32_t>(vals[j]), 0};
+        }
+      },
+      ctx);
 }
 
-/// Device merge of two non-empty host windows that fit on the device
-/// together. The records merge in host memory; the next leg of `streams` is
-/// charged the device round trip: keys and values of both windows in, the
-/// merge kernel, the merged keys and values out.
-void device_merge_windows(std::span<const FpRecord> a,
-                          std::span<const FpRecord> b,
-                          std::vector<FpRecord>& out,
-                          DeviceStreams& streams) {
+/// One piece of a planned Algorithm-1 merge: the equalized windows `a` and
+/// `b` merged (ties from `a`) to offset `out` of the merge's output, or `a`
+/// copied there when `b` is empty.
+struct MergePiece {
+  std::span<const FpRecord> a;
+  std::span<const FpRecord> b;
+  std::size_t out = 0;
+};
+
+void place_piece(const MergePiece& piece, FpRecord* out) {
+  if (piece.b.empty()) {
+    std::copy(piece.a.begin(), piece.a.end(), out);
+  } else {
+    std::merge(piece.a.begin(), piece.a.end(), piece.b.begin(),
+               piece.b.end(), out, fp_less);
+  }
+}
+
+/// The device round trip of merging two equalized windows of `na` and `nb`
+/// records, charged on the next leg of `streams`: keys and values of both
+/// windows in, the merge kernel, the merged keys and values out.
+void charge_device_merge(std::size_t na, std::size_t nb,
+                         DeviceStreams& streams) {
   constexpr std::size_t kKeyBytes = sizeof(gpu::Key128);
   constexpr std::size_t kValueBytes = sizeof(std::uint64_t);
-  out.resize(a.size() + b.size());
   gpu::Stream& s = streams.rotate();
-  for (const std::size_t n : {a.size(), b.size()}) {
+  for (const std::size_t n : {na, nb}) {
     s.charge_transfer(kKeyBytes * n);
     s.charge_transfer(kValueBytes * n);
   }
   streams.begin_kernel(s);
-  gpu::merge_pairs(s, a, b, std::span<FpRecord>(out), fp_less);
+  gpu::charge_merge<FpRecord>(s, na + nb);
   streams.end_kernel(s);
-  s.charge_transfer(kKeyBytes * out.size());
-  s.charge_transfer(kValueBytes * out.size());
+  s.charge_transfer(kKeyBytes * (na + nb));
+  s.charge_transfer(kValueBytes * (na + nb));
 }
 
 using RecordSink = std::function<void(std::span<const FpRecord>)>;
@@ -109,8 +118,8 @@ struct SpanWindow {
 /// and is reconsidered next iteration, so cutting is always safe, even at
 /// end of file. Returns once either stream is drained; the caller passes
 /// the other's remainder through.
-template <class Window, class Merge>
-void merge_windows_loop(Window& wa, Window& wb, const RecordSink& sink,
+template <class Window, class Sink, class Merge>
+void merge_windows_loop(Window& wa, Window& wb, const Sink& sink,
                         const Merge& merge) {
   while (wa.fill() && wb.fill()) {
     std::span<const FpRecord> va = wa.view();
@@ -141,78 +150,102 @@ void merge_windows_loop(Window& wa, Window& wb, const RecordSink& sink,
   }
 }
 
-/// Device-level Algorithm 1: merge two sorted host runs through device
-/// windows of m_d / 2 records.
+/// Device-level Algorithm 1 over two sorted host runs, planned: walks the
+/// windows of m_d / 2 records in order, charges each equalized pair's
+/// device round trip as it is met, and appends the pieces that lay the
+/// merged run out from offset `out`.
+void plan_device_merge(std::span<const FpRecord> a,
+                       std::span<const FpRecord> b,
+                       std::uint64_t device_block_records, std::size_t out,
+                       DeviceStreams& streams,
+                       std::vector<MergePiece>& pieces) {
+  const std::size_t half =
+      std::max<std::size_t>(1, device_block_records / 2);
+  auto add = [&](std::span<const FpRecord> va, std::span<const FpRecord> vb) {
+    pieces.push_back({va, vb, out});
+    out += va.size() + vb.size();
+  };
+  auto pass = [&add](std::span<const FpRecord> run) {
+    if (!run.empty()) add(run, {});
+  };
+  SpanWindow wa{a, half};
+  SpanWindow wb{b, half};
+  merge_windows_loop(wa, wb, pass,
+                     [&](std::span<const FpRecord> va,
+                         std::span<const FpRecord> vb) {
+                       charge_device_merge(va.size(), vb.size(), streams);
+                       add(va, vb);
+                     });
+  pass(wa.records);
+  pass(wb.records);
+}
+
+/// Device-level Algorithm 1 streamed to `sink` in order: the planned
+/// pieces merge one at a time through `buffer` (m_d records, reused across
+/// calls); pass-through pieces go to `sink` straight from the runs.
 void device_windowed_merge_impl(std::span<const FpRecord> a,
                                 std::span<const FpRecord> b,
                                 std::uint64_t device_block_records,
                                 const RecordSink& sink,
-                                DeviceStreams& streams) {
-  const std::size_t half =
-      std::max<std::size_t>(1, device_block_records / 2);
-  SpanWindow wa{a, half};
-  SpanWindow wb{b, half};
-  std::vector<FpRecord> merged;
-  merge_windows_loop(wa, wb, sink,
-                     [&](std::span<const FpRecord> va,
-                         std::span<const FpRecord> vb) {
-                       device_merge_windows(va, vb, merged, streams);
-                       sink(merged);
-                     });
-  if (wa.fill()) sink(wa.records);
-  if (wb.fill()) sink(wb.records);
+                                DeviceStreams& streams,
+                                std::vector<MergePiece>& pieces,
+                                std::vector<FpRecord>& buffer) {
+  pieces.clear();
+  plan_device_merge(a, b, device_block_records, 0, streams, pieces);
+  for (const MergePiece& piece : pieces) {
+    if (piece.b.empty()) {
+      sink(piece.a);
+      continue;
+    }
+    const std::size_t n = piece.a.size() + piece.b.size();
+    if (buffer.size() < n) buffer.resize(n);
+    place_piece(piece, buffer.data());
+    sink(std::span<const FpRecord>(buffer).first(n));
+  }
 }
 
 void sort_host_block_impl(Workspace& ws, std::span<FpRecord> block,
                           std::uint64_t device_block_records,
                           DeviceStreams& streams) {
   const std::size_t m_d = std::max<std::uint64_t>(2, device_block_records);
-  // Level 2a: device-sort each m_d chunk.
+  sort_chunks(ws, block, m_d, streams);
+  if (block.size() <= m_d) return;
+
+  // Level 2b: pairwise Algorithm-1 merges until one run remains, ping-
+  // ponging between the block and a tracked scratch buffer. Each level is
+  // planned first, which issues its device charges in Algorithm-1 order;
+  // its pieces then merge concurrently straight into the other buffer.
+  util::TrackedAllocation scratch_mem(*ws.host,
+                                      block.size() * sizeof(FpRecord));
+  std::vector<FpRecord> scratch(block.size());
+  std::span<FpRecord> src = block;
+  std::span<FpRecord> dst = scratch;
   std::vector<std::span<FpRecord>> runs;
   for (std::size_t off = 0; off < block.size(); off += m_d) {
-    auto run = block.subspan(off, std::min(m_d, block.size() - off));
-    device_sort_chunk(ws, run, streams);
-    runs.push_back(run);
+    runs.push_back(src.subspan(off, std::min(m_d, block.size() - off)));
   }
-
-  // Level 2b: iterative pairwise windowed merges until one run remains.
-  // Ping-pong between the block storage and a tracked scratch buffer.
-  std::vector<FpRecord> scratch;
+  std::vector<MergePiece> pieces;
   while (runs.size() > 1) {
-    util::TrackedAllocation scratch_mem(*ws.host,
-                                        block.size() * sizeof(FpRecord));
-    scratch.resize(block.size());
+    pieces.clear();
     std::vector<std::span<FpRecord>> next;
-    std::size_t out_off = 0;
+    std::size_t out = 0;
     for (std::size_t i = 0; i < runs.size(); i += 2) {
-      if (i + 1 == runs.size()) {
-        std::copy(runs[i].begin(), runs[i].end(), scratch.begin() + out_off);
-        next.push_back(
-            std::span<FpRecord>(scratch).subspan(out_off, runs[i].size()));
-        out_off += runs[i].size();
-        continue;
-      }
-      const std::size_t merged_size = runs[i].size() + runs[i + 1].size();
-      std::size_t cursor = out_off;
-      device_windowed_merge_impl(
-          runs[i], runs[i + 1], device_block_records,
-          [&scratch, &cursor](std::span<const FpRecord> part) {
-            std::copy(part.begin(), part.end(), scratch.begin() + cursor);
-            cursor += part.size();
-          },
-          streams);
-      next.push_back(
-          std::span<FpRecord>(scratch).subspan(out_off, merged_size));
-      out_off += merged_size;
+      const std::span<const FpRecord> b =
+          i + 1 < runs.size() ? runs[i + 1] : std::span<FpRecord>();
+      plan_device_merge(runs[i], b, device_block_records, out, streams,
+                        pieces);
+      next.push_back(dst.subspan(out, runs[i].size() + b.size()));
+      out += next.back().size();
     }
-    std::copy(scratch.begin(), scratch.end(), block.begin());
-    // Spans in `next` point into scratch; rebase them onto `block`.
-    runs.clear();
-    std::size_t off = 0;
-    for (const auto& r : next) {
-      runs.push_back(block.subspan(off, r.size()));
-      off += r.size();
-    }
+    util::ThreadPool::global().parallel_for(
+        pieces.size(), [&pieces, dst](std::size_t i) {
+          place_piece(pieces[i], dst.data() + pieces[i].out);
+        });
+    runs = std::move(next);
+    std::swap(src, dst);
+  }
+  if (src.data() != block.data()) {
+    std::copy(src.begin(), src.end(), block.begin());
   }
 }
 
@@ -223,7 +256,10 @@ void device_windowed_merge(
     std::uint64_t device_block_records,
     const std::function<void(std::span<const FpRecord>)>& sink) {
   DeviceStreams streams(*ws.device, false);
-  device_windowed_merge_impl(a, b, device_block_records, sink, streams);
+  std::vector<MergePiece> pieces;
+  std::vector<FpRecord> buffer;
+  device_windowed_merge_impl(a, b, device_block_records, sink, streams,
+                             pieces, buffer);
 }
 
 void sort_host_block(Workspace& ws, std::span<FpRecord> block,
@@ -258,12 +294,14 @@ void merge_files(Workspace& ws, const std::filesystem::path& in_a,
   const RecordSink sink = [&out](std::span<const FpRecord> part) {
     out.write(part);
   };
+  std::vector<MergePiece> pieces;
+  std::vector<FpRecord> buffer;
   merge_windows_loop(wa, wb, sink,
                      [&](std::span<const FpRecord> va,
                          std::span<const FpRecord> vb) {
                        device_windowed_merge_impl(
                            va, vb, geometry.device_block_records, sink,
-                           streams);
+                           streams, pieces, buffer);
                      });
   for (FileWindow* w : {&wa, &wb}) {
     while (w->fill()) {

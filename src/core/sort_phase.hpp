@@ -9,6 +9,11 @@
 //                              of m_d records through the device radix
 //                              sort, then device-merging them with the
 //                              same windowed algorithm in host memory.
+//                              Each merge level is planned in Algorithm-1
+//                              order (which issues the device charges),
+//                              then its pieces merge concurrently on the
+//                              thread pool; host-backend chunk sorts run
+//                              concurrently too.
 //
 // The hybrid scheme costs 1 + ceil(log2(n / m_h)) disk passes instead of
 // 1 + ceil(log2(n / m_d)) — the paper's "3-4x fewer" disk passes.

@@ -149,11 +149,18 @@ void sort_pairs(Device& dev, std::span<Key128> keys, std::span<V> values) {
   }
 }
 
+/// Charges `stream` what a merge-path merge of `n` records of type R costs
+/// on the device: every record read and written once, one compare per
+/// output plus 64 per partition for the split searches.
+template <typename R>
+void charge_merge(Stream& stream, std::size_t n) {
+  stream.charge_kernel(2 * n * sizeof(R),
+                       n + detail::partition_count(n) * 64);
+}
+
 /// Stable merge of two sorted record sequences into `out` (whose size must
 /// be a.size() + b.size()); ties take from `a` first. The records merge in
-/// host memory, and `stream` is charged what a merge-path merge of the
-/// records costs on the device: every record read and written once, one
-/// compare per output plus 64 per partition for the split searches.
+/// host memory, and `stream` is charged the device merge (charge_merge).
 template <typename R, typename Less>
 void merge_pairs(Stream& stream, std::span<const R> a, std::span<const R> b,
                  std::span<R> out, Less less) {
@@ -163,8 +170,7 @@ void merge_pairs(Stream& stream, std::span<const R> a, std::span<const R> b,
   }
   if (n == 0) return;
   std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin(), less);
-  stream.charge_kernel(2 * n * sizeof(R),
-                       n + detail::partition_count(n) * 64);
+  charge_merge<R>(stream, n);
 }
 
 /// Exclusive prefix sum; `out` may alias `in`. Returns the total.

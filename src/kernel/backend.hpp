@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -168,9 +169,9 @@ class ScopedBackend {
 
 // ---- dispatch --------------------------------------------------------------
 
-// The pipeline's one call per kernel: each runs active_backend(), records
-// the call's wall time in the `kernel.<name>.wall_ns` histogram, and hands
-// inputs and outputs to an active CaptureSession (kernel/dump.hpp).
+// The pipeline's one entry per kernel: each runs active_backend(), records
+// every call's wall time in the `kernel.<name>.wall_ns` histogram, and
+// hands inputs and outputs to an active CaptureSession (kernel/dump.hpp).
 
 void run_fingerprint(const FingerprintJob& job, DeviceContext& ctx);
 
@@ -179,7 +180,24 @@ void run_match_bounds(std::span<const gpu::Key128> needles,
                       std::span<std::uint32_t> lower,
                       std::span<std::uint32_t> upper, DeviceContext& ctx);
 
-void run_sort_pairs(std::span<gpu::Key128> keys,
-                    std::span<std::uint64_t> values, DeviceContext& ctx);
+/// Fills chunk `i`'s keys and values (resizing both) for a sort batch.
+using SortChunkLoad = std::function<void(
+    std::size_t i, std::vector<gpu::Key128>& keys,
+    std::vector<std::uint64_t>& values)>;
+/// Takes chunk `i`'s keys and values back, sorted.
+using SortChunkStore = std::function<void(
+    std::size_t i, std::span<const gpu::Key128> keys,
+    std::span<const std::uint64_t> values)>;
+
+/// One sort_pairs call per chunk of a batch of `chunks` independent chunks:
+/// `load`, sort, `store`. The entry owns the schedule. A backend that
+/// uses_device() sorts the chunks one after another, because its charges
+/// land on ctx's stream pair in chunk order and each sort holds its double
+/// buffer against the device budget. Host backends touch neither the
+/// device nor ctx, so their chunks run as concurrent pool tasks (`load`
+/// and `store` must then be thread-safe across distinct chunks); captures
+/// still reach the session in chunk order.
+void run_sort_pairs_batch(std::size_t chunks, const SortChunkLoad& load,
+                          const SortChunkStore& store, DeviceContext& ctx);
 
 }  // namespace lasagna::kernel

@@ -1,11 +1,13 @@
-// The pipeline's kernel dispatch: one wrapper per kernel around the active
-// backend, so the wall-clock histograms and dump capture live in one place
-// and every backend — the simulated device included — runs the same path.
+// The pipeline's kernel dispatch: one entry per kernel around the active
+// backend, so the wall-clock histograms, dump capture and the sort batch's
+// schedule live in one place and every backend — the simulated device
+// included — runs the same path.
 #include <chrono>
 
 #include "kernel/backend.hpp"
 #include "kernel/dump.hpp"
 #include "obs/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lasagna::kernel {
 
@@ -60,22 +62,52 @@ void run_match_bounds(std::span<const gpu::Key128> needles,
   }
 }
 
-void run_sort_pairs(std::span<gpu::Key128> keys,
-                    std::span<std::uint64_t> values, DeviceContext& ctx) {
+void run_sort_pairs_batch(std::size_t chunks, const SortChunkLoad& load,
+                          const SortChunkStore& store, DeviceContext& ctx) {
   static obs::Histogram& wall_ns =
       obs::MetricsRegistry::global().histogram("kernel.sort_pairs.wall_ns");
-  // The sort is in place: keep a copy of the input for the capture.
+  Backend& backend = active_backend();
   CaptureSession* capture = CaptureSession::active();
-  std::vector<std::byte> input;
-  if (capture != nullptr) {
-    input = concat_bytes({std::as_bytes(keys), std::as_bytes(values)});
-  }
-  timed(wall_ns, [&] { active_backend().sort_pairs(keys, values, &ctx); });
+  // The sort is in place: a capture keeps a copy of each chunk's input.
+  struct Captured {
+    std::size_t count = 0;
+    std::vector<std::byte> input;
+    std::vector<std::byte> output;
+  };
+  std::vector<Captured> captured(capture != nullptr ? chunks : 0);
+  auto sort_chunk = [&](std::size_t i, std::vector<gpu::Key128>& keys,
+                        std::vector<std::uint64_t>& values) {
+    load(i, keys, values);
+    if (capture != nullptr) {
+      captured[i].count = keys.size();
+      captured[i].input = concat_bytes(
+          {std::as_bytes(std::span(keys)), std::as_bytes(std::span(values))});
+    }
+    timed(wall_ns, [&] { backend.sort_pairs(keys, values, &ctx); });
+    if (capture != nullptr) {
+      captured[i].output = concat_bytes(
+          {std::as_bytes(std::span(keys)), std::as_bytes(std::span(values))});
+    }
+    store(i, keys, values);
+  };
 
-  if (capture != nullptr) {
-    capture->record(
-        KernelId::kSortPairs, {keys.size(), 0, 0, 0, 0, 0, 0, 0}, input,
-        concat_bytes({std::as_bytes(keys), std::as_bytes(values)}));
+  if (backend.uses_device()) {
+    std::vector<gpu::Key128> keys;
+    std::vector<std::uint64_t> values;
+    for (std::size_t i = 0; i < chunks; ++i) sort_chunk(i, keys, values);
+  } else {
+    util::ThreadPool::global().parallel_for_chunked(
+        chunks, [&](std::size_t begin, std::size_t end) {
+          std::vector<gpu::Key128> keys;
+          std::vector<std::uint64_t> values;
+          for (std::size_t i = begin; i < end; ++i) {
+            sort_chunk(i, keys, values);
+          }
+        });
+  }
+  for (const Captured& c : captured) {
+    capture->record(KernelId::kSortPairs, {c.count, 0, 0, 0, 0, 0, 0, 0},
+                    c.input, c.output);
   }
 }
 

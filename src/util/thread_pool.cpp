@@ -1,7 +1,9 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <memory>
 
 namespace lasagna::util {
 
@@ -80,33 +82,58 @@ void ThreadPool::parallel_for_chunked(
     std::size_t count,
     const std::function<void(std::size_t, std::size_t)>& body) {
   if (count == 0) return;
-  const std::size_t chunks = std::min(count, size() * 4);
-  const std::size_t step = (count + chunks - 1) / chunks;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = 0;
-  std::exception_ptr first_error;
-  for (std::size_t begin = 0; begin < count; begin += step) ++remaining;
+  // Shared with the helper tasks by ownership: a helper that starts after
+  // the caller returned finds the cursor spent and never touches `body`.
+  struct Region {
+    const std::function<void(std::size_t, std::size_t)>* body = nullptr;
+    std::size_t count = 0;
+    std::size_t step = 0;
+    std::size_t ranges = 0;
+    std::atomic<std::size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    std::size_t done = 0;  // guarded by mutex
+    std::exception_ptr first_error;  // guarded by mutex
 
-  for (std::size_t begin = 0; begin < count; begin += step) {
-    const std::size_t end = std::min(count, begin + step);
-    submit([&, begin, end] {
-      std::exception_ptr error;
-      try {
-        body(begin, end);
-      } catch (...) {
-        error = std::current_exception();
+    void run() {
+      for (std::size_t r = next.fetch_add(1); r < ranges;
+           r = next.fetch_add(1)) {
+        std::exception_ptr error;
+        try {
+          (*body)(r * step, std::min(count, r * step + step));
+        } catch (...) {
+          error = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        if (error != nullptr && first_error == nullptr) first_error = error;
+        if (++done == ranges) done_cv.notify_all();
       }
-      std::lock_guard<std::mutex> lock(done_mutex);
-      if (error != nullptr && first_error == nullptr) first_error = error;
-      if (--remaining == 0) done_cv.notify_one();
-    });
+    }
+  };
+  auto region = std::make_shared<Region>();
+  region->body = &body;
+  region->count = count;
+  const std::size_t target = std::min(count, size() * 4);
+  region->step = (count + target - 1) / target;
+  region->ranges = (count + region->step - 1) / region->step;
+
+  const std::size_t helpers = std::min(region->ranges - 1, size());
+  for (std::size_t i = 0; i < helpers; ++i) {
+    submit([region] { region->run(); });
   }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&remaining] { return remaining == 0; });
+  region->run();
+  {
+    // Only ranges other threads already started are left: wait for them.
+    std::unique_lock<std::mutex> lock(region->mutex);
+    region->done_cv.wait(lock,
+                         [&region] { return region->done == region->ranges; });
+  }
+  update_utilization();
   // Rethrow the first failure in the caller (a faulting kernel surfaces
   // where the launch happened, like a CUDA error code would).
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  if (region->first_error != nullptr) {
+    std::rethrow_exception(region->first_error);
+  }
 }
 
 ThreadPool& ThreadPool::global() {

@@ -1,5 +1,6 @@
-// Fixed-size worker pool with a blocking parallel_for, used by the simulated
-// GPU to execute thread-blocks and by the cluster simulator to run nodes.
+// Fixed-size worker pool with a blocking parallel_for whose caller works
+// alongside the workers; used by the simulated GPU to execute thread-blocks
+// and by the pipeline's data-parallel host loops.
 #pragma once
 
 #include <chrono>
@@ -43,8 +44,17 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
-  /// Run `body(begin, end)` over contiguous index ranges covering [0, count).
-  /// Lower overhead than per-index dispatch for tight loops.
+  /// Run `body(begin, end)` over contiguous index ranges covering [0, count)
+  /// and block until all ranges complete; the first exception a range
+  /// throws is rethrown here once every range has run. Lower overhead than
+  /// per-index dispatch for tight loops.
+  ///
+  /// The caller takes ranges from the same cursor as at most
+  /// min(ranges - 1, size()) helper tasks, so it never sleeps while ranges
+  /// wait in a busy queue, and a call made from inside a pool task (or a
+  /// `body`) cannot deadlock. `body` may therefore run on the caller's
+  /// thread or on a worker: it must not read thread-local state such as a
+  /// device's current stream. Ends by refreshing pool.utilization_pct.
   void parallel_for_chunked(
       std::size_t count,
       const std::function<void(std::size_t, std::size_t)>& body);
@@ -54,8 +64,10 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  /// Recompute the pool.utilization_pct gauge (busy time over wall time
-  /// across all workers since construction).
+  /// Recompute the pool.utilization_pct gauge: pool.busy_ns over wall time
+  /// across all workers since construction. Busy time counts the tasks the
+  /// workers ran (parallel_for's helpers included), not the share of a
+  /// parallel_for that its caller ran itself.
   void update_utilization();
 
   std::vector<std::thread> workers_;

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/bench_diff.hpp"
@@ -225,6 +228,33 @@ TEST(Instrumentation, ThreadPoolPublishesTaskMetrics) {
   EXPECT_EQ(registry.value("pool.tasks_submitted"), submitted_before + 8);
   EXPECT_EQ(registry.value("pool.tasks_completed"), completed_before + 8);
   EXPECT_GE(registry.value("pool.queue_depth_peak"), 0);
+}
+
+TEST(Instrumentation, ParallelForRefreshesPoolUtilization) {
+  auto& registry = MetricsRegistry::global();
+  Gauge& utilization = registry.gauge("pool.utilization_pct");
+  const std::int64_t busy_before = registry.value("pool.busy_ns");
+  util::ThreadPool pool(2);
+  // Busy time counts helper tasks only, and the caller may take ranges
+  // first: each range waits until a helper has started one, so a helper is
+  // busy for at least one 5 ms range however the threads are scheduled.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> helped{false};
+  pool.parallel_for(8, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) helped = true;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+    while (std::chrono::steady_clock::now() < until || !helped) {
+    }
+  });
+  // A helper adds its busy time when its task returns, which may be after
+  // the call's own refresh: wait for it, then check a later call's refresh.
+  while (registry.value("pool.busy_ns") < busy_before + 5'000'000) {
+    std::this_thread::yield();
+  }
+  utilization.set(0);
+  pool.parallel_for(1, [](std::size_t) {});
+  EXPECT_GT(utilization.value(), 0);
 }
 
 TEST(Instrumentation, MemoryTrackerPublishesGauges) {

@@ -3,6 +3,7 @@
 // byte-identical to an uninterrupted run, (b) identical result counters,
 // (c) strictly less disk traffic in the resumed run than a full rerun.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <fstream>
 #include <sstream>
@@ -322,19 +323,69 @@ TEST(CheckpointManager, SidecarsRoundTripAndRejectDamage) {
   EXPECT_FALSE(std::filesystem::exists(dir.file("checkpoint.empty.bin")));
 }
 
-TEST(CheckpointManager, TruncatedManifestIsRejectedNotTrusted) {
+TEST(CheckpointManager, RecordAppendsOneLineInPlace) {
   io::ScopedTempDir dir("lasagna-ckpt");
+  core::CheckpointManager cm(dir.path(), 1, 2);
+  cm.reset();
+  const auto manifest = dir.file("checkpoint.manifest");
+  auto inode = [&manifest] {
+    struct stat st {};
+    EXPECT_EQ(::stat(manifest.c_str(), &st), 0);
+    return st.st_ino;
+  };
+  const auto first_inode = inode();
+  std::uintmax_t size = std::filesystem::file_size(manifest);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    const std::string key = "sort:run:sfx_00080.sorted:" + std::to_string(i);
+    cm.record(key, {{"records", i}});
+    size += ("entry " + key + " records=" + std::to_string(i) + "\n").size();
+    ASSERT_EQ(std::filesystem::file_size(manifest), size) << i;
+    ASSERT_EQ(inode(), first_inode) << i;
+  }
+  // A later line for a key wins on reload.
+  cm.record("sort:run:sfx_00080.sorted:7", {{"records", 70}});
+  core::CheckpointManager reloaded(dir.path(), 1, 2);
+  ASSERT_TRUE(reloaded.load());
+  EXPECT_EQ(reloaded.keys_with_prefix("sort:run:").size(), 100u);
+  EXPECT_EQ(reloaded.counter("sort:run:sfx_00080.sorted:7", "records"), 70u);
+  EXPECT_EQ(reloaded.counter("sort:run:sfx_00080.sorted:8", "records"), 8u);
+}
+
+TEST(CheckpointManager, TornAppendKeepsEveryCompleteEntry) {
+  io::ScopedTempDir dir("lasagna-ckpt");
+  const auto manifest = dir.file("checkpoint.manifest");
+  auto chop = [&manifest](std::uintmax_t bytes) {
+    std::filesystem::resize_file(
+        manifest, std::filesystem::file_size(manifest) - bytes);
+  };
   {
     core::CheckpointManager cm(dir.path(), 1, 2);
     cm.reset();
     cm.record("phase:load", {{"read_count", 10}});
+    cm.record("phase:map", {{"read_count", 10}});
   }
-  // Simulate a torn write: chop the manifest mid-line.
-  const auto manifest = dir.file("checkpoint.manifest");
-  const auto size = std::filesystem::file_size(manifest);
-  std::filesystem::resize_file(manifest, size - 5);
-  core::CheckpointManager cm(dir.path(), 1, 2);
-  EXPECT_FALSE(cm.load());
+  // A crash mid-append: the last line loses its tail and its newline.
+  chop(5);
+  {
+    core::CheckpointManager cm(dir.path(), 1, 2);
+    ASSERT_TRUE(cm.load());
+    EXPECT_EQ(cm.counter("phase:load", "read_count"), 10u);
+    EXPECT_FALSE(cm.has("phase:map"));
+    // load() cut the torn tail off the file, so this line starts clean.
+    cm.record("phase:map", {{"read_count", 11}});
+  }
+  {
+    core::CheckpointManager cm(dir.path(), 1, 2);
+    ASSERT_TRUE(cm.load());
+    EXPECT_EQ(cm.counter("phase:map", "read_count"), 11u);
+  }
+  // A complete line that does not parse is not trusted.
+  std::ofstream(manifest, std::ios::app) << "entry\n";
+  EXPECT_FALSE(core::CheckpointManager(dir.path(), 1, 2).load());
+  // Nor is a manifest cut inside its guard lines.
+  core::CheckpointManager(dir.path(), 1, 2).reset();
+  chop(5);
+  EXPECT_FALSE(core::CheckpointManager(dir.path(), 1, 2).load());
 }
 
 }  // namespace

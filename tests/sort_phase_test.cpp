@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <random>
 
 #include "core/sort_phase.hpp"
 #include "io/record_stream.hpp"
+#include "kernel/backend.hpp"
 #include "obs/metrics.hpp"
 #include "test_workspace.hpp"
 
@@ -32,11 +34,23 @@ bool is_sorted_by_fp(std::span<const FpRecord> records) {
 }
 
 TEST(SortHostBlock, SortsAcrossDeviceChunks) {
-  TestWorkspace tw;
-  auto records = random_records(10000, 1);
-  // Force many device chunks.
-  sort_host_block(tw.ws(), records, 256);
-  EXPECT_TRUE(is_sorted_by_fp(records));
+  // Many device chunks, sorted one after another on the simulated device
+  // and concurrently under host backends: the same records either way.
+  const auto input = random_records(10000, 1, 4095);
+  std::vector<FpRecord> reference;
+  for (const char* name : {"simulated", "scalar", "avx2"}) {
+    SCOPED_TRACE(name);
+    kernel::Backend* backend = kernel::find_backend(name);
+    if (!backend->available()) continue;
+    const kernel::ScopedBackend scoped(*backend);
+    TestWorkspace tw;
+    auto records = input;
+    sort_host_block(tw.ws(), records, 256);
+    EXPECT_TRUE(is_sorted_by_fp(records));
+    if (reference.empty()) reference = records;
+    EXPECT_EQ(0, std::memcmp(records.data(), reference.data(),
+                             records.size() * sizeof(FpRecord)));
+  }
 }
 
 TEST(SortHostBlock, HandlesTinyAndEmptyBlocks) {
@@ -234,8 +248,11 @@ TEST(StreamedExternalSort, DeviceMergeChargesAndTieOrderArePinned) {
   // every modeled charge. Algorithm 1's windows are not globally a-first on
   // ties, so the digests pin the recorded order rather than a stable-sort
   // reference. 6,000 records over 64 distinct keys, 3 host blocks of 8
-  // device chunks each.
+  // device chunks each. Every backend gives the same records; the host
+  // backends' chunk sorts charge nothing, so their figures are the merges'
+  // alone.
   struct Expected {
+    const char* backend;
     bool streamed;
     double modeled_seconds;
     std::int64_t transfer_charges;
@@ -246,16 +263,29 @@ TEST(StreamedExternalSort, DeviceMergeChargesAndTieOrderArePinned) {
     std::uint64_t digest;
   };
   const Expected cases[] = {
-      {false, 6.7614178999999996e-05, 912, 1636128, 208, 3748128, 156790,
+      {"simulated", false, 6.7614178999999996e-05, 912, 1636128, 208,
+       3748128, 156790, 0xb94b282a68bb124full},
+      {"simulated", true, 3.5091112e-05, 912, 1636128, 208, 3748128, 156790,
        0xb94b282a68bb124full},
-      {true, 3.5091112e-05, 912, 1636128, 208, 3748128, 156790,
+      {"scalar", false, 4.9633209999999998e-05, 816, 1348128, 136, 1348128,
+       36790, 0xb94b282a68bb124full},
+      {"scalar", true, 2.530371e-05, 816, 1348128, 136, 1348128, 36790,
+       0xb94b282a68bb124full},
+      {"avx2", false, 4.9633209999999998e-05, 816, 1348128, 136, 1348128,
+       36790, 0xb94b282a68bb124full},
+      {"avx2", true, 2.530371e-05, 816, 1348128, 136, 1348128, 36790,
        0xb94b282a68bb124full},
   };
   const char* counters[] = {"gpu.transfer_charges", "gpu.transfer_bytes",
                             "gpu.kernel_charges", "gpu.kernel_bytes",
                             "gpu.kernel_ops"};
   for (const Expected& want : cases) {
-    SCOPED_TRACE(want.streamed ? "streamed" : "sync");
+    SCOPED_TRACE(std::string(want.backend) +
+                 (want.streamed ? " streamed" : " sync"));
+    kernel::Backend* backend = kernel::find_backend(want.backend);
+    ASSERT_NE(backend, nullptr);
+    if (!backend->available()) continue;
+    const kernel::ScopedBackend scoped(*backend);
     TestWorkspace tw;
     const auto records = random_records(6000, 29, 7);
     io::write_all_records<FpRecord>(tw.dir().file("in.bin"), records,

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -181,6 +187,51 @@ TEST(ThreadPool, ChunkedCoversDisjointRanges) {
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
+}
+
+/// Runs `body` on a thread of its own and fails when it has not returned
+/// within `deadline`. A hung body cannot be joined, so the process then
+/// exits with a failure instead of hanging the suite.
+void run_with_deadline(std::chrono::seconds deadline,
+                       std::function<void()> body) {
+  std::packaged_task<void()> task(std::move(body));
+  std::future<void> done = task.get_future();
+  std::thread runner(std::move(task));
+  if (done.wait_for(deadline) != std::future_status::ready) {
+    std::fprintf(stderr, "no return within %llds: deadlocked\n",
+                 static_cast<long long>(deadline.count()));
+    std::_Exit(1);
+  }
+  runner.join();
+  done.get();
+}
+
+TEST(ThreadPool, NestedParallelForCompletes) {
+  // Every outer body blocks in an inner parallel_for on the same pool, so
+  // both workers end up inside outer bodies while inner ranges are queued.
+  run_with_deadline(std::chrono::seconds(30), [] {
+    ThreadPool pool(2);
+    std::vector<std::atomic<int>> hits(64);
+    pool.parallel_for(8, [&](std::size_t outer) {
+      pool.parallel_for(8, [&](std::size_t inner) {
+        hits[outer * 8 + inner].fetch_add(1);
+      });
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  });
+}
+
+TEST(ThreadPool, CallerRunsChunksWhileWorkersAreBusy) {
+  run_with_deadline(std::chrono::seconds(30), [] {
+    ThreadPool pool(1);
+    std::promise<void> release;
+    std::shared_future<void> parked = release.get_future().share();
+    pool.submit([parked] { parked.wait(); });
+    std::vector<std::atomic<int>> hits(100);
+    pool.parallel_for(100, [&](std::size_t i) { hits[i].fetch_add(1); });
+    release.set_value();
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  });
 }
 
 TEST(RunStats, TotalsAndLookup) {
