@@ -686,8 +686,9 @@ ReduceOutcome reduce_speculative(ClusterRun& run) {
 //      full graph keeps all candidates, so there is nothing to coordinate)
 //      and routes each candidate edge, in both twin directions, to the
 //      owner of its source vertex;
-//   2. owners upsert arrivals into canonically sorted adjacency —
-//      insertion is order-independent, so the per-owner union equals the
+//   2. owners merge each arriving payload into canonically sorted
+//      adjacency with the per-vertex merge FullStringGraph settles with —
+//      the merge is order-independent, so the per-owner union equals the
 //      single-node FullStringGraph block for block;
 //   3. each owner fetches the boundary (halo) adjacency its block's
 //      out-edges point into and marks transitive edges against the
@@ -750,12 +751,23 @@ void register_owner_handlers(ClusterRun& run,
     run.net.register_handler(
         node.id, kGraphEdges,
         [&block](unsigned, std::span<const std::byte> payload) {
+          std::vector<graph::Edge> edges;
+          edges.reserve(payload.size() / sizeof(graph::Edge));
           std::size_t offset = 0;
           while (offset < payload.size()) {
-            const auto e = get<graph::Edge>(payload, offset);
-            graph::upsert_directed_edge(block.adj[e.src - block.begin],
-                                        e.src, e.dst, e.overlap);
-            ++block.received;
+            edges.push_back(get<graph::Edge>(payload, offset));
+          }
+          block.received += edges.size();
+          // Group by source and merge each group into its owned list.
+          std::sort(edges.begin(), edges.end(),
+                    [](const graph::Edge& a, const graph::Edge& b) {
+                      return a.src < b.src;
+                    });
+          const std::span<graph::Edge> all(edges);
+          for (std::size_t i = 0, j = 0; i < all.size(); i = j) {
+            while (j < all.size() && all[j].src == all[i].src) ++j;
+            graph::merge_out_edges(block.adj[all[i].src - block.begin],
+                                   all.subspan(i, j - i));
           }
           return Payload{};
         });

@@ -1,6 +1,5 @@
 // Thrust-style device primitives used by the pipeline:
 //   - sort_pairs:     LSD radix sort of (Key128, value) pairs
-//   - merge_pairs:    stable merge of two sorted record sequences
 //   - exclusive_scan: exclusive prefix sum
 //   - vector bounds:  batched lower_bound/upper_bound (Algorithm 2, lines 8-9)
 //   - gather:         permutation copy (contig layout, section III-D)
@@ -156,21 +155,6 @@ template <typename R>
 void charge_merge(Stream& stream, std::size_t n) {
   stream.charge_kernel(2 * n * sizeof(R),
                        n + detail::partition_count(n) * 64);
-}
-
-/// Stable merge of two sorted record sequences into `out` (whose size must
-/// be a.size() + b.size()); ties take from `a` first. The records merge in
-/// host memory, and `stream` is charged the device merge (charge_merge).
-template <typename R, typename Less>
-void merge_pairs(Stream& stream, std::span<const R> a, std::span<const R> b,
-                 std::span<R> out, Less less) {
-  const std::size_t n = a.size() + b.size();
-  if (out.size() != n) {
-    throw std::invalid_argument("merge_pairs: size mismatch");
-  }
-  if (n == 0) return;
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin(), less);
-  charge_merge<R>(stream, n);
 }
 
 /// Exclusive prefix sum; `out` may alias `in`. Returns the total.

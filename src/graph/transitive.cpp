@@ -1,6 +1,8 @@
 #include "graph/transitive.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <stdexcept>
 
 #include "util/thread_pool.hpp"
@@ -20,28 +22,89 @@ FullStringGraph::FullStringGraph(
   }
 }
 
+void merge_out_edges(std::vector<Edge>& adj, std::span<Edge> group) {
+  if (group.empty()) return;
+  // Each dst's largest overlap in the group goes first; keep only it.
+  std::sort(group.begin(), group.end(), [](const Edge& a, const Edge& b) {
+    return a.dst != b.dst ? a.dst < b.dst : a.overlap > b.overlap;
+  });
+  const auto last =
+      std::unique(group.begin(), group.end(),
+                  [](const Edge& a, const Edge& b) { return a.dst == b.dst; });
+  group = group.first(static_cast<std::size_t>(last - group.begin()));
+
+  // Drop the stored edges the group beats. Where the stored edge holds,
+  // the group's edge becomes a copy of it, which the union keeps once.
+  std::size_t kept = 0;
+  std::size_t copies = 0;
+  for (const Edge& e : adj) {
+    const auto hit = std::lower_bound(
+        group.begin(), group.end(), e.dst,
+        [](const Edge& g, VertexId dst) { return g.dst < dst; });
+    if (hit != group.end() && hit->dst == e.dst) {
+      if (hit->overlap > e.overlap) continue;
+      hit->overlap = e.overlap;
+      ++copies;
+    }
+    adj[kept++] = e;
+  }
+  std::sort(group.begin(), group.end(), adjacency_less);
+
+  std::vector<Edge> merged;
+  merged.reserve(kept + group.size() - copies);
+  std::set_union(adj.begin(), adj.begin() + static_cast<std::ptrdiff_t>(kept),
+                 group.begin(), group.end(), std::back_inserter(merged),
+                 adjacency_less);
+  adj.swap(merged);
+}
+
 void FullStringGraph::add_edge(VertexId u, VertexId v, std::uint16_t overlap) {
   if (u >= vertex_count() || v >= vertex_count()) {
     throw std::out_of_range("FullStringGraph::add_edge: bad vertex");
   }
   if (u == v || v == complement_vertex(u)) return;
 
-  // Keep only the longest overlap per (src, dst); on a tie the stored edge
-  // wins (the canonical direction is upserted first, so equal-overlap
-  // duplicates resolve to the lowest (src, dst) presentation no matter
-  // which direction or order the caller used).
+  // Stage the twin with the lower src; without loops the srcs differ.
   const VertexId tu = complement_vertex(v);
-  const VertexId tv = complement_vertex(u);
-  if (tu < u || (tu == u && tv < v)) {
-    upsert_directed_edge(adjacency_[tu], tu, tv, overlap);
-    upsert_directed_edge(adjacency_[u], u, v, overlap);
-  } else {
-    upsert_directed_edge(adjacency_[u], u, v, overlap);
-    upsert_directed_edge(adjacency_[tu], tu, tv, overlap);
+  const std::size_t limit = kStagedEdgesPerVertex * vertex_count();
+  if (staged_.empty()) staged_.reserve(limit);
+  staged_.push_back(tu < u ? Edge{tu, complement_vertex(u), overlap}
+                           : Edge{u, v, overlap});
+  if (staged_.size() >= limit) settle();
+}
+
+void FullStringGraph::settle() const {
+  if (staged_.empty()) return;
+  const std::size_t n = adjacency_.size();
+  // Counting sort of both twin directions by source: `first[v]` is where
+  // v's group starts in `grouped`, `first[n]` its end.
+  std::vector<std::size_t> first(n + 1, 0);
+  for (const Edge& e : staged_) {
+    ++first[e.src + 1];
+    ++first[complement_vertex(e.dst) + 1];
   }
+  for (std::size_t v = 0; v < n; ++v) first[v + 1] += first[v];
+  std::vector<Edge> grouped(first[n]);
+  std::vector<std::size_t> next(first.begin(), first.end() - 1);
+  for (const Edge& e : staged_) {
+    grouped[next[e.src]++] = e;
+    const VertexId twin = complement_vertex(e.dst);
+    grouped[next[twin]++] = Edge{twin, complement_vertex(e.src), e.overlap};
+  }
+  std::vector<Edge>().swap(staged_);
+
+  util::ThreadPool::global().parallel_for_chunked(
+      n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+          merge_out_edges(adjacency_[v],
+                          std::span<Edge>(grouped).subspan(
+                              first[v], first[v + 1] - first[v]));
+        }
+      });
 }
 
 std::uint64_t FullStringGraph::edge_count() const {
+  settle();
   std::uint64_t total = 0;
   for (const auto& adj : adjacency_) total += adj.size();
   return total;
@@ -66,6 +129,7 @@ void FullStringGraph::import_edges(const std::vector<Edge>& edges) {
 }
 
 std::uint64_t FullStringGraph::reduce() {
+  settle();
   // Pass 1: mark. Every vertex is classified against the unreduced
   // adjacency, so no vertex observes another's sweep.
   const std::uint32_t n = vertex_count();
@@ -96,6 +160,7 @@ std::uint64_t FullStringGraph::reduce() {
 
 std::uint64_t FullStringGraph::reduce_parallel(util::ThreadPool& pool,
                                                std::uint32_t block_vertices) {
+  settle();
   const std::uint32_t n = vertex_count();
   if (n == 0) return 0;
   if (block_vertices == 0) {
@@ -160,6 +225,7 @@ std::uint64_t FullStringGraph::reduce_parallel(util::ThreadPool& pool,
 }
 
 StringGraph FullStringGraph::to_unitig_graph() const {
+  settle();
   std::vector<std::uint32_t> in_degree(vertex_count(), 0);
   for (const auto& adj : adjacency_) {
     for (const Edge& e : adj) ++in_degree[e.dst];

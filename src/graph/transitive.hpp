@@ -7,18 +7,23 @@
 // graph is a production path (`--graph=reduced`): its unambiguous chain
 // links feed the same unitig traversal the greedy graph uses.
 //
-// Determinism contract: adjacency lists are kept sorted by (overlap desc,
-// dst asc) at insertion, twin pairs are upserted in canonical (lowest
-// (src, dst) first) order, and `reduce()` marks every vertex against the
-// *unreduced* adjacency before any edge is swept. The reduction is
-// therefore a pure per-vertex function of the input edge set — which is
-// what makes the blocked parallel reduction (`reduce_parallel`) and the
+// Determinism contract: the stored adjacency keeps, per (src, dst), the
+// largest overlap any insert offered, in both twin directions, with every
+// list sorted by (overlap desc, dst asc). Lists are not kept sorted at
+// insertion: `add_edge` stages edges, and a batch merge (`settle`) brings
+// them in before anything reads the graph. So the stored graph is a pure
+// function of the inserted edge multiset, whatever the order, the twin
+// presentation or where the batch boundaries fall. `reduce()` marks every
+// vertex against the *unreduced* adjacency before any edge is swept, so the
+// reduction is a pure per-vertex function of that graph — which is what
+// makes the blocked parallel reduction (`reduce_parallel`) and the
 // distributed per-owner reduction byte-identical to the sequential pass at
 // any thread count, block size or node count.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/string_graph.hpp"
@@ -36,23 +41,16 @@ inline bool adjacency_less(const Edge& a, const Edge& b) {
   return a.overlap != b.overlap ? a.overlap > b.overlap : a.dst < b.dst;
 }
 
-/// Upsert one directed edge into an adjacency list kept sorted by
-/// `adjacency_less`: a duplicate (src, dst) pair keeps only the longest
-/// overlap, and an equal-overlap duplicate keeps the stored edge. Shared
-/// by FullStringGraph::add_edge and the distributed owners so both build
-/// identical adjacency regardless of arrival order.
-inline void upsert_directed_edge(std::vector<Edge>& adj, VertexId src,
-                                 VertexId dst, std::uint16_t overlap) {
-  const auto dup = std::find_if(adj.begin(), adj.end(),
-                                [dst](const Edge& e) { return e.dst == dst; });
-  if (dup != adj.end()) {
-    if (dup->overlap >= overlap) return;
-    adj.erase(dup);
-  }
-  const Edge edge{src, dst, overlap};
-  adj.insert(std::lower_bound(adj.begin(), adj.end(), edge, adjacency_less),
-             edge);
-}
+/// Merge `group` — directed edges that all leave the source of `adj`, in
+/// any order, repeats allowed — into `adj`, a list sorted by
+/// `adjacency_less` with one edge per dst. Each dst keeps the largest
+/// overlap on offer; a stored edge yields only to a strictly larger one.
+/// `adj` ends sorted and sized exactly; the cost is linear in its stored
+/// length (one binary search of the deduplicated group per stored edge).
+/// `group` is reordered. Shared by FullStringGraph's batch merge and the
+/// distributed owners, so both build identical adjacency whatever the
+/// arrival order.
+void merge_out_edges(std::vector<Edge>& adj, std::span<Edge> group);
 
 /// The marking half of Myers' transitive reduction for a single vertex,
 /// evaluated against *immutable* (pre-sweep) neighbor adjacency. For edge
@@ -111,11 +109,18 @@ class FullStringGraph {
   explicit FullStringGraph(std::uint32_t read_count,
                            const std::vector<std::uint32_t>& read_lengths);
 
-  /// Add an overlap edge and its complementary twin. Duplicate (src, dst)
-  /// pairs keep only the longest overlap; on an equal-overlap duplicate the
-  /// stored edge wins, and the twin pair is upserted lowest-(src, dst)
-  /// first, so the result is independent of the direction a caller
-  /// presents the overlap in and of the call order.
+  /// Add an overlap edge and its complementary twin. A bad vertex throws;
+  /// self and complement loops are dropped. The edge is only staged, in
+  /// its canonical presentation (the lower (src, dst) of the twin pair):
+  /// once the staging holds `kStagedEdgesPerVertex` edges per vertex, it
+  /// settles — both twin directions are grouped by source and merged into
+  /// the stored lists in parallel on the global pool (`merge_out_edges`).
+  /// Duplicate (src, dst) pairs keep only the longest overlap, so the
+  /// result is independent of the direction a caller presents the overlap
+  /// in and of the call order. The edge readers (`edge_count`,
+  /// `out_edges`, `all_edges`, `reduce`, `reduce_parallel`,
+  /// `to_unitig_graph`) settle first, so like add_edge itself, the first
+  /// of them after an insert must not race any other call.
   void add_edge(VertexId u, VertexId v, std::uint16_t overlap);
 
   [[nodiscard]] std::uint32_t vertex_count() const {
@@ -126,6 +131,7 @@ class FullStringGraph {
   /// Outgoing edges of `v`, sorted by `adjacency_less` (an insertion-order
   /// independent, canonical ordering).
   [[nodiscard]] const std::vector<Edge>& out_edges(VertexId v) const {
+    if (!staged_.empty()) settle();
     return adjacency_[v];
   }
 
@@ -162,8 +168,20 @@ class FullStringGraph {
   [[nodiscard]] StringGraph to_unitig_graph() const;
 
  private:
+  /// Staged edges per vertex that trigger a settle: every settle revisits
+  /// most stored lists, so the batch must be large next to the graph,
+  /// while the staging (and its twin expansion) stays a few edges per
+  /// vertex.
+  static constexpr std::size_t kStagedEdgesPerVertex = 4;
+
+  /// Merge the staged edges into the stored lists and free the staging.
+  void settle() const;
+
   std::vector<std::uint32_t> vertex_length_;  // read length per vertex
-  std::vector<std::vector<Edge>> adjacency_;
+  // Settled state and the edges not merged into it yet: a cache of the
+  // inserted multiset, brought up to date by every reader.
+  mutable std::vector<std::vector<Edge>> adjacency_;
+  mutable std::vector<Edge> staged_;  // canonical presentations
 };
 
 }  // namespace lasagna::graph

@@ -10,7 +10,6 @@
 
 #include "gpu/device.hpp"
 #include "gpu/primitives.hpp"
-#include "gpu/stream.hpp"
 
 namespace lasagna::gpu {
 namespace {
@@ -112,27 +111,6 @@ TEST(SortSkipsDegeneratePasses, ConstantKeysCostLess) {
   // kSortedAlready uses keys 0..n-1 in lo only -> hi passes skipped.
   EXPECT_LT(cost_of(KeyDistribution::kHighBitsOnly),
             cost_of(KeyDistribution::kUniform));
-}
-
-TEST(MergeSweep, RandomizedAgainstStdMerge) {
-  Device dev(GpuProfile::k40(), 64ull << 20);
-  Stream stream = default_stream(dev);
-  std::mt19937_64 rng(17);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t na = rng() % 3000;
-    const std::size_t nb = rng() % 3000;
-    auto a = generate(KeyDistribution::kLowEntropy, na, rng());
-    auto b = generate(KeyDistribution::kLowEntropy, nb, rng());
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-
-    std::vector<Key128> out(na + nb);
-    merge_pairs<Key128>(stream, a, b, out, std::less<>());
-
-    std::vector<Key128> expected(na + nb);
-    std::merge(a.begin(), a.end(), b.begin(), b.end(), expected.begin());
-    ASSERT_EQ(out, expected) << "trial " << trial;
-  }
 }
 
 TEST(LaunchSweep, GridShapesCoverAllBlocks) {

@@ -8,7 +8,6 @@
 #include "gpu/key128.hpp"
 #include "gpu/primitives.hpp"
 #include "gpu/profile.hpp"
-#include "gpu/stream.hpp"
 
 namespace lasagna::gpu {
 namespace {
@@ -176,50 +175,6 @@ TEST(SortPairs, ChargesDeviceMemoryForDoubleBuffer) {
   dev.copy_to_device(std::span<const Key128>(host_keys), keys.span());
   EXPECT_THROW(sort_pairs<std::uint64_t>(dev, keys.span(), vals.span()),
                util::MemoryTracker::CapacityError);
-}
-
-TEST(MergePairs, MergesAndKeepsStability) {
-  using Tagged = std::pair<Key128, std::uint32_t>;
-  const auto key_less = [](const Tagged& x, const Tagged& y) {
-    return x.first < y.first;
-  };
-  Device dev = small_device();
-  Stream stream = default_stream(dev);
-  for (auto [na, nb] : {std::pair<std::size_t, std::size_t>{0, 10},
-                        {10, 0},
-                        {1000, 1},
-                        {1024, 4096},
-                        {3333, 2222}}) {
-    auto a_keys = random_keys(na, na * 7 + 1, 500);
-    auto b_keys = random_keys(nb, nb * 13 + 2, 500);
-    std::sort(a_keys.begin(), a_keys.end());
-    std::sort(b_keys.begin(), b_keys.end());
-    // Tags mark the source: a -> even, b -> odd.
-    std::vector<Tagged> a(na);
-    std::vector<Tagged> b(nb);
-    for (std::uint32_t i = 0; i < na; ++i) a[i] = {a_keys[i], 2 * i};
-    for (std::uint32_t i = 0; i < nb; ++i) b[i] = {b_keys[i], 2 * i + 1};
-
-    std::vector<Tagged> out(na + nb);
-    merge_pairs<Tagged>(stream, a, b, out, key_less);
-
-    ASSERT_TRUE(std::is_sorted(out.begin(), out.end(), key_less));
-    // Ties must take from `a` first: for equal keys, all even tags before
-    // odd tags within the run.
-    for (std::size_t i = 1; i < out.size(); ++i) {
-      if (out[i - 1].first == out[i].first && out[i - 1].second % 2 == 1) {
-        EXPECT_EQ(out[i].second % 2, 1u)
-            << "a-element after b-element in tie run at " << i;
-      }
-    }
-    // Multiset equality via counts.
-    std::vector<Key128> all(a_keys);
-    all.insert(all.end(), b_keys.begin(), b_keys.end());
-    std::sort(all.begin(), all.end());
-    std::vector<Key128> out_keys;
-    for (const Tagged& r : out) out_keys.push_back(r.first);
-    EXPECT_EQ(all, out_keys);
-  }
 }
 
 TEST(Scans, InclusiveExclusive) {

@@ -3,13 +3,17 @@
 // transitivity) and adversarial equal-overlap tie cliques — the thread-pool
 // reduction must be byte-identical to the sequential `reduce()` at every
 // thread count and block size, and the surviving edge set must be
-// irreducible (no two-hop implied edge remains). Runs under TSan in CI:
-// the per-vertex flag matrix plus the wait_idle barriers are the whole
-// synchronization story, and this suite is what pins it down.
+// irreducible (no two-hop implied edge remains). The staged build, whose
+// batch merges run on pool threads, must equal a per-edge model across
+// many merge boundaries. Runs under TSan in CI: the per-vertex flag matrix
+// plus the wait_idle barriers, and the per-vertex merge ranges, are the
+// whole synchronization story, and this suite is what pins it down.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "graph/transitive.hpp"
@@ -94,6 +98,57 @@ GraphSpec tie_clique_spec(std::uint32_t clusters, std::uint32_t per,
   }
   std::shuffle(spec.inserts.begin(), spec.inserts.end(), rng);
   return spec;
+}
+
+/// Appends to `spec` one re-offer of a random earlier edge per insert —
+/// at the same or another overlap, in either twin presentation — plus self
+/// and complement loops, then shuffles.
+GraphSpec with_reinserts(GraphSpec spec, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::uint32_t> ovl(20, 75);
+  const std::size_t original = spec.inserts.size();
+  for (std::size_t i = 0; i < original; ++i) {
+    const Edge e = spec.inserts[rng() % original];
+    const auto overlap =
+        rng() % 3 == 0 ? e.overlap : static_cast<std::uint16_t>(ovl(rng));
+    if (rng() % 2 == 0) {
+      spec.inserts.push_back(Edge{e.src, e.dst, overlap});
+    } else {
+      spec.inserts.push_back(
+          Edge{complement_vertex(e.dst), complement_vertex(e.src), overlap});
+    }
+  }
+  for (VertexId v = 0; v < spec.reads * 2; v += 5) {
+    spec.inserts.push_back(Edge{v, v, 60});
+    spec.inserts.push_back(Edge{v, complement_vertex(v), 60});
+  }
+  std::shuffle(spec.inserts.begin(), spec.inserts.end(), rng);
+  return spec;
+}
+
+/// What one-edge-at-a-time insertion stores: the largest overlap per
+/// (src, dst) over both twin directions, loops dropped, flattened by
+/// ascending src in `adjacency_less` order.
+std::vector<Edge> per_edge_model(const GraphSpec& spec) {
+  std::map<std::pair<VertexId, VertexId>, std::uint16_t> best;
+  const auto offer = [&best](VertexId src, VertexId dst,
+                             std::uint16_t overlap) {
+    const auto [it, fresh] = best.try_emplace({src, dst}, overlap);
+    if (!fresh) it->second = std::max(it->second, overlap);
+  };
+  for (const Edge& e : spec.inserts) {
+    if (e.src == e.dst || e.dst == complement_vertex(e.src)) continue;
+    offer(e.src, e.dst, e.overlap);
+    offer(complement_vertex(e.dst), complement_vertex(e.src), e.overlap);
+  }
+  std::vector<Edge> edges;
+  for (const auto& [key, overlap] : best) {
+    edges.push_back(Edge{key.first, key.second, overlap});
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.src != b.src ? a.src < b.src : adjacency_less(a, b);
+  });
+  return edges;
 }
 
 FullStringGraph build(const GraphSpec& spec) {
@@ -226,6 +281,41 @@ TEST(ParallelReduction, UnitigGraphAgreesAcrossThreadCounts) {
     parallel.reduce_parallel(pool);
     EXPECT_EQ(parallel.to_unitig_graph().edges(), expected)
         << "threads=" << threads;
+  }
+}
+
+TEST(ParallelReduction, StagedBuildMatchesAPerEdgeModel) {
+  // Over 30 inserts per vertex, so the staged edges are merged into the
+  // stored lists many times mid-build, re-offers and their twins landing
+  // in other batches than the edges they repeat.
+  for (const std::uint64_t seed : {71ull, 72ull, 73ull}) {
+    GraphSpec spec = with_reinserts(
+        random_spec(/*reads=*/24, /*edges=*/1500, seed), seed + 100);
+    const std::string tag = "seed=" + std::to_string(seed);
+    ASSERT_GE(spec.inserts.size(), 30u * spec.reads * 2) << tag;
+    const std::vector<Edge> expected = per_edge_model(spec);
+
+    // A read midway merges early; adding on must reach the same graph.
+    FullStringGraph g(spec.reads, spec.lengths);
+    const std::size_t half = spec.inserts.size() / 2;
+    for (std::size_t i = 0; i < spec.inserts.size(); ++i) {
+      if (i == half) {
+        EXPECT_GT(g.edge_count(), 0u) << tag;
+      }
+      const Edge& e = spec.inserts[i];
+      g.add_edge(e.src, e.dst, e.overlap);
+    }
+    EXPECT_EQ(g.all_edges(), expected) << tag;
+    EXPECT_EQ(g.edge_count(), expected.size()) << tag;
+    for (VertexId v = 0; v < g.vertex_count(); ++v) {
+      const auto& adj = g.out_edges(v);
+      EXPECT_TRUE(std::is_sorted(adj.begin(), adj.end(), adjacency_less))
+          << tag << " vertex " << v;
+    }
+
+    std::shuffle(spec.inserts.begin(), spec.inserts.end(),
+                 std::mt19937_64(seed));
+    EXPECT_EQ(build(spec).all_edges(), expected) << tag << " shuffled";
   }
 }
 

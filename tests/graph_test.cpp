@@ -222,8 +222,8 @@ TEST(Transitive, EqualOverlapTwinPresentationIsOrderIndependent) {
   // The regression this pins down: add_edge used to store whichever twin
   // direction arrived first, so presenting the same overlap as (u, v) vs
   // (v', u') — or reordering equal-overlap candidates — could flip the
-  // adjacency. Canonicalized upserts (lowest (src, dst) first, stored edge
-  // wins ties) make every presentation order collapse to one graph.
+  // adjacency. Keeping the largest overlap per (src, dst) in both twin
+  // directions makes every presentation order collapse to one graph.
   const std::vector<std::uint32_t> lens(4, 100);
   const VertexId u = forward_vertex(1);
   const VertexId v = forward_vertex(2);
