@@ -14,7 +14,8 @@
 // --graph=reduced swaps the greedy graph for the full string graph with
 // parallel transitive reduction (Myers 2005) feeding the same unitig
 // traversal. For a given graph mode the contigs are byte-identical in
-// every configuration.
+// every configuration. The cluster has no --min-contig, --gfa or --verify
+// settings, so it refuses them.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "dist/cluster.hpp"
 #include "gpu/profile.hpp"
 #include "io/fault_injector.hpp"
+#include "kernel/backend.hpp"
 #include "kernel/dump.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -148,7 +150,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       metrics_out = arg.substr(14);
     } else if (arg.rfind("--profile-out=", 0) == 0) {
-      // Critical-path report (cluster runs record the causal graph).
+      // Critical-path report over every phase of the run.
       profile_out = arg.substr(14);
     } else if (arg.rfind("--log-level=", 0) == 0) {
       const auto level = util::parse_log_level(arg.substr(12));
@@ -179,6 +181,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--resume requires --work-dir\n");
     return 2;
   }
+  if (nodes > 0 && (config.min_contig_length > 0 ||
+                    !config.gfa_output.empty() || config.verify_overlaps)) {
+    std::fprintf(stderr,
+                 "--nodes runs the simulated cluster, which has no "
+                 "--min-contig, --gfa or --verify\n");
+    return 2;
+  }
 
   io::FaultInjector::ScopedInstall install(injector.get());
   std::unique_ptr<obs::Tracer> tracer;
@@ -188,7 +197,7 @@ int main(int argc, char** argv) {
     tracer->set_disk_bandwidth(config.machine.disk_bandwidth_bytes_per_sec);
     tracer_install = std::make_unique<obs::Tracer::ScopedInstall>(tracer.get());
   }
-  // The causal profiler records the cluster's span graph: needed for the
+  // The causal profiler records the run's span graph: needed for the
   // critical-path report and for the merged multi-node Chrome trace (one
   // process row per node). Single-node traces keep the plain Tracer format.
   std::unique_ptr<obs::Profiler> profiler;
@@ -218,6 +227,8 @@ int main(int argc, char** argv) {
       // Simulated cluster path: same inputs, same outputs, N modeled
       // nodes. --sync-sort disables the streamed overlap model cluster-wide
       // and --fault-spec accepts node-scoped am:/node: policies.
+      const kernel::ScopedBackend kernel_scope(
+          kernel::resolve_backend(config.kernel_backend));
       dist::ClusterConfig cluster;
       cluster.node_count = nodes;
       cluster.machine = config.machine;
@@ -299,8 +310,6 @@ int main(int argc, char** argv) {
       std::printf("wrote trace %s\n", trace_out.c_str());
     }
     if (profiler != nullptr && !profile_out.empty()) {
-      // Single-node runs have no cross-node graph; the report still carries
-      // whatever phases were profiled (empty is valid JSON).
       profiler->write_report(profile_out);
       std::printf("wrote profile %s\n", profile_out.c_str());
     }

@@ -62,10 +62,7 @@ CheckpointManager::CheckpointManager(std::filesystem::path dir,
       io_(&io) {}
 
 bool CheckpointManager::load() {
-  obs::WallSpan span;
-  if (obs::Tracer* tracer = obs::Tracer::active()) {
-    span = obs::WallSpan(*tracer, tracer->track("core.checkpoint"), "load");
-  }
+  const obs::WallSpan span = obs::wall_span("core.checkpoint", "load");
   const std::filesystem::path path = dir_ / kManifestName;
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
@@ -166,11 +163,8 @@ std::vector<std::string> CheckpointManager::keys_with_prefix(
 
 void CheckpointManager::record(const std::string& key,
                                const Counters& counters) {
-  obs::WallSpan span;
-  if (obs::Tracer* tracer = obs::Tracer::active()) {
-    span = obs::WallSpan(*tracer, tracer->track("core.checkpoint"),
-                         "record:" + key);
-  }
+  const obs::WallSpan span =
+      obs::wall_span("core.checkpoint", [&] { return "record:" + key; });
   std::string line = "entry " + key;
   for (const auto& [name, value] : counters) {
     line += ' ' + name + '=' + std::to_string(value);

@@ -98,12 +98,10 @@ class TupleEmitter {
   void emit(const EmissionJob& job) {
     const std::size_t n = job.lengths.size();
     if (n == 0) return;
-    obs::WallSpan span;
-    if (obs::Tracer* tracer = obs::Tracer::active()) {
-      span = obs::WallSpan(*tracer, tracer->track("host.emit"),
-                           "emit:" + std::to_string(job.read_ids.front()),
-                           {{"strands", static_cast<std::int64_t>(n)}});
-    }
+    const obs::WallSpan span = obs::wall_span(
+        "host.emit",
+        [&] { return "emit:" + std::to_string(job.read_ids.front()); },
+        {{"strands", static_cast<std::int64_t>(n)}});
     const std::size_t chunk_count = options_.emission_chunks > 0
                                         ? options_.emission_chunks
                                         : util::ThreadPool::global().size() * 4;
@@ -236,10 +234,7 @@ MapResult run_map_phase(Workspace& ws,
   util::Prefetch<seq::ReadBatch> batches(
       [&stream](seq::ReadBatch& batch) {
         // Wall time spent in disk reads + FASTQ parsing for one batch.
-        obs::WallSpan span;
-        if (obs::Tracer* tracer = obs::Tracer::active()) {
-          span = obs::WallSpan(*tracer, tracer->track("io.fastq"), "decode");
-        }
+        obs::WallSpan span = obs::wall_span("io.fastq", "decode");
         if (!stream.next(batch)) return false;
         span.add_arg("first_id", static_cast<std::int64_t>(batch.first_id));
         span.add_arg("reads", static_cast<std::int64_t>(batch.size()));
@@ -262,13 +257,10 @@ MapResult run_map_phase(Workspace& ws,
     EmissionJob job;
     if (!prepare_batch(batch, options, strands, job)) continue;
     {
-      obs::WallSpan span;
-      if (obs::Tracer* tracer = obs::Tracer::active()) {
-        span = obs::WallSpan(
-            *tracer, tracer->track("core.map"),
-            "batch:" + std::to_string(job.read_ids.front()),
-            {{"strands", static_cast<std::int64_t>(job.lengths.size())}});
-      }
+      const obs::WallSpan span = obs::wall_span(
+          "core.map",
+          [&] { return "batch:" + std::to_string(job.read_ids.front()); },
+          {{"strands", static_cast<std::int64_t>(job.lengths.size())}});
       util::TrackedAllocation strand_mem(
           *ws.host, strands.size() * (strands.front().size() + 32));
       job.fps = fingerprint::compute_batch_fingerprints(

@@ -1,57 +1,48 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
 #include "core/checkpoint.hpp"
+#include "core/phase_ledger.hpp"
 #include "graph/gfa.hpp"
 #include "graph/transitive.hpp"
 #include "kernel/backend.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "seq/read_store.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace lasagna::core {
 
 namespace {
 
-/// Collects one phase's deltas: wall clock, device modeled clock, disk
-/// counters, host-stage time and memory peaks. Overlapped phases (the
-/// streamed map/sort/reduce) run disk I/O, device work and the host stage
-/// concurrently, so their modeled time is max(device, disk, host) instead
-/// of the serial sum.
+/// One single-node phase: snapshots the workspace's disk bytes and device
+/// clock and restarts its memory peaks at open; at close turns the deltas
+/// into the node's device, disk and host lanes and closes the ledger with
+/// them as a one-node run. Overlapped phases (the streamed map/sort/reduce)
+/// run disk I/O, device work and the host stage concurrently, so their
+/// modeled time is max(device, disk, host) instead of the serial sum.
 class PhaseScope {
  public:
   PhaseScope(std::string name, Workspace& ws, const MachineConfig& machine,
              util::RunStats& stats, double extra_input_bytes = 0.0,
              bool overlapped = false)
-      : name_(std::move(name)),
+      : ledger_(std::move(name), stats, kRows),
         ws_(ws),
         machine_(machine),
-        stats_(stats),
         extra_input_bytes_(extra_input_bytes),
         overlapped_(overlapped),
         io_before_(ws.io->snapshot()),
-        device_before_(ws.device->modeled_seconds()),
-        counters_before_(obs::MetricsRegistry::global().counters_snapshot()),
-        run_modeled_before_(stats.total_modeled_seconds()) {
+        device_before_(ws.device->modeled_seconds()) {
     ws.host->reset_peak();
     ws.device->memory().reset_peak();
-    if (obs::Tracer* tracer = obs::Tracer::active()) {
-      wall_span_ =
-          obs::WallSpan(*tracer, tracer->track("phase"), "phase:" + name_);
-    }
   }
 
   /// The phase was restored from a checkpoint rather than executed: it
   /// re-streams no input and has nothing to overlap.
   void mark_resumed() {
-    resumed_ = true;
+    ledger_.phase.resumed = true;
     overlapped_ = false;
     extra_input_bytes_ = 0.0;
   }
@@ -63,10 +54,7 @@ class PhaseScope {
   void set_host_bytes(std::uint64_t bytes) { host_bytes_ = bytes; }
 
   ~PhaseScope() {
-    util::PhaseStats phase;
-    phase.name = name_;
-    phase.resumed = resumed_;
-    phase.wall_seconds = timer_.seconds();
+    util::PhaseStats& phase = ledger_.phase;
     const auto io_after = ws_.io->snapshot();
     phase.disk_bytes_read =
         io_after.bytes_read - io_before_.bytes_read +
@@ -75,85 +63,39 @@ class PhaseScope {
         io_after.bytes_written - io_before_.bytes_written;
     phase.peak_host_bytes = ws_.host->peak();
     phase.peak_device_bytes = ws_.device->memory().peak();
+    util::NodePhaseBreakdown lanes;
     // Device kernels process scaled data at real GPU rates; multiplying by
     // time_scale expresses them in the same full-size-world units as the
     // (bandwidth-scaled) disk time.
-    phase.device_seconds =
+    lanes.device_seconds =
         (ws_.device->modeled_seconds() - device_before_) *
         machine_.time_scale;
-    phase.disk_seconds =
+    lanes.disk_seconds =
         static_cast<double>(phase.disk_bytes_read +
                             phase.disk_bytes_written) /
         machine_.disk_bandwidth_bytes_per_sec;
-    phase.host_seconds = static_cast<double>(host_bytes_) /
+    lanes.host_seconds = static_cast<double>(host_bytes_) /
                          machine_.host_bandwidth_bytes_per_sec;
-    phase.modeled_seconds =
-        overlapped_
-            ? std::max({phase.device_seconds, phase.disk_seconds,
-                        phase.host_seconds})
-            : phase.device_seconds + phase.disk_seconds + phase.host_seconds;
-    phase.overlap_efficiency =
-        phase.modeled_seconds > 0.0
-            ? (phase.device_seconds + phase.disk_seconds +
-               phase.host_seconds) /
-                  phase.modeled_seconds
-            : 1.0;
-    phase.faults_injected =
-        io_after.faults_injected - io_before_.faults_injected;
-    phase.faults_retried =
-        io_after.faults_retried - io_before_.faults_retried;
-    phase.faults_fatal = io_after.faults_fatal - io_before_.faults_fatal;
-    phase.metrics = obs::snapshot_delta(
-        counters_before_, obs::MetricsRegistry::global().counters_snapshot());
-    trace_lanes(phase);
-    stats_.add(std::move(phase));
+    const LanePrice price = price_lanes({&lanes, 1}, overlapped_, phase.name);
+    phase.device_seconds = price.device;
+    phase.disk_seconds = price.disk;
+    phase.host_seconds = price.host;
+    phase.modeled_seconds = price.modeled;
+    ledger_.close({&lanes, 1}, price.device + price.disk + price.host,
+                  overlapped_);
   }
 
  private:
-  /// Emit the phase's modeled lane spans: each lane ("lane.device" /
-  /// "lane.disk" / "lane.host") gets one span named after the phase, placed
-  /// on the run's cumulative modeled timeline. Overlapped phases run all
-  /// lanes concurrently from the phase start; serial phases chain them —
-  /// so the trace *shows* what overlap_efficiency summarizes. Lane times
-  /// derive from byte counts and the deterministic device clock, hence
-  /// these spans are part of the byte-identical modeled export.
-  void trace_lanes(const util::PhaseStats& phase) const {
-    obs::Tracer* tracer = obs::Tracer::active();
-    if (tracer == nullptr) return;
-    const auto ps = [](double seconds) {
-      return static_cast<std::int64_t>(std::llround(seconds * 1e12));
-    };
-    const std::int64_t base = ps(run_modeled_before_);
-    tracer->add_span(tracer->track("phases"), phase.name, -1, 0, base,
-                     ps(phase.modeled_seconds),
-                     {{"resumed", phase.resumed ? 1 : 0}});
-    std::int64_t cursor = base;
-    const std::pair<const char*, double> lanes[] = {
-        {"lane.device", phase.device_seconds},
-        {"lane.disk", phase.disk_seconds},
-        {"lane.host", phase.host_seconds}};
-    for (const auto& [track, seconds] : lanes) {
-      if (seconds <= 0.0) continue;
-      tracer->add_span(tracer->track(track), phase.name, -1, 0,
-                       overlapped_ ? base : cursor, ps(seconds));
-      if (!overlapped_) cursor += ps(seconds);
-    }
-  }
+  inline static const PhaseRows kRows{"phases", {"lane."}};
 
-  std::string name_;
+  PhaseLedger ledger_;
   Workspace& ws_;
   const MachineConfig& machine_;
-  util::RunStats& stats_;
   double extra_input_bytes_;
   bool overlapped_;
   std::uint64_t host_bytes_ = 0;
-  bool resumed_ = false;
   io::IoStats::Snapshot io_before_;
   double device_before_;
-  obs::MetricsRegistry::Snapshot counters_before_;
-  double run_modeled_before_;
-  obs::WallSpan wall_span_;
-  util::WallTimer timer_;
 };
 
 // ---- checkpoint key helpers (zero-padded so lexicographic == numeric) ----

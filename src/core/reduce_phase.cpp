@@ -124,13 +124,9 @@ class WindowMatcher {
   /// edge set is the same on every layout (DESIGN.md section 5).
   void flush() {
     if (!pending_.valid) return;
-    obs::WallSpan span;
-    if (obs::Tracer* tracer = obs::Tracer::active()) {
-      span = obs::WallSpan(
-          *tracer, tracer->track("host.insert"),
-          "insert:l" + std::to_string(length_),
-          {{"rows", static_cast<std::int64_t>(pending_.sfx_vertices.size())}});
-    }
+    const obs::WallSpan span = obs::wall_span(
+        "host.insert", [&] { return "insert:l" + std::to_string(length_); },
+        {{"rows", static_cast<std::int64_t>(pending_.sfx_vertices.size())}});
     const std::size_t rows = pending_.sfx_vertices.size();
     std::size_t i = 0;
     while (i < rows) {
@@ -283,13 +279,10 @@ PartitionReduceStats reduce_partition(Workspace& ws,
                                       const SortedPartition& partition,
                                       graph::StringGraph& graph,
                                       const ReduceOptions& options) {
-  obs::WallSpan span;
-  if (obs::Tracer* tracer = obs::Tracer::active()) {
-    span = obs::WallSpan(
-        *tracer, tracer->track("core.reduce"),
-        "partition:l" + std::to_string(partition.length),
-        {{"length", static_cast<std::int64_t>(partition.length)}});
-  }
+  const obs::WallSpan span = obs::wall_span(
+      "core.reduce",
+      [&] { return "partition:l" + std::to_string(partition.length); },
+      {{"length", static_cast<std::int64_t>(partition.length)}});
   return reduce_partition_impl(ws, partition, graph, options);
 }
 

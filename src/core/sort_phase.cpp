@@ -410,11 +410,8 @@ unsigned merge_run_generations(Workspace& ws,
       const std::filesystem::path merged =
           scratch_base(output) + ".gen" + std::to_string(generation) + "." +
           std::to_string(i / 2);
-      obs::WallSpan merge_span;
-      if (obs::Tracer* tracer = obs::Tracer::active()) {
-        merge_span = obs::WallSpan(*tracer, tracer->track("core.sort"),
-                                   "merge:" + merged.filename().string());
-      }
+      const obs::WallSpan merge_span = obs::wall_span(
+          "core.sort", [&] { return "merge:" + merged.filename().string(); });
       merge_files(ws, runs[i], runs[i + 1], merged, geometry, streams);
       std::filesystem::remove(runs[i]);
       std::filesystem::remove(runs[i + 1]);
@@ -437,11 +434,8 @@ SortFileStats external_sort_file(Workspace& ws,
   const std::filesystem::path run_dir = output.parent_path();
   std::filesystem::create_directories(run_dir);
 
-  obs::WallSpan file_span;
-  if (obs::Tracer* tracer = obs::Tracer::active()) {
-    file_span = obs::WallSpan(*tracer, tracer->track("core.sort"),
-                              "sort:" + output.filename().string());
-  }
+  const obs::WallSpan file_span = obs::wall_span(
+      "core.sort", [&] { return "sort:" + output.filename().string(); });
 
   CheckpointManager* cm = ws.checkpoint;
 
@@ -641,11 +635,8 @@ SortFileStats merge_sorted_runs(Workspace& ws,
   stats.disk_passes = 1;  // the run-production pass the builder already paid
   std::filesystem::create_directories(output.parent_path());
 
-  obs::WallSpan file_span;
-  if (obs::Tracer* tracer = obs::Tracer::active()) {
-    file_span = obs::WallSpan(*tracer, tracer->track("core.sort"),
-                              "sort:" + output.filename().string());
-  }
+  const obs::WallSpan file_span = obs::wall_span(
+      "core.sort", [&] { return "sort:" + output.filename().string(); });
 
   if (runs.empty()) {
     io::RecordWriter<FpRecord> empty(output, *ws.io);

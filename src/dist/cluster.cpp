@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -24,10 +23,8 @@
 #include "io/tempdir.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/trace.hpp"
 #include "seq/read_store.hpp"
 #include "util/logging.hpp"
-#include "util/timer.hpp"
 
 namespace lasagna::dist {
 namespace detail {
@@ -108,110 +105,14 @@ struct PushHeader {
 
 // ---- phase boundaries ----------------------------------------------------
 
-/// Global-registry marks taken at a phase start; `finish` fills the
-/// fault/metric deltas of a PhaseStats the way core::PhaseScope does.
-struct MetricsMark {
-  obs::MetricsRegistry::Snapshot counters;
-  std::int64_t injected = 0;
-  std::int64_t retried = 0;
-  std::int64_t fatal = 0;
-
-  static MetricsMark take() {
-    auto& r = obs::MetricsRegistry::global();
-    MetricsMark m;
-    m.counters = r.counters_snapshot();
-    m.injected = r.value("io.faults_injected");
-    m.retried = r.value("io.faults_retried");
-    m.fatal = r.value("io.faults_fatal");
-    return m;
-  }
-
-  void finish(util::PhaseStats& phase) const {
-    auto& r = obs::MetricsRegistry::global();
-    phase.faults_injected =
-        static_cast<std::uint64_t>(r.value("io.faults_injected") - injected);
-    phase.faults_retried =
-        static_cast<std::uint64_t>(r.value("io.faults_retried") - retried);
-    phase.faults_fatal =
-        static_cast<std::uint64_t>(r.value("io.faults_fatal") - fatal);
-    phase.metrics = obs::snapshot_delta(counters, r.counters_snapshot());
-  }
-};
-
-/// Emit the phase's modeled spans: one cluster-level span plus per-node
-/// lane spans ("dist.node<k>.{device,disk,host,network}"). Streamed phases
-/// run all lanes from the phase start; synchronous phases chain them — the
-/// trace shows what the overlap model summarizes.
-void trace_cluster_phase(double base_seconds, const util::PhaseStats& phase,
-                         const std::vector<NodePhaseBreakdown>& nodes,
-                         bool streamed) {
-  obs::Tracer* tracer = obs::Tracer::active();
-  obs::Profiler* prof = obs::Profiler::active();
-  if (tracer == nullptr && prof == nullptr) return;
-  const std::int64_t base = to_ps(base_seconds);
-  if (tracer != nullptr) {
-    tracer->add_span(tracer->track("dist.cluster"), phase.name, -1, 0, base,
-                     to_ps(phase.modeled_seconds),
-                     {{"resumed", phase.resumed ? 1 : 0},
-                      {"nodes", static_cast<std::int64_t>(nodes.size())}});
-  }
-  for (std::size_t k = 0; k < nodes.size(); ++k) {
-    const NodePhaseBreakdown& b = nodes[k];
-    const std::pair<const char*, double> lanes[] = {
-        {"device", b.device_seconds},
-        {"disk", b.disk_seconds},
-        {"host", b.host_seconds},
-        {"network", b.network_seconds}};
-    std::int64_t cursor = base;
-    for (const auto& [lane, seconds] : lanes) {
-      if (seconds <= 0.0) continue;
-      if (tracer != nullptr) {
-        tracer->add_span(
-            tracer->track("dist.node" + std::to_string(k) + "." + lane),
-            phase.name, -1, 0, streamed ? base : cursor, to_ps(seconds));
-      }
-      // Mirror each lane span as a weighted (non-chain) node of the
-      // causal graph — context the merged trace renders per node.
-      if (prof != nullptr) {
-        prof->span(static_cast<int>(k), lane, "lane",
-                   streamed ? base : cursor, to_ps(seconds));
-      }
-      if (!streamed) cursor += to_ps(seconds);
-    }
-  }
-  // The phase's accounting appended its chain segments before calling
-  // here; the modeled total is final, so the phase can close.
-  if (prof != nullptr) prof->end_phase(to_ps(phase.modeled_seconds));
-}
-
-/// One open phase: the stats and per-node lanes its function fills in,
-/// plus the wall timer and registry marks taken when it began.
-struct PhaseScope {
-  util::PhaseStats phase;
-  std::vector<NodePhaseBreakdown> nodes;
-  util::WallTimer wall;
-  MetricsMark marks = MetricsMark::take();
-};
-
-PhaseScope begin_phase(ClusterRun& run, const char* name) {
-  if (obs::Profiler* prof = obs::Profiler::active()) {
-    prof->begin_phase(name, to_ps(run.clock));
-  }
-  PhaseScope scope;
-  scope.phase.name = name;
-  scope.nodes.resize(run.config.node_count);
-  return scope;
-}
-
-/// Close a phase whose function set its modeled/lane seconds, `resumed`
-/// flag, per-node breakdown and critical-path chain: add every node's
-/// `io` bytes and memory peaks, derive the overlap efficiency as
-/// `lane_work` over the modeled span, emit the trace, advance the cluster
-/// clock, record the stats, and start every node's next phase.
-void end_phase(ClusterRun& run, PhaseScope& scope, double lane_work,
-               bool streamed) {
-  util::PhaseStats& phase = scope.phase;
-  phase.wall_seconds = scope.wall.seconds();
+/// Close a phase whose function set its modeled and lane seconds and
+/// `resumed` flag: add every node's `io` bytes and memory peaks, advance the
+/// cluster clock, close the ledger with each node's lanes, and start every
+/// node's next phase.
+void close_phase(ClusterRun& run, core::PhaseLedger& ledger,
+                 std::vector<NodePhaseBreakdown> nodes, double lane_work,
+                 bool streamed) {
+  util::PhaseStats& phase = ledger.phase;
   for (auto& node : run.nodes) {
     const NodeLanes l = node.lanes();
     phase.disk_bytes_read += l.bytes_read;
@@ -220,15 +121,9 @@ void end_phase(ClusterRun& run, PhaseScope& scope, double lane_work,
     phase.peak_device_bytes =
         std::max(phase.peak_device_bytes, node.device->memory().peak());
   }
-  phase.overlap_efficiency = phase.modeled_seconds > 0.0
-                                 ? lane_work / phase.modeled_seconds
-                                 : 1.0;
-  if (phase.resumed) ++run.result.phases_resumed;
-  scope.marks.finish(phase);
-  trace_cluster_phase(run.clock, phase, scope.nodes, streamed);
   run.clock += phase.modeled_seconds;
-  run.result.stats.add(std::move(phase));
-  run.result.per_node.push_back(std::move(scope.nodes));
+  ledger.close(nodes, lane_work, streamed);
+  run.result.per_node.push_back(std::move(nodes));
 
   run.net.reset_counters();
   for (auto& node : run.nodes) {
@@ -470,7 +365,7 @@ std::vector<NodeLanes> map_phase(ClusterRun& run) {
       registry.counter("dist.shuffle.logical_bytes");
   const std::int64_t wire_mark = c_wire_bytes.value();
   const std::int64_t logical_mark = c_logical_bytes.value();
-  PhaseScope scope = begin_phase(run, "map");
+  core::PhaseLedger ledger("map", run.result.stats, run.rows);
 
   const std::uint64_t read_count = run.result.read_count;
   const std::uint64_t block_reads =
@@ -522,58 +417,38 @@ std::vector<NodeLanes> map_phase(ClusterRun& run) {
     });
   }
 
-  util::PhaseStats& phase = scope.phase;
   std::vector<NodeLanes> lanes(config.node_count);
-  double modeled_max = 0.0;
-  double dev_max = 0.0, disk_max = 0.0, host_max = 0.0;
-  unsigned modeled_arg = 0;  ///< node whose lanes bound the phase
+  std::vector<NodePhaseBreakdown> nodes(config.node_count);
   for (auto& node : run.nodes) {
     const NodeLanes& l = lanes[node.id] = node.lanes();
-    const double node_modeled = config.streamed
-                                    ? std::max({l.device, l.disk, l.host})
-                                    : l.device + l.disk + l.host;
-    if (node_modeled > modeled_max) modeled_arg = node.id;
-    modeled_max = std::max(modeled_max, node_modeled);
-    dev_max = std::max(dev_max, l.device);
-    disk_max = std::max(disk_max, l.disk);
-    host_max = std::max(host_max, l.host);
-    scope.nodes[node.id] = {l.disk, l.device, l.host, 0.0};
+    nodes[node.id] = {l.disk, l.device, l.host, 0.0};
   }
 
   // Reading the shared input is part of the map cost; a resumed run only
-  // pays for the blocks it actually re-mapped.
+  // pays for the blocks it actually re-mapped. modeled = shared-input read
+  // + the binding node's map lanes, and the phase's chain records both.
   const double disk_bw = config.machine.disk_bandwidth_bytes_per_sec;
   const double input_factor =
       dispenser.blocks == 0 ? 0.0
                             : static_cast<double>(fresh_blocks) /
                                   static_cast<double>(dispenser.blocks);
   const double input_bytes = run.fastq_bytes * 2.0 * input_factor;
-  phase.disk_bytes_read += static_cast<std::uint64_t>(input_bytes);
-  phase.device_seconds = dev_max;
-  phase.host_seconds = host_max;
-  phase.disk_seconds = disk_max + input_bytes / config.node_count / disk_bw;
-  phase.modeled_seconds =
-      modeled_max + input_bytes / config.node_count / disk_bw;
-  phase.resumed = fresh_blocks == 0 && dispenser.blocks > 0;
+  const double input_seconds = input_bytes / config.node_count / disk_bw;
   if (obs::Profiler* prof = obs::Profiler::active()) {
-    // modeled = shared-input read + the binding node's map lanes — record
-    // the decomposition as the phase's chain.
-    prof->chain(-1, "disk", "input-read",
-                to_ps(input_bytes / config.node_count / disk_bw));
-    const NodeLanes& ml = lanes[modeled_arg];
-    const int mn = static_cast<int>(modeled_arg);
-    if (config.streamed) {
-      prof->chain(mn, dominant_lane(ml.device, ml.disk, ml.host), "map-scan",
-                  to_ps(std::max({ml.device, ml.disk, ml.host})));
-    } else {
-      prof->chain(mn, "device", "map-scan", to_ps(ml.device));
-      prof->chain(mn, "disk", "map-scan", to_ps(ml.disk));
-      prof->chain(mn, "host", "map-scan", to_ps(ml.host));
-    }
+    prof->chain(-1, "disk", "input-read", to_ps(input_seconds));
   }
-  end_phase(run, scope,
-            phase.device_seconds + phase.disk_seconds + phase.host_seconds,
-            config.streamed);
+  const core::LanePrice price =
+      core::price_lanes(nodes, config.streamed, "map-scan");
+  util::PhaseStats& phase = ledger.phase;
+  phase.disk_bytes_read += static_cast<std::uint64_t>(input_bytes);
+  phase.device_seconds = price.device;
+  phase.host_seconds = price.host;
+  phase.disk_seconds = price.disk + input_seconds;
+  phase.modeled_seconds = price.modeled + input_seconds;
+  phase.resumed = fresh_blocks == 0 && dispenser.blocks > 0;
+  close_phase(run, ledger, std::move(nodes),
+              phase.device_seconds + phase.disk_seconds + phase.host_seconds,
+              config.streamed);
 
   DistributedResult& result = run.result;
   result.wire_bytes =
@@ -791,7 +666,7 @@ void gather_key_list(ClusterRun& run) {
 /// as barriers.
 void shuffle_phase(ClusterRun& run, const std::vector<NodeLanes>& map_lanes) {
   const bool streamed = run.config.streamed;
-  PhaseScope scope = begin_phase(run, "shuffle");
+  core::PhaseLedger ledger("shuffle", run.result.stats, run.rows);
   std::atomic<unsigned> fresh_keys{0};
   for_each_node(run.nodes, [&](NodeContext& node) {
     io::FaultInjector::ScopedNode node_scope(static_cast<int>(node.id));
@@ -801,7 +676,8 @@ void shuffle_phase(ClusterRun& run, const std::vector<NodeLanes>& map_lanes) {
   });
   gather_key_list(run);
 
-  util::PhaseStats& phase = scope.phase;
+  util::PhaseStats& phase = ledger.phase;
+  std::vector<NodePhaseBreakdown> nodes(run.config.node_count);
   double compute_max = 0.0;  ///< map lanes alone (already charged)
   double overlap_max = 0.0;  ///< map lanes + push traffic
   double sync1_max = 0.0;    ///< push traffic as its own barrier phase
@@ -843,8 +719,8 @@ void shuffle_phase(ClusterRun& run, const std::vector<NodeLanes>& map_lanes) {
     const auto sh = node.shuffle_io.snapshot();
     phase.disk_bytes_read += sh.bytes_read;
     phase.disk_bytes_written += sh.bytes_written;
-    scope.nodes[node.id] = {m.shuffle_disk + sdisk2, 0.0, m.codec,
-                            m.network + net2};
+    nodes[node.id] = {m.shuffle_disk + sdisk2, 0.0, m.codec,
+                      m.network + net2};
     run.result.shuffle_bytes += node.shuffle_logical;
   }
   phase.disk_seconds = disk_max;
@@ -875,7 +751,8 @@ void shuffle_phase(ClusterRun& run, const std::vector<NodeLanes>& map_lanes) {
   }
   // Work the shuffle was responsible for (disk motion, wire time, codec
   // cycles) over the time it actually exposed: >1 means the map hid it.
-  end_phase(run, scope, disk_max + net_max + codec_max, streamed);
+  close_phase(run, ledger, std::move(nodes), disk_max + net_max + codec_max,
+              streamed);
 }
 
 // ---- sort ------------------------------------------------------------------
@@ -937,51 +814,32 @@ void sort_node_partitions(ClusterRun& run, NodeContext& node) {
 
 void sort_phase(ClusterRun& run) {
   const bool streamed = run.config.streamed;
-  PhaseScope scope = begin_phase(run, "sort");
+  core::PhaseLedger ledger("sort", run.result.stats, run.rows);
   for_each_node(run.nodes,
                 [&](NodeContext& node) { sort_node_partitions(run, node); });
 
-  util::PhaseStats& phase = scope.phase;
-  double modeled_max = 0.0, dev_max = 0.0, disk_max = 0.0;
-  unsigned modeled_arg = 0;
-  double arg_dev = 0.0, arg_disk = 0.0;
+  std::vector<NodePhaseBreakdown> nodes(run.config.node_count);
   bool any_work = false;
   for (auto& node : run.nodes) {
     const NodeLanes l = node.lanes();
-    const double node_modeled =
-        streamed ? std::max(l.device, l.disk) : l.device + l.disk;
-    if (node_modeled > modeled_max) {
-      modeled_arg = node.id;
-      arg_dev = l.device;
-      arg_disk = l.disk;
-    }
-    modeled_max = std::max(modeled_max, node_modeled);
-    dev_max = std::max(dev_max, l.device);
-    disk_max = std::max(disk_max, l.disk);
+    nodes[node.id] = {l.disk, l.device, 0.0, 0.0};
     any_work = any_work || node.did_work;
-    scope.nodes[node.id] = {l.disk, l.device, 0.0, 0.0};
   }
-  phase.device_seconds = dev_max;
-  phase.disk_seconds = disk_max;
-  phase.modeled_seconds = modeled_max;
+  const core::LanePrice price =
+      core::price_lanes(nodes, streamed, "sort-merge");
+  util::PhaseStats& phase = ledger.phase;
+  phase.device_seconds = price.device;
+  phase.disk_seconds = price.disk;
+  phase.modeled_seconds = price.modeled;
   phase.resumed = !any_work && !run.lengths.empty();
-  if (obs::Profiler* prof = obs::Profiler::active()) {
-    const int sn = static_cast<int>(modeled_arg);
-    if (streamed) {
-      prof->chain(sn, arg_dev >= arg_disk ? "device" : "disk", "sort-merge",
-                  to_ps(std::max(arg_dev, arg_disk)));
-    } else {
-      prof->chain(sn, "device", "sort-merge", to_ps(arg_dev));
-      prof->chain(sn, "disk", "sort-merge", to_ps(arg_disk));
-    }
-  }
-  end_phase(run, scope, dev_max + disk_max, streamed);
+  close_phase(run, ledger, std::move(nodes),
+              price.device + price.disk + price.host, streamed);
 }
 
 // ---- reduce ----------------------------------------------------------------
 
 void reduce_phase(ClusterRun& run) {
-  PhaseScope scope = begin_phase(run, "reduce");
+  core::PhaseLedger ledger("reduce", run.result.stats, run.rows);
   ReduceOutcome out;
   if (run.config.graph == core::GraphMode::kReduced) {
     out = reduce_reduced_graph(run);
@@ -996,22 +854,24 @@ void reduce_phase(ClusterRun& run) {
     }
   }
 
-  util::PhaseStats& phase = scope.phase;
+  util::PhaseStats& phase = ledger.phase;
+  std::vector<NodePhaseBreakdown> nodes(run.config.node_count);
   double dev_max = 0.0, disk_max = 0.0, host_max = 0.0;
   for (auto& node : run.nodes) {
     const NodeLanes l = node.lanes();
     dev_max = std::max(dev_max, l.device);
     disk_max = std::max(disk_max, l.disk);
     host_max = std::max(host_max, out.host[node.id]);
-    scope.nodes[node.id] = {l.disk, l.device, out.host[node.id],
-                            out.network[node.id]};
+    nodes[node.id] = {l.disk, l.device, out.host[node.id],
+                      out.network[node.id]};
   }
   phase.device_seconds = dev_max;
   phase.disk_seconds = disk_max;
   phase.host_seconds = host_max;
   phase.modeled_seconds = out.modeled_seconds;
   phase.resumed = out.resumed;
-  end_phase(run, scope, dev_max + disk_max + host_max, run.config.streamed);
+  close_phase(run, ledger, std::move(nodes), dev_max + disk_max + host_max,
+              run.config.streamed);
 }
 
 // ---- compress (node 0 holds or gathers the merged graph) -------------------
@@ -1030,7 +890,7 @@ void compress_phase(ClusterRun& run, const std::filesystem::path& output) {
                              });
   }
 
-  PhaseScope scope = begin_phase(run, "compress");
+  core::PhaseLedger ledger("compress", run.result.stats, run.rows);
   if (run.config.reduce_strategy == ReduceStrategy::kLengthToken &&
       run.config.graph == core::GraphMode::kGreedy) {
     // The token reduce left the edge set distributed; gather it.
@@ -1047,13 +907,14 @@ void compress_phase(ClusterRun& run, const std::filesystem::path& output) {
       run.nodes[0].ws, *run.merged, run.fastq, output, options);
   run.result.contigs = compressed.stats;
 
-  util::PhaseStats& phase = scope.phase;
+  util::PhaseStats& phase = ledger.phase;
+  std::vector<NodePhaseBreakdown> nodes(run.config.node_count);
   for (auto& node : run.nodes) {
     const NodeLanes l = node.lanes();
-    scope.nodes[node.id] = {l.disk, l.device, 0.0, l.network};
+    nodes[node.id] = {l.disk, l.device, 0.0, l.network};
   }
   const double disk_bw = run.config.machine.disk_bandwidth_bytes_per_sec;
-  const NodePhaseBreakdown& b = scope.nodes[0];
+  const NodePhaseBreakdown& b = nodes[0];
   phase.disk_bytes_read +=
       static_cast<std::uint64_t>(run.fastq_bytes) * 2;  // placement re-stream
   phase.device_seconds = b.device_seconds;
@@ -1070,7 +931,8 @@ void compress_phase(ClusterRun& run, const std::filesystem::path& output) {
                 to_ps(run.fastq_bytes * 2 / disk_bw));
   }
   // Node 0 compresses alone: nothing overlaps, so the efficiency is 1.
-  end_phase(run, scope, phase.modeled_seconds, /*streamed=*/false);
+  close_phase(run, ledger, std::move(nodes), phase.modeled_seconds,
+              /*streamed=*/false);
 }
 
 }  // namespace
@@ -1146,15 +1008,6 @@ void for_each_node(std::vector<NodeContext>& nodes,
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
-std::int64_t to_ps(double seconds) {
-  return static_cast<std::int64_t>(std::llround(seconds * 1e12));
-}
-
-const char* dominant_lane(double device, double disk, double host) {
-  if (device >= disk && device >= host) return "device";
-  return disk >= host ? "disk" : "host";
-}
-
 ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
                        const ClusterConfig& cfg)
     : config(cfg),
@@ -1165,6 +1018,7 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
       fused(cfg.streamed && cfg.fuse_shuffle && cfg.work_dir.empty()),
       nodes(cfg.node_count) {
   geometry.streamed = config.streamed;
+  rows.phase = "dist.cluster";
   std::filesystem::path root = config.work_dir;
   if (root.empty()) {
     temp.emplace("lasagna-cluster");
@@ -1184,6 +1038,7 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
     node.device = std::make_unique<gpu::Device>(
         config.machine.gpu_profile, config.machine.device_memory_bytes);
     node.dir = root / ("node" + std::to_string(i));
+    rows.node_lanes.push_back("dist.node" + std::to_string(i) + ".");
     std::filesystem::create_directories(node.dir);
     node.ws = core::Workspace{node.device.get(), &node.host, &node.io,
                               node.dir};
@@ -1249,6 +1104,7 @@ DistributedResult run_distributed(const std::filesystem::path& fastq,
   for (const auto& node : run.nodes) {
     result.peak_workspace_bytes += node.dir_high_water;
   }
+  result.phases_resumed = result.stats.resumed_phase_count();
   LOG_INFO << "distributed: " << result.read_count << " reads on "
            << config.node_count << " nodes, " << result.accepted_edges
            << " edges"

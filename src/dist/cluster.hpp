@@ -140,15 +140,7 @@ struct ClusterConfig {
   static ClusterConfig supermic(unsigned nodes, double scale = 4096.0);
 };
 
-struct NodePhaseBreakdown {
-  double disk_seconds = 0.0;
-  double device_seconds = 0.0;
-  double host_seconds = 0.0;
-  double network_seconds = 0.0;
-  [[nodiscard]] double total() const {
-    return disk_seconds + device_seconds + host_seconds + network_seconds;
-  }
-};
+using NodePhaseBreakdown = util::NodePhaseBreakdown;
 
 struct DistributedResult {
   util::RunStats stats;  ///< phases: map, shuffle, sort, reduce, compress

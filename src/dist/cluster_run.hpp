@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/phase_ledger.hpp"
 #include "core/sort_phase.hpp"
 #include "dist/active_message.hpp"
 #include "dist/cluster.hpp"
@@ -144,6 +145,7 @@ struct ClusterRun {
   double fastq_bytes = 0.0;
   std::vector<unsigned> lengths;  ///< all partition keys, ascending
   double clock = 0.0;             ///< cumulative modeled time (trace base)
+  core::PhaseRows rows;           ///< dist.cluster + dist.node<k>.<lane>
   DistributedResult result;
   /// The graph compress walks: built by the speculative and reduced-graph
   /// reduces, gathered from the nodes' edge sets after a token reduce.
@@ -169,11 +171,8 @@ inline unsigned owner_of(unsigned key, unsigned node_count) {
   return key % node_count;
 }
 
-std::int64_t to_ps(double seconds);
-
-/// Name of the dominant lane among a node's device/disk/host costs — the
-/// lane a critical-path slice bound by that node's scan gets attributed to.
-const char* dominant_lane(double device, double disk, double host);
+using core::dominant_lane;
+using core::to_ps;
 
 /// What a reduce strategy hands the phase close: its modeled span, each
 /// node's host and network lane seconds, and whether checkpoints covered

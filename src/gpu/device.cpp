@@ -146,11 +146,8 @@ void Device::launch(unsigned grid_dim, unsigned block_dim,
                     std::size_t shared_bytes, const Kernel& kernel) {
   if (grid_dim == 0 || block_dim == 0) return;
   gpu_counters().launches.add(1);
-  obs::WallSpan span;
-  if (obs::Tracer* tracer = obs::Tracer::active()) {
-    span = obs::WallSpan(*tracer, tracer->track("gpu.launch"), "launch",
-                         {{"grid", grid_dim}, {"block", block_dim}});
-  }
+  const obs::WallSpan span = obs::wall_span(
+      "gpu.launch", "launch", {{"grid", grid_dim}, {"block", block_dim}});
   // One shared-memory arena per *worker* would race under work stealing;
   // simplest correct scheme: one arena per block, allocated up front.
   std::vector<std::vector<std::byte>> shared(grid_dim);

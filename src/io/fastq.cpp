@@ -26,7 +26,7 @@ bool SequenceReader::next(SequenceRecord& out) {
   // One injector consultation per record (FASTQ bypasses ReadOnlyStream, so
   // this is the read hook for sequence input; bytes are unknown up front).
   if (FaultInjector* injector = FaultInjector::active()) {
-    injector->on_read(source_, 1, nullptr);
+    injector->on_read(source_, 1);
   }
   // Skip blank lines between records.
   do {

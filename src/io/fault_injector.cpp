@@ -126,14 +126,12 @@ FaultInjector::Decision FaultInjector::evaluate(FaultOp op,
 }
 
 void FaultInjector::absorb(FaultOp op, const Decision& decision,
-                           const std::string& what, IoStats* stats) {
+                           const std::string& what) {
   injected_.fetch_add(1, std::memory_order_relaxed);
-  if (stats != nullptr) stats->add_fault_injected();
   fault_counters().injected.add(1);
   trace_fault(op, "fault");
   if (decision.fatal) {
     fatal_.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) stats->add_fault_fatal();
     fault_counters().fatal.add(1);
     trace_fault(op, "fatal");
     throw FaultError(op, /*transient=*/false,
@@ -145,7 +143,6 @@ void FaultInjector::absorb(FaultOp op, const Decision& decision,
   // out first.
   if (decision.transient > max_retries_) {
     fatal_.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) stats->add_fault_fatal();
     fault_counters().fatal.add(1);
     trace_fault(op, "fatal");
     throw FaultError(op, /*transient=*/true,
@@ -156,7 +153,6 @@ void FaultInjector::absorb(FaultOp op, const Decision& decision,
   }
   for (unsigned attempt = 0; attempt < decision.transient; ++attempt) {
     retried_.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) stats->add_fault_retried();
     fault_counters().retried.add(1);
     const auto backoff =
         std::chrono::microseconds(1ULL << std::min(attempt, 6U));
@@ -165,17 +161,17 @@ void FaultInjector::absorb(FaultOp op, const Decision& decision,
 }
 
 void FaultInjector::on_read(const std::filesystem::path& path,
-                            std::size_t bytes, IoStats* stats) {
+                            std::size_t bytes) {
   (void)bytes;
   const std::string p = path.string();
   const Decision decision =
       evaluate(FaultOp::kRead, p, t_current_node, -1);
   if (!decision.fired) return;
-  absorb(FaultOp::kRead, decision, p, stats);
+  absorb(FaultOp::kRead, decision, p);
 }
 
 std::size_t FaultInjector::on_write(const std::filesystem::path& path,
-                                    std::size_t bytes, IoStats* stats) {
+                                    std::size_t bytes) {
   const std::string p = path.string();
   const Decision decision =
       evaluate(FaultOp::kWrite, p, t_current_node, -1);
@@ -187,16 +183,12 @@ std::size_t FaultInjector::on_write(const std::filesystem::path& path,
     // stream always makes progress.
     injected_.fetch_add(1, std::memory_order_relaxed);
     retried_.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) {
-      stats->add_fault_injected();
-      stats->add_fault_retried();
-    }
     fault_counters().injected.add(1);
     fault_counters().retried.add(1);
     trace_fault(FaultOp::kWrite, "short");
     return std::max<std::size_t>(1, std::min(decision.short_bytes, bytes));
   }
-  absorb(FaultOp::kWrite, decision, p, stats);
+  absorb(FaultOp::kWrite, decision, p);
   return bytes;
 }
 
@@ -205,7 +197,7 @@ void FaultInjector::on_alloc(std::uint64_t bytes) {
   const Decision decision =
       evaluate(FaultOp::kAlloc, what, t_current_node, -1);
   if (!decision.fired) return;
-  absorb(FaultOp::kAlloc, decision, what, nullptr);
+  absorb(FaultOp::kAlloc, decision, what);
 }
 
 FaultInjector::AmFault FaultInjector::on_am(unsigned src, unsigned dst,
@@ -220,7 +212,7 @@ FaultInjector::AmFault FaultInjector::on_am(unsigned src, unsigned dst,
     // sending node.
     Decision fatal = decision;
     fatal.fatal = true;
-    absorb(FaultOp::kAmSend, fatal, label, nullptr);
+    absorb(FaultOp::kAmSend, fatal, label);
   }
   injected_.fetch_add(1, std::memory_order_relaxed);
   fault_counters().injected.add(1);
@@ -242,7 +234,7 @@ void FaultInjector::on_node_op(unsigned node, const std::string& label) {
                                static_cast<int>(node), -1);
   if (!decision.fired) return;
   decision.fatal = true;  // a node kill has no transient form
-  absorb(FaultOp::kNodeKill, decision, label, nullptr);
+  absorb(FaultOp::kNodeKill, decision, label);
 }
 
 namespace {

@@ -26,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "io/io_stats.hpp"
-
 namespace lasagna::io {
 
 /// Operation classes the injector can target. kAmSend and kNodeKill exist
@@ -114,17 +112,15 @@ class FaultInjector {
 
   /// Consult before a read of `bytes` from `path`. Transient faults are
   /// retried internally (with backoff); throws FaultError on fatal faults or
-  /// an exhausted retry budget. Fault counters are mirrored into `stats`
-  /// when non-null.
-  void on_read(const std::filesystem::path& path, std::size_t bytes,
-               IoStats* stats);
+  /// an exhausted retry budget.
+  void on_read(const std::filesystem::path& path, std::size_t bytes);
 
   /// Consult before writing `bytes` to `path`. Returns the number of bytes
   /// the caller may write in this attempt: `bytes` normally, fewer when a
   /// short write is injected (never 0 — the caller's remainder loop is the
   /// retry). Throws FaultError as on_read does.
   [[nodiscard]] std::size_t on_write(const std::filesystem::path& path,
-                                     std::size_t bytes, IoStats* stats);
+                                     std::size_t bytes);
 
   /// Consult before a device allocation of `bytes`.
   void on_alloc(std::uint64_t bytes);
@@ -225,8 +221,7 @@ class FaultInjector {
   Decision evaluate(FaultOp op, const std::string& path, int node_a,
                     int node_b);
   /// Shared transient-absorption loop; throws when the budget is exhausted.
-  void absorb(FaultOp op, const Decision& decision, const std::string& what,
-              IoStats* stats);
+  void absorb(FaultOp op, const Decision& decision, const std::string& what);
 
   std::uint64_t seed_;
   unsigned max_retries_ = 8;

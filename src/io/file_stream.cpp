@@ -65,7 +65,7 @@ ReadOnlyStream::ReadOnlyStream(const std::filesystem::path& path,
 std::size_t ReadOnlyStream::read_bytes(std::span<std::byte> out) {
   if (out.empty()) return 0;
   if (FaultInjector* injector = FaultInjector::active()) {
-    injector->on_read(path_, out.size(), stats_);
+    injector->on_read(path_, out.size());
   }
   obs::Tracer* tracer = obs::Tracer::active();
   const std::int64_t wall_start = tracer != nullptr ? tracer->now_ns() : 0;
@@ -127,7 +127,7 @@ void WriteOnlyStream::write_bytes(std::span<const std::byte> data) {
   while (off < data.size()) {
     std::size_t want = data.size() - off;
     if (FaultInjector* injector = FaultInjector::active()) {
-      want = injector->on_write(path_, want, stats_);
+      want = injector->on_write(path_, want);
     }
     const std::size_t put =
         std::fwrite(data.data() + off, 1, want, file_.get());

@@ -37,39 +37,14 @@ class IoStats {
     return write_ops_.load(std::memory_order_relaxed);
   }
 
-  // Fault-injection accounting (see io::FaultInjector). Zero unless an
-  // injector is installed and fires against this stats domain.
-  void add_fault_injected() {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void add_fault_retried() {
-    faults_retried_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void add_fault_fatal() {
-    faults_fatal_.fetch_add(1, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t faults_injected() const {
-    return faults_injected_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t faults_retried() const {
-    return faults_retried_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t faults_fatal() const {
-    return faults_fatal_.load(std::memory_order_relaxed);
-  }
-
   /// Immutable snapshot for phase-boundary diffs.
   struct Snapshot {
     std::uint64_t bytes_read = 0;
     std::uint64_t bytes_written = 0;
-    std::uint64_t faults_injected = 0;
-    std::uint64_t faults_retried = 0;
-    std::uint64_t faults_fatal = 0;
   };
 
   [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{bytes_read(), bytes_written(), faults_injected(),
-                    faults_retried(), faults_fatal()};
+    return Snapshot{bytes_read(), bytes_written()};
   }
 
   /// Process-wide default instance (single-node pipeline).
@@ -80,9 +55,6 @@ class IoStats {
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::uint64_t> read_ops_{0};
   std::atomic<std::uint64_t> write_ops_{0};
-  std::atomic<std::uint64_t> faults_injected_{0};
-  std::atomic<std::uint64_t> faults_retried_{0};
-  std::atomic<std::uint64_t> faults_fatal_{0};
 };
 
 }  // namespace lasagna::io

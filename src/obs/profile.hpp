@@ -1,14 +1,15 @@
-// Cluster-wide causal profiler: critical-path extraction over the modeled
-// timeline.
+// Causal profiler: critical-path extraction over the modeled timeline of a
+// single-node or cluster run.
 //
 // The tracer (trace.hpp) records flat spans; this layer records a *graph*.
 // Every modeled span becomes a weighted node tagged with (phase, node, lane,
 // kind), and three sources add edges between them:
 //
-//   - *chain* edges: the phase accounting in dist/cluster.cpp knows exactly
-//     which term of the overlap model each modeled second came from, so it
-//     appends chain segments whose durations sum to the phase's modeled
-//     time — the instrumented critical path, recorded as it is computed.
+//   - *chain* edges: the phase accounting (core::price_lanes and the
+//     cluster's own phase arithmetic) knows exactly which term of the
+//     overlap model each modeled second came from, so it appends chain
+//     segments whose durations sum to the phase's modeled time — the
+//     instrumented critical path, recorded as it is computed.
 //   - *am* edges: dist::Network::request() records a send span on the
 //     source node's network engine and a receive span on the target's, and
 //     an edge between them — every cross-node hop is visible.

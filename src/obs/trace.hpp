@@ -19,16 +19,18 @@
 // Disabled cost: Tracer::active() is a single relaxed-ish atomic pointer
 // load (the FaultInjector pattern); no tracer installed means no locks, no
 // allocation, no string formatting at any call site — call sites must build
-// names only after checking active().
+// names only after checking active(), which wall_span() does for them.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -151,12 +153,10 @@ class Tracer {
 
 /// RAII wall-clock span. Default-constructed spans are inert; active ones
 /// capture now_ns() at construction and emit a complete event when
-/// finished/destroyed. Movable so call sites can conditionally arm one:
+/// finished/destroyed. Call sites arm one through wall_span() below:
 ///
-///   obs::WallSpan span;
-///   if (obs::Tracer* t = obs::Tracer::active()) {
-///     span = obs::WallSpan(*t, t->track("core.sort"), "file:" + name);
-///   }
+///   const obs::WallSpan span =
+///       obs::wall_span("core.sort", [&] { return "file:" + name; });
 class WallSpan {
  public:
   WallSpan() = default;
@@ -206,6 +206,23 @@ class WallSpan {
   std::vector<TraceArg> args_;
   std::int64_t start_ns_ = 0;
 };
+
+/// A wall span on the row named `track`, or an inert span when no tracer is
+/// installed. `name` is a string or a callable returning one; the callable
+/// runs, and the args are copied, only when a tracer is installed, so an
+/// untraced call site allocates nothing for them.
+template <typename Name>
+[[nodiscard]] WallSpan wall_span(std::string_view track, Name&& name,
+                                 std::initializer_list<TraceArg> args = {}) {
+  Tracer* tracer = Tracer::active();
+  if (tracer == nullptr) return {};
+  if constexpr (std::is_invocable_v<Name>) {
+    return WallSpan(*tracer, tracer->track(track), std::forward<Name>(name)(),
+                    args);
+  } else {
+    return WallSpan(*tracer, tracer->track(track), std::string(name), args);
+  }
+}
 
 }  // namespace lasagna::obs
 

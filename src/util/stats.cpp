@@ -1,9 +1,11 @@
 #include "util/stats.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/timer.hpp"
 
@@ -61,6 +63,18 @@ std::string format_wall(double seconds) {
   return buf.data();
 }
 
+/// The delta of counter `name` in a phase's name-sorted metrics.
+std::uint64_t metric(const PhaseStats& phase, std::string_view name) {
+  const auto it = std::lower_bound(
+      phase.metrics.begin(), phase.metrics.end(), name,
+      [](const auto& entry, std::string_view key) {
+        return entry.first < key;
+      });
+  return it != phase.metrics.end() && it->first == name
+             ? static_cast<std::uint64_t>(it->second)
+             : 0;
+}
+
 }  // namespace
 
 std::string RunStats::to_table() const {
@@ -87,9 +101,9 @@ std::string RunStats::to_table() const {
         format_bytes(p.disk_bytes_read).c_str(),
         format_bytes(p.disk_bytes_written).c_str());
     out << line.data();
-    injected += p.faults_injected;
-    retried += p.faults_retried;
-    fatal += p.faults_fatal;
+    injected += metric(p, "io.faults_injected");
+    retried += metric(p, "io.faults_retried");
+    fatal += metric(p, "io.faults_fatal");
   }
   std::snprintf(line.data(), line.size(), "%-11s %-11s %-11s\n", "total",
                 format_wall(total_wall_seconds()).c_str(),

@@ -25,16 +25,24 @@ struct PhaseStats {
   std::uint64_t peak_device_bytes = 0;
   std::uint64_t disk_bytes_read = 0;
   std::uint64_t disk_bytes_written = 0;
-  // Faults the io::FaultInjector fired during the phase (all zero unless an
-  // injector is installed).
-  std::uint64_t faults_injected = 0;
-  std::uint64_t faults_retried = 0;
-  std::uint64_t faults_fatal = 0;
   /// Counters from the global obs::MetricsRegistry that moved during the
-  /// phase, as name-sorted (name, delta) pairs.
+  /// phase, as name-sorted (name, delta) pairs, the injected faults among
+  /// them.
   obs::MetricsRegistry::Snapshot metrics = {};
   /// True when the phase was restored from a checkpoint instead of run.
   bool resumed = false;
+};
+
+/// One node's modeled lane seconds within one phase (a single-node run has
+/// one node).
+struct NodePhaseBreakdown {
+  double disk_seconds = 0.0;
+  double device_seconds = 0.0;
+  double host_seconds = 0.0;
+  double network_seconds = 0.0;
+  [[nodiscard]] double total() const {
+    return disk_seconds + device_seconds + host_seconds + network_seconds;
+  }
 };
 
 /// Ordered collection of phase stats for one pipeline run.

@@ -498,12 +498,30 @@ TEST(KernelBackendPipelineTest, ContigsByteIdenticalAcrossBackends) {
     return slurp(out);
   };
 
+  // The simulated cluster runs under whichever backend is installed: a
+  // 4-node run writes the single-node contigs under each of them.
+  auto run_cluster_with = [&](const std::string& backend) {
+    const kernel::ScopedBackend scope(kernel::resolve_backend(backend));
+    dist::ClusterConfig cluster;
+    cluster.node_count = 4;
+    cluster.machine = small_config().machine;
+    cluster.min_overlap = small_config().min_overlap;
+    const auto out = dir.file("contigs4_" + backend + ".fa");
+    (void)dist::run_distributed(fastq, out, cluster);
+    return slurp(out);
+  };
+
   const std::string golden = run_with("simulated");
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(run_with("scalar"), golden);
   EXPECT_EQ(run_with("host"), golden);  // avx2 where available
+  std::vector<std::string> backends = {"simulated", "scalar", "host"};
   if (kernel::avx2_backend().available()) {
     EXPECT_EQ(run_with("avx2"), golden);
+    backends.push_back("avx2");
+  }
+  for (const std::string& backend : backends) {
+    EXPECT_EQ(run_cluster_with(backend), golden) << backend;
   }
 }
 

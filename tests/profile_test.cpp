@@ -1,7 +1,8 @@
-// Tests for the cluster-wide causal profiler (obs/profile.hpp): merged
-// Chrome-trace schema (flow span ids must resolve), critical-path coverage
-// and determinism across node counts and reduce strategies, and the
-// guarantee that an installed profiler never perturbs the modeled run.
+// Tests for the causal profiler (obs/profile.hpp): merged Chrome-trace
+// schema (flow span ids must resolve), critical-path coverage and
+// determinism across node counts, reduce strategies and single-node runs,
+// and the guarantee that an installed profiler never perturbs the modeled
+// run.
 //
 // Also hosts the CI trace linter: when LASAGNA_TRACE_LINT names a trace
 // file, Profile.TraceLintValidatesExternalFile schema-checks it, so the CI
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "dist/cluster.hpp"
 #include "io/tempdir.hpp"
 #include "obs/json_parse.hpp"
@@ -85,6 +87,28 @@ dist::DistributedResult run_profiled(const Dataset& d, Profiler& profiler,
   Profiler::ScopedInstall install(&profiler);
   return dist::run_distributed(d.dir.file("reads.fq"),
                                d.dir.file(tag + ".fa"), config);
+}
+
+/// Single-node configuration on the same small machine as small_cluster.
+core::AssemblyConfig small_assembly(core::GraphMode graph, bool streamed) {
+  core::AssemblyConfig config;
+  config.min_overlap = 50;
+  config.machine.host_memory_bytes = 1 << 19;
+  config.machine.device_memory_bytes = 1 << 16;
+  config.graph = graph;
+  config.streamed_map = streamed;
+  config.streamed_sort = streamed;
+  config.streamed_reduce = streamed;
+  return config;
+}
+
+/// Run the single-node assembly with `profiler` installed (null: none).
+core::AssemblyResult assemble(const Dataset& d, Profiler* profiler,
+                              const core::AssemblyConfig& config,
+                              const std::string& tag) {
+  Profiler::ScopedInstall install(profiler);
+  core::Assembler assembler(config);
+  return assembler.run(d.dir.file("reads.fq"), d.dir.file(tag + ".fa"));
 }
 
 /// Schema-check a merged Chrome trace document. Returns an empty string
@@ -232,10 +256,8 @@ TEST(Profile, MergedTraceSchemaResolvesFlows) {
 
 TEST(Profile, CriticalPathCoversEveryPhase) {
   const Dataset d = make_dataset();
-  for (const auto strategy : {dist::ReduceStrategy::kLengthToken,
-                              dist::ReduceStrategy::kSpeculative}) {
-    Profiler profiler;
-    run_profiled(d, profiler, small_cluster(4, strategy), "coverage");
+  const auto check = [](const Profiler& profiler,
+                        const std::vector<std::string>& phases) {
     const auto paths = profiler.critical_paths();
     ASSERT_FALSE(paths.empty());
     std::set<std::string> names;
@@ -243,10 +265,25 @@ TEST(Profile, CriticalPathCoversEveryPhase) {
       EXPECT_GE(path.coverage_percent(), 95.0) << path.name;
       names.insert(path.name);
     }
-    for (const char* phase : {"map", "shuffle", "sort", "reduce"}) {
+    for (const std::string& phase : phases) {
       EXPECT_EQ(names.count(phase), 1u) << phase;
     }
+  };
+  for (const auto strategy : {dist::ReduceStrategy::kLengthToken,
+                              dist::ReduceStrategy::kSpeculative}) {
+    Profiler profiler;
+    run_profiled(d, profiler, small_cluster(4, strategy), "coverage");
+    check(profiler, {"map", "shuffle", "sort", "reduce"});
   }
+  // A single-node run is a one-node run: every phase has a chain too.
+  Profiler greedy;
+  (void)assemble(d, &greedy, small_assembly(core::GraphMode::kGreedy, true),
+                 "greedy");
+  check(greedy, {"load", "map", "sort", "reduce", "compress"});
+  Profiler reduced;
+  (void)assemble(d, &reduced,
+                 small_assembly(core::GraphMode::kReduced, true), "reduced");
+  check(reduced, {"load", "map", "sort", "reduce", "reduction", "compress"});
 }
 
 TEST(Profile, ReportIsDeterministicAcrossRunsAndNodeCounts) {
@@ -267,6 +304,18 @@ TEST(Profile, ReportIsDeterministicAcrossRunsAndNodeCounts) {
                                                              : "token");
       EXPECT_NE(reports[0].find("\"phases\""), std::string::npos);
     }
+  }
+  for (const bool streamed : {true, false}) {
+    std::string reports[2];
+    for (int run = 0; run < 2; ++run) {
+      Profiler profiler;
+      (void)assemble(d, &profiler,
+                     small_assembly(core::GraphMode::kGreedy, streamed),
+                     "single" + std::to_string(run));
+      reports[run] = profiler.report_json();
+    }
+    EXPECT_EQ(reports[0], reports[1]) << "single node, streamed=" << streamed;
+    EXPECT_NE(reports[0].find("\"compress\""), std::string::npos);
   }
 }
 
@@ -289,6 +338,21 @@ TEST(Profile, InstalledProfilerDoesNotPerturbTheRun) {
     EXPECT_DOUBLE_EQ(plain.stats.phases()[i].modeled_seconds,
                      profiled.stats.phases()[i].modeled_seconds)
         << plain.stats.phases()[i].name;
+  }
+  // The same holds for a single-node run.
+  const auto single = small_assembly(core::GraphMode::kGreedy, true);
+  const auto plain_single = assemble(d, nullptr, single, "plain1");
+  Profiler single_profiler;
+  const auto profiled_single =
+      assemble(d, &single_profiler, single, "profiled1");
+  EXPECT_EQ(slurp(d.dir.file("plain1.fa")),
+            slurp(d.dir.file("profiled1.fa")));
+  ASSERT_EQ(plain_single.stats.phases().size(),
+            profiled_single.stats.phases().size());
+  for (std::size_t i = 0; i < plain_single.stats.phases().size(); ++i) {
+    EXPECT_EQ(plain_single.stats.phases()[i].modeled_seconds,
+              profiled_single.stats.phases()[i].modeled_seconds)
+        << plain_single.stats.phases()[i].name;
   }
   // And without an installed profiler, nothing is recorded.
   EXPECT_EQ(Profiler::active(), nullptr);

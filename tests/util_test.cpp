@@ -242,14 +242,19 @@ TEST(RunStats, TotalsAndLookup) {
                        .peak_host_bytes = 100,
                        .peak_device_bytes = 50,
                        .disk_bytes_read = 1000,
-                       .disk_bytes_written = 2000});
+                       .disk_bytes_written = 2000,
+                       .metrics = {{"io.faults_injected", 2},
+                                   {"io.faults_retried", 1},
+                                   {"pool.tasks", 7}}});
   stats.add(PhaseStats{.name = "sort",
                        .wall_seconds = 30.0,
                        .modeled_seconds = 25.0,
                        .peak_host_bytes = 200,
                        .peak_device_bytes = 60,
                        .disk_bytes_read = 5000,
-                       .disk_bytes_written = 5000});
+                       .disk_bytes_written = 5000,
+                       .metrics = {{"gpu.allocs", 3},
+                                   {"io.faults_injected", 1}}});
   EXPECT_DOUBLE_EQ(stats.total_wall_seconds(), 40.0);
   EXPECT_DOUBLE_EQ(stats.total_modeled_seconds(), 33.0);
   EXPECT_EQ(stats.total_disk_bytes(), 13000u);
@@ -258,6 +263,9 @@ TEST(RunStats, TotalsAndLookup) {
   EXPECT_FALSE(stats.has_phase("reduce"));
   EXPECT_THROW((void)stats.phase("reduce"), std::out_of_range);
   EXPECT_NE(stats.to_table().find("sort"), std::string::npos);
+  // The fault line sums each phase's registry fault counters.
+  EXPECT_NE(stats.to_table().find("faults: 3 injected, 1 retried, 0 fatal"),
+            std::string::npos);
 }
 
 TEST(RunStats, TableShowsWallWithTwoDecimals) {
