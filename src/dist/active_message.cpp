@@ -43,12 +43,6 @@ Network::Network(unsigned node_count, const ClusterTopology& topology)
   }
 }
 
-Network::Network(unsigned node_count, double bandwidth_bytes_per_sec,
-                 double latency_seconds)
-    : Network(node_count,
-              ClusterTopology::flat(bandwidth_bytes_per_sec,
-                                    latency_seconds)) {}
-
 void Network::register_handler(unsigned node, std::uint16_t type,
                                Handler handler) {
   NodeState& state = *nodes_.at(node);

@@ -39,14 +39,9 @@ using Payload = std::vector<std::byte>;
 
 class Network {
  public:
-  /// Topology-aware constructor: per-link bandwidth, NIC caps and rack
-  /// structure come from `topology`.
+  /// Per-link bandwidth, NIC caps and rack structure come from `topology`
+  /// (`ClusterTopology::flat` for a uniform network).
   Network(unsigned node_count, const ClusterTopology& topology);
-
-  /// Legacy flat constructor: `bandwidth` in bytes/second per link,
-  /// `latency` in seconds one-way. Equivalent to ClusterTopology::flat.
-  Network(unsigned node_count, double bandwidth_bytes_per_sec,
-          double latency_seconds);
 
   [[nodiscard]] const ClusterTopology& topology() const { return topology_; }
 

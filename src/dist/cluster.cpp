@@ -39,16 +39,9 @@ std::uint64_t combine_role_hashes(std::uint64_t h_sfx, std::uint64_t h_pfx) {
   return fnv::fold_u64(fnv::fold_u64(fnv::kOffset, h_sfx), h_pfx);
 }
 
-/// The link model actually used: explicit topology fields win, zero fields
-/// inherit the legacy flat scalars and the machine's NIC cap.
+/// The link model actually used: a zero NIC cap inherits the machine's.
 ClusterTopology effective_topology(const ClusterConfig& config) {
   ClusterTopology t = config.topology;
-  if (t.link_bandwidth_bytes_per_sec <= 0.0) {
-    t.link_bandwidth_bytes_per_sec = config.network_bandwidth_bytes_per_sec;
-  }
-  if (t.latency_seconds <= 0.0) {
-    t.latency_seconds = config.network_latency_seconds;
-  }
   if (t.nic_bandwidth_bytes_per_sec <= 0.0) {
     t.nic_bandwidth_bytes_per_sec =
         config.machine.nic_bandwidth_bytes_per_sec;
@@ -136,32 +129,26 @@ void close_phase(ClusterRun& run, core::PhaseLedger& ledger,
 
 // ---- map (with overlapped push shuffle) ------------------------------------
 
-/// The master's input-block dispenser. Blocks a previous (crashed) run
-/// already mapped and pushed, according to any node's manifest, are
-/// skipped, which rebalances the unfinished blocks across live nodes.
+/// The master's input-block schedule: mapper k maps blocks k, k+N, ...,
+/// skipping blocks a previous (crashed) run already mapped and pushed
+/// according to any node's manifest. The assignment depends only on the
+/// input, never on request order, so the modeled run is a pure function of
+/// it. Each mapper advances only its own cursor, and `done` is fixed
+/// before the map starts, so concurrent requests share nothing mutable.
 struct BlockDispenser {
-  std::mutex mutex;
   std::uint64_t blocks = 0;
-  std::uint64_t next = 0;
-  std::vector<std::uint64_t> per_node;  ///< static round-robin cursors
+  std::vector<std::uint64_t> cursor;  ///< per mapper: its next block
   std::set<std::uint64_t> done;
 
   /// The next block for mapper `src`, or nullopt when none remain.
-  std::optional<std::uint64_t> take(unsigned src, unsigned stride) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!per_node.empty()) {
-      // Static round-robin: mapper `src` owns blocks src, src+N, ...
-      // (minus checkpointed ones) regardless of request order.
-      std::uint64_t& cursor = per_node[src];
-      while (cursor < blocks && done.count(cursor) > 0) cursor += stride;
-      if (cursor >= blocks) return std::nullopt;
-      const std::uint64_t g = cursor;
-      cursor += stride;
-      return g;
-    }
-    while (next < blocks && done.count(next) > 0) ++next;
+  std::optional<std::uint64_t> take(unsigned src) {
+    const std::uint64_t stride = cursor.size();
+    std::uint64_t& next = cursor[src];
+    while (next < blocks && done.count(next) > 0) next += stride;
     if (next >= blocks) return std::nullopt;
-    return next++;
+    const std::uint64_t g = next;
+    next += stride;
+    return g;
   }
 };
 
@@ -383,17 +370,15 @@ std::vector<NodeLanes> map_phase(ClusterRun& run) {
       dispenser.done.insert(std::stoull(key.substr(10)));
     }
   }
-  if (config.static_map_blocks) {
-    for (unsigned k = 0; k < config.node_count; ++k) {
-      dispenser.per_node.push_back(k);
-    }
+  for (unsigned k = 0; k < config.node_count; ++k) {
+    dispenser.cursor.push_back(k);
   }
   run.net.register_handler(
       0, kGetBlock,
-      [&dispenser, block_reads, stride = config.node_count, read_count](
-          unsigned src, std::span<const std::byte>) {
+      [&dispenser, block_reads, read_count](unsigned src,
+                                            std::span<const std::byte>) {
         Payload reply;
-        const std::optional<std::uint64_t> g = dispenser.take(src, stride);
+        const std::optional<std::uint64_t> g = dispenser.take(src);
         if (!g.has_value()) return reply;  // no more work
         put(reply, *g);
         put(reply, *g * block_reads);
@@ -1076,7 +1061,7 @@ ClusterConfig ClusterConfig::supermic(unsigned nodes, double scale) {
   ClusterConfig config;
   config.node_count = nodes;
   config.machine = core::MachineConfig::supermic_k20(scale);
-  config.network_bandwidth_bytes_per_sec = 7e9 / scale;  // 56 Gb/s
+  config.topology.link_bandwidth_bytes_per_sec = 7e9 / scale;  // 56 Gb/s
   config.graph_insert_seconds = 50e-9 * scale;
   config.graph_probe_seconds = 1e-9 * scale;
   // SuperMIC's fat tree: 16 nodes per leaf switch at full 56 Gb/s, 2:1

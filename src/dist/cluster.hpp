@@ -80,14 +80,12 @@ struct ClusterConfig {
   unsigned min_overlap = 63;
   fingerprint::FingerprintConfig fingerprints =
       fingerprint::FingerprintConfig::standard();
-  /// 56 Gb/s InfiniBand scaled like the machine (see MachineConfig).
-  double network_bandwidth_bytes_per_sec = 7e9 / 4096.0;
-  double network_latency_seconds = 5e-6;
   /// Link-level network model (racks, NIC caps, inter-rack
-  /// oversubscription). Zero fields inherit the legacy scalars above and
-  /// the machine's NIC cap; the default is therefore the flat network.
-  /// `supermic()` fills in the paper clusters' fat-tree shape.
-  ClusterTopology topology;
+  /// oversubscription). The default is a flat network of 56 Gb/s
+  /// InfiniBand links scaled like the machine (see MachineConfig); a zero
+  /// NIC cap inherits the machine's. `supermic()` rescales the links and
+  /// fills in the paper clusters' fat-tree shape.
+  ClusterTopology topology = ClusterTopology::flat(7e9 / 4096.0, 5e-6);
   /// Fuse the shuffle into the sort: owners feed arriving chunks straight
   /// into sort-run formation instead of staging them on disk. Requires
   /// `streamed` and an empty `work_dir` (staging is what checkpointed
@@ -121,15 +119,6 @@ struct ClusterConfig {
   /// and the shuffle with the map. Contigs are byte-identical either way;
   /// only the modeled clocks change.
   bool streamed = true;
-  /// Hand map blocks to mappers round-robin (mapper k maps blocks k,
-  /// k+N, ...) instead of first-come-first-served from the master's
-  /// dispenser. The dynamic dispenser load-balances like the real
-  /// cluster, but it makes each node's modeled lane totals depend on
-  /// wall-clock arrival order; round-robin makes the modeled run a pure
-  /// function of the input (the profiler's byte-identical report tests
-  /// rely on it, together with `streamed = false`). Contigs are identical
-  /// either way — tuple ownership is by content, not by mapper.
-  bool static_map_blocks = false;
   /// When non-empty, node-local state lives under `work_dir/node<k>`
   /// (instead of a temp dir) together with per-node checkpoint manifests.
   std::filesystem::path work_dir;

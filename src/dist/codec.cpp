@@ -147,128 +147,6 @@ Payload decode_delta(std::span<const std::byte> wire) {
   return out;
 }
 
-// -- kLz ---------------------------------------------------------------------
-
-constexpr std::size_t kLzWindow = 4096;  // offsets fit 12 bits
-constexpr std::size_t kLzMinMatch = 4;
-constexpr std::size_t kLzMaxMatch = kLzMinMatch + 15;  // length fits 4 bits
-constexpr std::size_t kLzHashSize = 1u << 13;
-
-std::size_t lz_hash(const std::byte* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return (v * 2654435761u) >> 19 & (kLzHashSize - 1);
-}
-
-/// Body: logical size varint, then flag-byte token groups (bit i of the
-/// flag, LSB first, marks token i a match). Literal token: one byte.
-/// Match token: 16 bits = 12-bit back-offset (1-based) | 4-bit (len - 4).
-Payload encode_lz(std::span<const std::byte> logical) {
-  Payload out;
-  out.reserve(logical.size() / 2 + 16);
-  out.push_back(static_cast<std::byte>(Method::kLz));
-  put_varint(out, logical.size());
-
-  std::vector<std::size_t> head(kLzHashSize, SIZE_MAX);
-  std::size_t flag_at = SIZE_MAX;
-  unsigned flag_bit = 8;
-  auto begin_token = [&](bool is_match) {
-    if (flag_bit == 8) {
-      flag_at = out.size();
-      out.push_back(std::byte{0});
-      flag_bit = 0;
-    }
-    if (is_match) {
-      out[flag_at] = static_cast<std::byte>(
-          static_cast<std::uint8_t>(out[flag_at]) | (1u << flag_bit));
-    }
-    ++flag_bit;
-  };
-
-  std::size_t i = 0;
-  while (i < logical.size()) {
-    std::size_t best_len = 0;
-    std::size_t best_off = 0;
-    if (i + kLzMinMatch <= logical.size()) {
-      const std::size_t h = lz_hash(logical.data() + i);
-      const std::size_t cand = head[h];
-      if (cand != SIZE_MAX && cand < i && i - cand <= kLzWindow) {
-        const std::size_t limit =
-            std::min(kLzMaxMatch, logical.size() - i);
-        std::size_t len = 0;
-        while (len < limit && logical[cand + len] == logical[i + len]) ++len;
-        if (len >= kLzMinMatch) {
-          best_len = len;
-          best_off = i - cand;
-        }
-      }
-      head[h] = i;
-    }
-    if (best_len > 0) {
-      begin_token(true);
-      const std::uint16_t token = static_cast<std::uint16_t>(
-          ((best_off - 1) << 4) | (best_len - kLzMinMatch));
-      out.push_back(static_cast<std::byte>(token & 0xff));
-      out.push_back(static_cast<std::byte>(token >> 8));
-      i += best_len;
-    } else {
-      begin_token(false);
-      out.push_back(logical[i]);
-      ++i;
-    }
-  }
-  return out;
-}
-
-Payload decode_lz(std::span<const std::byte> wire) {
-  std::size_t pos = 1;
-  const std::size_t logical_size = get_varint(wire, pos);
-  // No token expands a wire byte into more than kLzMaxMatch bytes.
-  if (logical_size > (wire.size() - pos) * kLzMaxMatch) {
-    throw std::invalid_argument("codec: lz size exceeds the payload");
-  }
-  Payload out;
-  out.reserve(logical_size);
-  unsigned flag = 0;
-  unsigned flag_bit = 8;
-  while (out.size() < logical_size) {
-    if (flag_bit == 8) {
-      if (pos >= wire.size()) {
-        throw std::invalid_argument("codec: truncated lz stream");
-      }
-      flag = static_cast<std::uint8_t>(wire[pos++]);
-      flag_bit = 0;
-    }
-    const bool is_match = (flag >> flag_bit) & 1;
-    ++flag_bit;
-    if (is_match) {
-      if (pos + 2 > wire.size()) {
-        throw std::invalid_argument("codec: truncated lz match");
-      }
-      const std::uint16_t token = static_cast<std::uint16_t>(
-          static_cast<std::uint8_t>(wire[pos]) |
-          (static_cast<std::uint8_t>(wire[pos + 1]) << 8));
-      pos += 2;
-      const std::size_t off = (token >> 4) + 1;
-      const std::size_t len = (token & 0xf) + kLzMinMatch;
-      if (off > out.size() || out.size() + len > logical_size) {
-        throw std::invalid_argument("codec: bad lz match");
-      }
-      const std::size_t src = out.size() - off;
-      for (std::size_t k = 0; k < len; ++k) out.push_back(out[src + k]);
-    } else {
-      if (pos >= wire.size()) {
-        throw std::invalid_argument("codec: truncated lz literal");
-      }
-      out.push_back(wire[pos++]);
-    }
-  }
-  if (pos != wire.size()) {
-    throw std::invalid_argument("codec: trailing lz bytes");
-  }
-  return out;
-}
-
 }  // namespace
 
 Payload encode_raw(std::span<const std::byte> logical) {
@@ -281,14 +159,10 @@ Payload encode_raw(std::span<const std::byte> logical) {
 
 Payload encode_chunk(std::span<const std::byte> logical,
                      std::size_t record_phase) {
-  Payload best = encode_raw(logical);
-  if (!logical.empty()) {
-    Payload delta = encode_delta(logical, record_phase);
-    if (delta.size() < best.size()) best = std::move(delta);
-    Payload lz = encode_lz(logical);
-    if (lz.size() < best.size()) best = std::move(lz);
-  }
-  return best;
+  Payload delta = encode_delta(logical, record_phase);
+  // Raw wins ties: the delta body must beat the logical bytes plus the tag.
+  if (delta.size() < logical.size() + 1) return delta;
+  return encode_raw(logical);
 }
 
 Payload decode_chunk(std::span<const std::byte> wire) {
@@ -298,8 +172,6 @@ Payload decode_chunk(std::span<const std::byte> wire) {
       return Payload(wire.begin() + 1, wire.end());
     case Method::kDelta:
       return decode_delta(wire);
-    case Method::kLz:
-      return decode_lz(wire);
   }
   throw std::invalid_argument("codec: unknown method tag");
 }
@@ -307,7 +179,7 @@ Payload decode_chunk(std::span<const std::byte> wire) {
 Method method(std::span<const std::byte> wire) {
   if (wire.empty()) throw std::invalid_argument("codec: empty payload");
   const auto tag = static_cast<std::uint8_t>(wire[0]);
-  if (tag > static_cast<std::uint8_t>(Method::kLz)) {
+  if (tag > static_cast<std::uint8_t>(Method::kDelta)) {
     throw std::invalid_argument("codec: unknown method tag");
   }
   return static_cast<Method>(tag);

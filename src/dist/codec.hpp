@@ -4,25 +4,24 @@
 //
 // A wire payload is one tag byte followed by the encoded body:
 //
-//   kRaw   — the logical bytes verbatim. Always valid; the fallback when
-//            nothing else wins, and the self-push (src == dst) format.
+//   kRaw   — the logical bytes verbatim. Always valid; the escape when the
+//            delta body is no smaller, and the self-push (src == dst)
+//            format.
 //   kDelta — FpRecord-aware varint delta. The chunk is a byte-slice of a
 //            24-byte-record stream (chunks are cut at kShuffleChunkBytes,
 //            not record boundaries, so a head/tail fragment is carried
 //            raw); each whole record stores zigzag-varint deltas of
 //            fp.hi / fp.lo / vertex / pad against the previous record.
-//            Fingerprints are near-uniform so their deltas stay wide, but
-//            vertex ids arrive in emission order (small deltas) and pad is
-//            always zero — the tuple still shrinks.
-//   kLz    — byte-level LZSS (4 KiB window, greedy hash-head matching,
-//            flag-byte token groups). The generic fallback for payloads
-//            with byte-level redundancy.
+//            Fingerprints are near-uniform below 2^61, so their deltas
+//            mostly take 9 varint bytes against 8 raw; the gain comes
+//            from vertex ids, which arrive in emission order (small
+//            deltas), and pad, which is always zero.
 //
-// encode_chunk tries every applicable method and keeps the smallest, so
-// decode_chunk(encode_chunk(x)) == x for arbitrary bytes and the wire size
-// never exceeds logical size + 1 tag byte. Both directions are pure
-// byte-for-byte functions: compression can never perturb shuffle content,
-// only the modeled wire-byte and host-time charges.
+// encode_chunk keeps the delta body only when it is smaller than the raw
+// payload, so decode_chunk(encode_chunk(x)) == x for arbitrary bytes and
+// the wire size never exceeds logical size + 1 tag byte. Both directions
+// are pure byte-for-byte functions: compression can never perturb shuffle
+// content, only the modeled wire-byte and host-time charges.
 #pragma once
 
 #include <cstddef>
@@ -37,13 +36,12 @@ using Payload = std::vector<std::byte>;
 enum class Method : std::uint8_t {
   kRaw = 0,
   kDelta = 1,
-  kLz = 2,
 };
 
-/// Encode `logical` for the wire. `record_phase` is the offset of the
-/// chunk's first byte within its FpRecord (bytes mod 24); the delta method
-/// is only attempted when the record framing is known (any phase is fine —
-/// fragments travel raw inside the encoding).
+/// Encode `logical` for the wire: the delta body when it is smaller than
+/// the raw payload, raw otherwise. `record_phase` is the offset of the
+/// chunk's first byte within its FpRecord (bytes mod 24); any phase is fine
+/// — fragments travel raw inside the encoding.
 [[nodiscard]] Payload encode_chunk(std::span<const std::byte> logical,
                                    std::size_t record_phase = 0);
 
@@ -52,7 +50,9 @@ enum class Method : std::uint8_t {
 [[nodiscard]] Payload encode_raw(std::span<const std::byte> logical);
 
 /// Decode a wire payload back to the exact logical bytes. Throws
-/// std::invalid_argument on a malformed payload.
+/// std::invalid_argument on a malformed payload or an unknown tag; never
+/// returns more than 6x the wire size (a delta record takes at least 4
+/// wire bytes).
 [[nodiscard]] Payload decode_chunk(std::span<const std::byte> wire);
 
 /// The method tag of an encoded payload.

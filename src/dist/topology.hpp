@@ -19,7 +19,7 @@
 //
 // Zero means "unconstrained" for every bandwidth field and "inherit the
 // base value" for the inter-rack overrides, so a default ClusterTopology
-// is the flat, infinitely-provisioned network of the legacy constructor.
+// is a flat, infinitely-provisioned network.
 #pragma once
 
 #include <limits>
@@ -40,7 +40,7 @@ struct ClusterTopology {
   /// Nodes per rack; 0 = flat topology (everything is one rack).
   unsigned rack_size = 0;
 
-  /// A flat, uniform network: the legacy scalar model as a topology.
+  /// A flat, uniform network: one bandwidth and latency for every link.
   static ClusterTopology flat(double bandwidth_bytes_per_sec,
                               double latency_seconds) {
     ClusterTopology t;

@@ -60,7 +60,7 @@ ScheduleResult run_schedule(std::uint32_t seed,
     guard.emplace(injector.get());
   }
 
-  Network net(kNodes, 1e6, 1e-4);
+  Network net(kNodes, ClusterTopology::flat(1e6, 1e-4));
   ScheduleResult result;
   result.sums.assign(kNodes, 0);
   register_handlers(net, result.sums);
@@ -140,7 +140,7 @@ TEST(AmProperty, PerSenderOrderSurvivesConcurrency) {
   // scheduler-dependent, but each sender's subsequence must arrive in its
   // program order (per-node mutex = one AM polling thread). Encode the
   // sender's sequence number in the payload size.
-  Network net(kNodes, 1e9, 1e-6);
+  Network net(kNodes, ClusterTopology::flat(1e9, 1e-6));
   std::vector<std::uint64_t> sums(kNodes, 0);
   register_handlers(net, sums);
   net.record_deliveries(true);

@@ -1,15 +1,16 @@
 // On-wire codec and topology-aware network lane tests. The codec must be
 // a pure byte-for-byte round trip for arbitrary payloads (compression may
 // never perturb shuffle content), must actually compress the record
-// streams the shuffle pushes, and must never expand a payload past one tag
-// byte. The link model must reduce to the legacy flat scalars, cap paths
-// at the NIC, slow down across racks, and serialize incast on the
-// receiver's clock.
+// streams the shuffle pushes, must never expand a payload past one tag
+// byte, and must turn any damaged payload into bytes or a typed error. The
+// link model must cap paths at the NIC, slow down across racks, and
+// serialize incast on the receiver's clock.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <string>
 
 #include "core/config.hpp"
 #include "dist/active_message.hpp"
@@ -22,6 +23,16 @@ namespace {
 using codec::decode_chunk;
 using codec::encode_chunk;
 using codec::encode_raw;
+
+/// The LEB128 varint the codec writes its sizes in.
+std::vector<std::byte> varint(std::uint64_t v) {
+  std::vector<std::byte> out;
+  for (; v >= 0x80; v >>= 7) {
+    out.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
+  }
+  out.push_back(static_cast<std::byte>(v));
+  return out;
+}
 
 std::vector<std::byte> random_bytes(std::size_t n, std::uint32_t seed) {
   std::mt19937 rng(seed);
@@ -77,7 +88,7 @@ TEST(Codec, RoundTripsRecordStreams) {
 TEST(Codec, CompressesSortedRecordStreams) {
   const std::vector<std::byte> logical = record_stream(4000, 13);
   const codec::Payload wire = encode_chunk(logical, 0);
-  EXPECT_NE(codec::method(wire), codec::Method::kRaw);
+  EXPECT_EQ(codec::method(wire), codec::Method::kDelta);
   EXPECT_LT(wire.size(), logical.size());
 }
 
@@ -107,6 +118,10 @@ TEST(Codec, MalformedPayloadsThrow) {
   EXPECT_THROW(decode_chunk({}), std::invalid_argument);
   codec::Payload bad_tag{std::byte{0x7f}};
   EXPECT_THROW(decode_chunk(bad_tag), std::invalid_argument);
+  // Tag 2 is no method: delta and raw are the only encodings.
+  codec::Payload tag2{std::byte{2}, std::byte{0}};
+  EXPECT_THROW(decode_chunk(tag2), std::invalid_argument);
+  EXPECT_THROW((void)codec::method(tag2), std::invalid_argument);
   // Truncating a compressed payload must be detected, not crash.
   const codec::Payload wire = encode_chunk(record_stream(1000, 23), 0);
   ASSERT_NE(codec::method(wire), codec::Method::kRaw);
@@ -114,35 +129,99 @@ TEST(Codec, MalformedPayloadsThrow) {
                                              wire.size() / 2);
   EXPECT_THROW(decode_chunk(truncated), std::invalid_argument);
 
-  // Hostile sizes are rejected before the decoder sizes its output: a tag,
-  // the method's size varints, then 8 zero bytes.
-  const auto hostile = [](codec::Method m,
-                          std::initializer_list<std::uint64_t> sizes) {
-    codec::Payload out{static_cast<std::byte>(m)};
-    for (std::uint64_t v : sizes) {
-      for (; v >= 0x80; v >>= 7) {
-        out.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
-      }
-      out.push_back(static_cast<std::byte>(v));
-    }
-    out.resize(out.size() + 8, std::byte{0});
-    return out;
-  };
-  // Delta: head_len, record count, tail_len. The first count wraps
-  // count * 24 to 8 bytes.
+  // Hostile sizes are rejected before the decoder sizes its output: the
+  // delta tag, head_len, record count and tail_len, then 8 zero bytes. The
+  // first count wraps count * 24 to 8 bytes.
   for (const auto& sizes :
        {std::initializer_list<std::uint64_t>{0, 0x0AAAAAAAAAAAAAABull, 0},
         {0, 1ull << 40, 0},
         {0, 3, 0},
         {0, 0, 1ull << 62},
         {1ull << 62, 0, 0}}) {
-    EXPECT_THROW(decode_chunk(hostile(codec::Method::kDelta, sizes)),
-                 std::invalid_argument);
+    codec::Payload hostile{static_cast<std::byte>(codec::Method::kDelta)};
+    for (const std::uint64_t v : sizes) {
+      const std::vector<std::byte> bytes = varint(v);
+      hostile.insert(hostile.end(), bytes.begin(), bytes.end());
+    }
+    hostile.resize(hostile.size() + 8, std::byte{0});
+    EXPECT_THROW(decode_chunk(hostile), std::invalid_argument);
   }
-  // LZ: a logical size no token stream of 8 bytes can produce.
-  for (const std::uint64_t size : {~0ull, 1ull << 40, 8ull * 19 + 1}) {
-    EXPECT_THROW(decode_chunk(hostile(codec::Method::kLz, {size})),
-                 std::invalid_argument);
+}
+
+/// The parser contract on a damaged payload: decode_chunk returns bytes or
+/// throws std::invalid_argument, and never returns more than 6x the wire
+/// size (a delta record takes at least 4 wire bytes).
+void expect_parses_or_rejects(std::span<const std::byte> wire,
+                              const std::string& what) {
+  try {
+    const codec::Payload out = decode_chunk(wire);
+    EXPECT_LE(out.size(), 6 * wire.size()) << what;
+  } catch (const std::invalid_argument&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": " << e.what();
+  }
+}
+
+TEST(Codec, SeededMutationsParseOrReject) {
+  std::mt19937_64 rng(0x5eed);
+  const std::vector<std::byte> stream = record_stream(64 * 1024 / 24 + 2, 29);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{23}, std::size_t{24},
+        std::size_t{25}, std::size_t{100}, std::size_t{1000},
+        std::size_t{4096}, std::size_t{64 * 1024}}) {
+    for (const std::size_t phase : {std::size_t{0}, std::size_t{7},
+                                    std::size_t{23}}) {
+      const std::vector<std::byte> records(stream.begin() + phase,
+                                           stream.begin() + phase + n);
+      for (const auto& logical : {records, random_bytes(n, 31 + n)}) {
+        const codec::Payload wire = encode_chunk(logical, phase);
+        ASSERT_EQ(decode_chunk(wire), logical);
+        const std::string at =
+            std::to_string(n) + " @" + std::to_string(phase) + " method " +
+            std::to_string(static_cast<int>(codec::method(wire)));
+        auto pick = [&](std::size_t bound) {
+          return static_cast<std::size_t>(rng() % bound);
+        };
+        for (int trial = 0; trial < 32; ++trial) {
+          codec::Payload m = wire;
+          m[pick(m.size())] ^= static_cast<std::byte>(1u << pick(8));
+          expect_parses_or_rejects(m, at + " bit flip");
+          m = wire;
+          m[pick(m.size())] = static_cast<std::byte>(rng());
+          expect_parses_or_rejects(m, at + " overwrite");
+          expect_parses_or_rejects(
+              std::span<const std::byte>(wire.data(), pick(wire.size())),
+              at + " truncate");
+          m = wire;
+          for (std::size_t k = 1 + pick(16); k > 0; --k) {
+            m.push_back(static_cast<std::byte>(rng()));
+          }
+          expect_parses_or_rejects(m, at + " tail");
+        }
+        if (codec::method(wire) != codec::Method::kDelta) continue;
+        // Replace each of head_len, record count and tail_len with values
+        // near every power of two.
+        std::size_t begin = 1;
+        for (int field = 0; field < 3; ++field) {
+          std::size_t end = begin;
+          while ((static_cast<std::uint8_t>(wire[end]) & 0x80) != 0) ++end;
+          ++end;
+          for (unsigned k = 0; k < 64; ++k) {
+            for (const std::uint64_t v :
+                 {(1ull << k) - 1, 1ull << k, (1ull << k) + 1}) {
+              codec::Payload m(wire.begin(), wire.begin() + begin);
+              const std::vector<std::byte> bytes = varint(v);
+              m.insert(m.end(), bytes.begin(), bytes.end());
+              m.insert(m.end(), wire.begin() + end, wire.end());
+              expect_parses_or_rejects(m, at + " size field " +
+                                              std::to_string(field) + " = " +
+                                              std::to_string(v));
+            }
+          }
+          begin = end;
+        }
+      }
+    }
   }
 }
 
@@ -169,25 +248,10 @@ TEST(Topology, EffectiveBandwidthAndLatencyFollowRacks) {
   EXPECT_TRUE(std::isinf(open.effective_bandwidth(0, 1)));
 }
 
-TEST(Topology, LegacyConstructorEquivalentToFlatTopology) {
-  Network legacy(2, 1e6, 1e-3);
-  Network flat(2, ClusterTopology::flat(1e6, 1e-3));
-  for (Network* net : {&legacy, &flat}) {
-    net->register_handler(1, 0, [](unsigned, std::span<const std::byte>) {
-      return Payload(1000);
-    });
-    net->request(0, 1, 0, Payload(500));
-  }
-  EXPECT_DOUBLE_EQ(legacy.modeled_seconds(0), flat.modeled_seconds(0));
-  EXPECT_DOUBLE_EQ(legacy.modeled_seconds(1), flat.modeled_seconds(1));
-  EXPECT_DOUBLE_EQ(legacy.send_seconds(0), flat.send_seconds(0));
-  EXPECT_DOUBLE_EQ(legacy.recv_seconds(1), flat.recv_seconds(1));
-}
-
 TEST(Topology, IncastStacksOnReceiverClock) {
   // Three senders pushing 1 MB each into node 0: every sender's send
   // engine holds one transfer, node 0's receive engine holds all three.
-  Network net(4, 1e6, 0.0);
+  Network net(4, ClusterTopology::flat(1e6, 0.0));
   net.register_handler(0, 0, [](unsigned, std::span<const std::byte>) {
     return Payload{};
   });

@@ -3,11 +3,10 @@
 // per-node checkpoint manifests, and require (a) contigs byte-identical to
 // an uninterrupted run, (b) identical result counters, (c) strictly less
 // disk traffic than a cold rerun — the surviving nodes' completed prefix
-// (and the work the master rebalanced onto them after the kill) is not
-// redone. It also pins the resume guards: a finished run resumes into
-// identical contigs in every reduce mode, a checkpoint made with different
-// fingerprint parameters restores nothing, and a cut, extended or
-// bit-flipped sidecar is recomputed.
+// is not redone. It also pins the resume guards: a finished run resumes
+// into identical contigs in every reduce mode, a checkpoint made with
+// different fingerprint parameters restores nothing, and a cut, extended
+// or bit-flipped sidecar is recomputed.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -139,9 +138,9 @@ class DistRecoveryTest : public ::testing::Test {
 };
 
 TEST_F(DistRecoveryTest, NodeKilledMidMapResumesFinishedBlocks) {
-  // Node 1 dies on its first map block; node 0 keeps draining the block
-  // dispenser (the master's rebalancing), so only the killed block is
-  // re-mapped — and re-pushed idempotently — on resume.
+  // Node 1 dies on its first map block; node 0 still maps its own
+  // round-robin blocks (0 and 2), so on resume only node 1's blocks (1 and
+  // 3) are mapped — and pushed idempotently to their owners.
   check_scenario("map", "node:nth=1,node=1,match=map:block", 0);
 }
 

@@ -16,7 +16,7 @@ namespace lasagna::dist {
 namespace {
 
 TEST(ActiveMessage, RequestReplyRoundTrip) {
-  Network net(3, 1e9, 1e-6);
+  Network net(3, ClusterTopology::flat(1e9, 1e-6));
   net.register_handler(1, 7, [](unsigned src, std::span<const std::byte> in) {
     Payload reply;
     std::size_t off = 0;
@@ -32,7 +32,7 @@ TEST(ActiveMessage, RequestReplyRoundTrip) {
 }
 
 TEST(ActiveMessage, ChargesBothEndpoints) {
-  Network net(2, 1e6, 1e-3);
+  Network net(2, ClusterTopology::flat(1e6, 1e-3));
   net.register_handler(1, 0, [](unsigned, std::span<const std::byte>) {
     return Payload(1000);
   });
@@ -52,7 +52,7 @@ TEST(ActiveMessage, ChargesBothEndpoints) {
 }
 
 TEST(ActiveMessage, LocalDeliveryIsFree) {
-  Network net(2, 1e6, 1e-3);
+  Network net(2, ClusterTopology::flat(1e6, 1e-3));
   net.register_handler(0, 0, [](unsigned, std::span<const std::byte>) {
     return Payload(100);
   });
@@ -62,7 +62,7 @@ TEST(ActiveMessage, LocalDeliveryIsFree) {
 }
 
 TEST(ActiveMessage, MissingHandlerThrows) {
-  Network net(2, 1e6, 1e-3);
+  Network net(2, ClusterTopology::flat(1e6, 1e-3));
   EXPECT_THROW(net.request(0, 1, 3, {}), std::logic_error);
 }
 

@@ -60,7 +60,7 @@ TEST(Integration, BaselineGraphSpellsSameContigsAsLasagna) {
 }
 
 TEST(Integration, NetworkHandlesConcurrentRequests) {
-  dist::Network net(4, 1e9, 1e-6);
+  dist::Network net(4, dist::ClusterTopology::flat(1e9, 1e-6));
   std::atomic<std::uint64_t> handled{0};
   for (unsigned n = 0; n < 4; ++n) {
     net.register_handler(n, 0,

@@ -64,18 +64,16 @@ dist::ClusterConfig small_cluster(unsigned nodes,
   return config;
 }
 
-/// Deterministic-replay variant for byte-compare tests: the dynamic block
-/// dispenser and the fused streamed ingest both depend on real arrival
-/// order, so their modeled lane totals are wall-timing-dependent (contigs
-/// stay identical, clocks don't). Static block assignment + synchronous
-/// phases make the modeled run — and therefore the profiler report — a
-/// pure function of the input.
+/// Deterministic-replay variant for byte-compare tests: the fused streamed
+/// ingest depends on real chunk arrival order, so its modeled device lane
+/// is wall-timing-dependent (contigs stay identical, clocks don't). Map
+/// blocks are assigned round-robin, so synchronous phases make the modeled
+/// run — and therefore the profiler report — a pure function of the input.
 dist::ClusterConfig sync_cluster(unsigned nodes,
                                  dist::ReduceStrategy strategy) {
   dist::ClusterConfig config = small_cluster(nodes, strategy);
   config.streamed = false;
   config.fuse_shuffle = false;
-  config.static_map_blocks = true;
   return config;
 }
 
