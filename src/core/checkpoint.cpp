@@ -1,10 +1,12 @@
 #include "core/checkpoint.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <system_error>
+#include <vector>
 
 #include "io/file_stream.hpp"
 #include "obs/trace.hpp"
@@ -254,10 +256,24 @@ bool CheckpointManager::load_bytes(
 std::uint64_t CheckpointManager::fingerprint_inputs(
     const std::vector<std::filesystem::path>& files) {
   std::uint64_t hash = kFnvOffset;
+  std::vector<char> block(1 << 20);
   for (const auto& file : files) {
     hash = fnv1a_str(hash, file.filename().string());
     const std::uint64_t size = std::filesystem::file_size(file);
     hash = fnv1a_value(hash, size);
+    std::ifstream in(file, std::ios::binary);
+    if (!in) {
+      throw std::system_error(errno, std::generic_category(),
+                              "open " + file.string());
+    }
+    while (in.read(block.data(), static_cast<std::streamsize>(block.size())) ||
+           in.gcount() > 0) {
+      hash = fnv1a(hash, block.data(), static_cast<std::size_t>(in.gcount()));
+    }
+    if (in.bad()) {
+      throw std::system_error(errno, std::generic_category(),
+                              "read " + file.string());
+    }
   }
   return hash;
 }

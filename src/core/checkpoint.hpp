@@ -105,8 +105,10 @@ class CheckpointManager {
     return records;
   }
 
-  /// FNV-1a over each input's filename and size — cheap, order-sensitive,
-  /// and enough to catch "resumed against a different dataset".
+  /// FNV-1a over each input's filename, size and every byte, in order: a
+  /// resume against any other input bytes (a same-size edit included)
+  /// starts fresh instead of splicing stale state. Reads each file once in
+  /// large blocks, outside the pipeline's I/O accounting.
   static std::uint64_t fingerprint_inputs(
       const std::vector<std::filesystem::path>& files);
 

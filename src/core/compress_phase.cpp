@@ -42,7 +42,7 @@ CompressResult run_compress_phase(
     const std::vector<std::filesystem::path>& fastqs,
     const std::filesystem::path& output, const CompressOptions& options) {
   CompressResult result;
-  gpu::Device& dev = *ws.device;
+  const gpu::Stream device_stream = gpu::default_stream(*ws.device);
 
   // Stage 1 (host, multi-threaded in the paper; brief even for the largest
   // dataset): read lengths then path extraction.
@@ -81,7 +81,7 @@ CompressResult run_compress_phase(
   }
   std::vector<std::uint64_t> path_offsets(paths.size());
   const std::uint64_t total_steps = gpu::exclusive_scan<std::uint64_t>(
-      dev, steps_per_path, path_offsets);
+      device_stream, steps_per_path, path_offsets);
 
   std::vector<std::uint64_t> overhangs(total_steps);
   std::vector<graph::VertexId> vertices(total_steps);
@@ -97,15 +97,15 @@ CompressResult run_compress_phase(
 
   std::vector<std::uint64_t> base_offsets(total_steps);
   const std::uint64_t total_bases = gpu::exclusive_scan<std::uint64_t>(
-      dev, overhangs, base_offsets);
+      device_stream, overhangs, base_offsets);
 
   // Contig start offsets = base offset of each path's first step.
   std::vector<std::uint64_t> contig_start(paths.size());
   std::vector<std::uint64_t> contig_length(paths.size());
   {
     std::vector<std::uint64_t> starts(paths.size());
-    gpu::gather<std::uint64_t, std::uint64_t>(dev, base_offsets,
-                                              path_offsets, starts);
+    gpu::gather<std::uint64_t, std::uint64_t>(
+        device_stream, base_offsets, path_offsets, starts);
     contig_start = std::move(starts);
     for (std::size_t p = 0; p < paths.size(); ++p) {
       const std::uint64_t end = p + 1 < paths.size()
@@ -125,8 +125,8 @@ CompressResult run_compress_phase(
                   contig_of_step[s]};
     placed[vertices[s]] = 1;
   }
-  dev.charge_kernel(total_steps * (sizeof(Placement) + sizeof(std::uint32_t)),
-                    total_steps);
+  device_stream.charge_kernel(
+      total_steps * (sizeof(Placement) + sizeof(std::uint32_t)), total_steps);
 
   util::TrackedAllocation contig_mem(*ws.host, total_bases);
   std::string contig_bases(total_bases, 'N');

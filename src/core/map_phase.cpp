@@ -1,7 +1,6 @@
 #include "core/map_phase.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "gpu/stream.hpp"
@@ -17,7 +16,8 @@ namespace lasagna::core {
 namespace {
 
 // The PlaceTable wants the longest read length up front; Illumina reads
-// are uniform, so we allocate for the longest supported and slice later.
+// are uniform, so we allocate for the longest supported, reject longer
+// reads in prepare_batch and slice later.
 constexpr unsigned kMaxReadLength = 512;
 
 /// Batch size in *input* bases: each input base occupies two strands
@@ -54,13 +54,12 @@ bool prepare_batch(const seq::ReadBatch& batch, const MapOptions& options,
         global_id >= options.first_read + options.max_reads) {
       continue;
     }
-    if (batch.reads[i].size() > std::numeric_limits<std::uint16_t>::max()) {
-      // read_lengths stores uint16; a silent cast would corrupt every
-      // overhang computed downstream.
+    if (batch.reads[i].size() > kMaxReadLength) {
       throw std::runtime_error(
           "read " + std::to_string(global_id) + " is " +
           std::to_string(batch.reads[i].size()) +
-          " bases; the pipeline supports reads up to 65535 bases");
+          " bases; the pipeline supports reads up to " +
+          std::to_string(kMaxReadLength) + " bases");
     }
     keep.push_back(i);
     job.read_ids.push_back(static_cast<std::uint32_t>(global_id));

@@ -83,16 +83,18 @@ void charge_device_merge(std::size_t na, std::size_t nb,
                          DeviceStreams& streams) {
   constexpr std::size_t kKeyBytes = sizeof(gpu::Key128);
   constexpr std::size_t kValueBytes = sizeof(std::uint64_t);
-  gpu::Stream& s = streams.rotate();
-  for (const std::size_t n : {na, nb}) {
-    s.charge_transfer(kKeyBytes * n);
-    s.charge_transfer(kValueBytes * n);
-  }
-  streams.begin_kernel(s);
-  gpu::charge_merge<FpRecord>(s, na + nb);
-  streams.end_kernel(s);
-  s.charge_transfer(kKeyBytes * (na + nb));
-  s.charge_transfer(kValueBytes * (na + nb));
+  streams.round_trip(
+      [&](gpu::Stream s) {
+        for (const std::size_t n : {na, nb}) {
+          s.charge_transfer(kKeyBytes * n);
+          s.charge_transfer(kValueBytes * n);
+        }
+      },
+      [&](gpu::Stream s) { gpu::charge_merge<FpRecord>(s, na + nb); },
+      [&](gpu::Stream s) {
+        s.charge_transfer(kKeyBytes * (na + nb));
+        s.charge_transfer(kValueBytes * (na + nb));
+      });
 }
 
 using RecordSink = std::function<void(std::span<const FpRecord>)>;

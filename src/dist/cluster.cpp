@@ -1012,8 +1012,12 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
     std::filesystem::create_directories(root);
   }
 
+  // Only checkpointed runs need the input fingerprint, which reads the
+  // whole input once.
   const std::uint64_t input_fp =
-      core::CheckpointManager::fingerprint_inputs({fastq});
+      config.work_dir.empty()
+          ? 0
+          : core::CheckpointManager::fingerprint_inputs({fastq});
   const std::uint64_t config_hash = hash_cluster_config(config);
   for (unsigned i = 0; i < config.node_count; ++i) {
     NodeContext& node = nodes[i];

@@ -7,10 +7,9 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lasagna::gpu {
-
-thread_local StreamId Device::current_stream_ = Device::kDefaultStream;
 
 namespace {
 
@@ -49,12 +48,10 @@ void trace_charge(obs::Tracer& tracer, StreamId stream, const char* what,
 
 }  // namespace
 
-Device::Device(const GpuProfile& profile, std::uint64_t capacity_bytes,
-               util::ThreadPool* pool)
+Device::Device(const GpuProfile& profile, std::uint64_t capacity_bytes)
     : profile_(profile),
       memory_("device[" + profile.name + "]",
-              capacity_bytes == 0 ? profile.memory_bytes : capacity_bytes),
-      pool_(pool != nullptr ? pool : &util::ThreadPool::global()) {
+              capacity_bytes == 0 ? profile.memory_bytes : capacity_bytes) {
   stream_ps_.emplace_back(0);  // the default stream
   memory_.publish_metrics("gpu.device");
 }
@@ -105,7 +102,6 @@ void Device::charge_transfer_on(StreamId stream, std::uint64_t bytes) {
       static_cast<std::uint64_t>(std::llround(seconds * 1e12));
   const std::uint64_t start_ps =
       stream_clock(stream).fetch_add(dur_ps, std::memory_order_relaxed);
-  transferred_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   gpu_counters().transfer_charges.add(1);
   gpu_counters().transfer_bytes.add(static_cast<std::int64_t>(bytes));
   if (obs::Tracer* tracer = obs::Tracer::active()) {
@@ -132,16 +128,6 @@ void Device::wait_event(StreamId stream, const Event& event) {
   }
 }
 
-// Out of line beside current_stream_'s definition (as set_current_stream
-// is): GCC's UBSan reports a false null dereference for inline accessors
-// of a thread_local defined in another translation unit.
-StreamId Device::current_stream() const { return current_stream_; }
-
-void Device::set_current_stream(StreamId stream) {
-  (void)stream_clock(stream);  // validate
-  current_stream_ = stream;
-}
-
 void Device::launch(unsigned grid_dim, unsigned block_dim,
                     std::size_t shared_bytes, const Kernel& kernel) {
   if (grid_dim == 0 || block_dim == 0) return;
@@ -151,7 +137,7 @@ void Device::launch(unsigned grid_dim, unsigned block_dim,
   // One shared-memory arena per *worker* would race under work stealing;
   // simplest correct scheme: one arena per block, allocated up front.
   std::vector<std::vector<std::byte>> shared(grid_dim);
-  pool_->parallel_for_chunked(
+  util::ThreadPool::global().parallel_for_chunked(
       grid_dim, [&](std::size_t begin, std::size_t end) {
         for (std::size_t b = begin; b < end; ++b) {
           shared[b].resize(shared_bytes);
@@ -160,15 +146,6 @@ void Device::launch(unsigned grid_dim, unsigned block_dim,
           kernel(ctx);
         }
       });
-}
-
-void Device::charge_kernel(std::uint64_t bytes_moved,
-                           std::uint64_t operations) {
-  charge_kernel_on(current_stream_, bytes_moved, operations);
-}
-
-void Device::charge_transfer(std::uint64_t bytes) {
-  charge_transfer_on(current_stream_, bytes);
 }
 
 double Device::modeled_seconds() const {

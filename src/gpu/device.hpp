@@ -1,11 +1,12 @@
 // The simulated CUDA device: capacity-enforced memory, a grid/block kernel
-// launcher running on a host thread pool, explicit host<->device transfers,
-// and a modeled clock driven by the GpuProfile cost model.
+// launcher running on a host thread pool, and a modeled clock driven by the
+// GpuProfile cost model.
 //
-// The modeled clock is organized as CUDA-style streams: every charge lands
-// on one stream's timeline, and the device-time consumed so far is the max
-// over stream completion times. Code that never creates a stream charges
-// the default stream, whose timeline is exactly the legacy summed clock.
+// The modeled clock is organized as CUDA-style streams: every charge names
+// the stream it lands on (gpu::Stream, gpu/stream.hpp), and the device-time
+// consumed so far is the max over stream completion times. Code that
+// charges only the default stream sums every charge: its timeline is
+// exactly the legacy summed clock.
 #pragma once
 
 #include <atomic>
@@ -20,12 +21,11 @@
 #include "gpu/profile.hpp"
 #include "io/fault_injector.hpp"
 #include "util/memory_tracker.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lasagna::gpu {
 
 /// Identifies one modeled execution stream on a device (cf. cudaStream_t).
-/// Stream 0 is the default stream; all synchronous calls charge it.
+/// Stream 0 is the default stream, which synchronous callers charge.
 using StreamId = std::uint32_t;
 
 /// A point on a stream's modeled timeline (cf. cudaEvent_t): recording
@@ -82,8 +82,7 @@ class Device {
   /// `capacity_bytes` overrides the profile's memory size (scaled runs);
   /// 0 keeps the profile capacity.
   explicit Device(const GpuProfile& profile = GpuProfile::k40(),
-                  std::uint64_t capacity_bytes = 0,
-                  util::ThreadPool* pool = nullptr);
+                  std::uint64_t capacity_bytes = 0);
 
   [[nodiscard]] const GpuProfile& profile() const { return profile_; }
   [[nodiscard]] util::MemoryTracker& memory() { return memory_; }
@@ -108,33 +107,13 @@ class Device {
     return static_cast<std::size_t>(free / sizeof(T));
   }
 
-  // -- transfers -----------------------------------------------------------
-
-  /// Host -> device copy (charges PCIe transfer time).
-  template <typename T>
-  void copy_to_device(std::span<const T> src, std::span<T> dst) {
-    if (src.size() > dst.size()) {
-      throw std::logic_error("copy_to_device: destination too small");
-    }
-    std::copy(src.begin(), src.end(), dst.begin());
-    charge_transfer(src.size_bytes());
-  }
-
-  /// Device -> host copy (charges PCIe transfer time).
-  template <typename T>
-  void copy_to_host(std::span<const T> src, std::span<T> dst) {
-    if (src.size() > dst.size()) {
-      throw std::logic_error("copy_to_host: destination too small");
-    }
-    std::copy(src.begin(), src.end(), dst.begin());
-    charge_transfer(src.size_bytes());
-  }
-
   // -- kernels -------------------------------------------------------------
 
   /// Launch `grid_dim` blocks of `block_dim` threads; blocks run in parallel
-  /// on the host pool, each with `shared_bytes` of private shared memory.
-  /// Blocks must not synchronize with each other (as on a real GPU).
+  /// on the global host pool, each with `shared_bytes` of private shared
+  /// memory. Blocks must not synchronize with each other (as on a real
+  /// GPU). The launch charges nothing: callers charge the kernel's cost on
+  /// its stream.
   void launch(unsigned grid_dim, unsigned block_dim, std::size_t shared_bytes,
               const Kernel& kernel);
 
@@ -152,15 +131,12 @@ class Device {
   [[nodiscard]] std::size_t stream_count() const;
 
   /// Charge a kernel's modeled cost (bytes moved through device memory and
-  /// arithmetic/compare operations executed) to the current stream.
-  void charge_kernel(std::uint64_t bytes_moved, std::uint64_t operations);
-
-  /// Charge a host<->device transfer's modeled cost to the current stream.
-  void charge_transfer(std::uint64_t bytes);
-
-  /// Charge variants addressing an explicit stream (used by gpu::Stream).
+  /// arithmetic/compare operations executed) to `stream`. Callers go
+  /// through gpu::Stream; an unknown id throws std::logic_error.
   void charge_kernel_on(StreamId stream, std::uint64_t bytes_moved,
                         std::uint64_t operations);
+
+  /// Charge a host<->device transfer's modeled cost to `stream`.
   void charge_transfer_on(StreamId stream, std::uint64_t bytes);
 
   /// Capture `stream`'s current completion time.
@@ -178,21 +154,6 @@ class Device {
   /// Completion time of one stream, in seconds.
   [[nodiscard]] double stream_seconds(StreamId stream) const;
 
-  /// Stream that plain charge_kernel/charge_transfer (and therefore every
-  /// primitive in gpu/primitives.hpp) bills to. Reroute with
-  /// gpu::StreamScope. The current stream is per-*thread* state (like a
-  /// CUDA per-thread default stream): two threads can issue work to the
-  /// same device under different StreamScopes without clobbering each
-  /// other's routing — which the distributed fused-ingest path relies on,
-  /// sorting shuffle runs while the owner's map kernels are in flight.
-  [[nodiscard]] StreamId current_stream() const;
-  void set_current_stream(StreamId stream);
-
-  /// Cumulative transferred bytes (both directions).
-  [[nodiscard]] std::uint64_t transferred_bytes() const {
-    return transferred_bytes_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// Stable reference to a stream's picosecond counter (bounds-checked).
   std::atomic<std::uint64_t>& stream_clock(StreamId stream) const;
@@ -202,18 +163,12 @@ class Device {
 
   GpuProfile profile_;
   util::MemoryTracker memory_;
-  util::ThreadPool* pool_;
   /// One completion-time counter per stream; deque keeps references stable
   /// while create_stream appends. Guarded by streams_mutex_ for growth and
   /// indexing; the counters themselves are atomics so concurrent charges to
   /// different streams need no lock.
   mutable std::mutex streams_mutex_;
   mutable std::deque<std::atomic<std::uint64_t>> stream_ps_;
-  /// Per-thread current stream (shared across devices; StreamScope's
-  /// save/restore brackets keep it consistent, and the default stream id 0
-  /// is valid on every device).
-  static thread_local StreamId current_stream_;
-  std::atomic<std::uint64_t> transferred_bytes_{0};
 };
 
 }  // namespace lasagna::gpu

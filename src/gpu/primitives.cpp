@@ -5,9 +5,9 @@
 
 namespace lasagna::gpu {
 
-template void sort_pairs<std::uint32_t>(Device&, std::span<Key128>,
+template void sort_pairs<std::uint32_t>(Stream, std::span<Key128>,
                                         std::span<std::uint32_t>);
-template void sort_pairs<std::uint64_t>(Device&, std::span<Key128>,
+template void sort_pairs<std::uint64_t>(Stream, std::span<Key128>,
                                         std::span<std::uint64_t>);
 
 }  // namespace lasagna::gpu

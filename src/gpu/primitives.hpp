@@ -4,10 +4,10 @@
 //   - vector bounds:  batched lower_bound/upper_bound (Algorithm 2, lines 8-9)
 //   - gather:         permutation copy (contig layout, section III-D)
 //
-// Each primitive executes for real on the host *and* charges the
-// device's modeled clock according to the bytes it moves and the operations
-// it performs, so modeled timings reflect what a Thrust implementation of
-// the same operation costs on the profiled GPU.
+// Each primitive executes for real on the host *and* charges the stream it
+// is passed according to the bytes it moves and the operations it
+// performs, so modeled timings reflect what a Thrust implementation of the
+// same operation costs on the profiled GPU.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "gpu/device.hpp"
 #include "gpu/key128.hpp"
 #include "gpu/stream.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lasagna::gpu {
 
@@ -36,18 +37,19 @@ inline std::size_t partition_count(std::size_t n) {
 }  // namespace detail
 
 /// In-place stable LSD radix sort of `keys` with `values` permuted alongside.
-/// Allocates one double-buffer of the same size on the device, so the caller
-/// must leave >= keys.size() * (sizeof(Key128)+sizeof(V)) bytes free.
+/// Allocates one double-buffer of the same size on the stream's device, so
+/// the caller must leave >= keys.size() * (sizeof(Key128)+sizeof(V)) bytes
+/// free.
 template <typename V>
-void sort_pairs(Device& dev, std::span<Key128> keys, std::span<V> values) {
+void sort_pairs(Stream stream, std::span<Key128> keys, std::span<V> values) {
   const std::size_t n = keys.size();
   if (values.size() != n) {
     throw std::invalid_argument("sort_pairs: key/value size mismatch");
   }
   if (n < 2) return;
 
-  auto tmp_keys = dev.alloc<Key128>(n);
-  auto tmp_vals = dev.alloc<V>(n);
+  auto tmp_keys = stream.device().alloc<Key128>(n);
+  auto tmp_vals = stream.device().alloc<V>(n);
 
   auto& pool = util::ThreadPool::global();
   const std::size_t parts = detail::partition_count(n);
@@ -75,7 +77,7 @@ void sort_pairs(Device& dev, std::span<Key128> keys, std::span<V> values) {
         for (unsigned b = 0; b < 256; ++b) global[d][b] += h[d][b];
       }
     }
-    dev.charge_kernel(n * sizeof(Key128), n * Key128::kDigits);
+    stream.charge_kernel(n * sizeof(Key128), n * Key128::kDigits);
   }
 
   Key128* src_k = keys.data();
@@ -135,8 +137,8 @@ void sort_pairs(Device& dev, std::span<Key128> keys, std::span<V> values) {
     // effective passes over the data (sustained radix-sort throughputs on
     // real GPUs are a small fraction of peak bandwidth).
     constexpr std::uint64_t kPassAmplification = 8;
-    dev.charge_kernel(kPassAmplification * n * (sizeof(Key128) + sizeof(V)),
-                      2 * n);
+    stream.charge_kernel(
+        kPassAmplification * n * (sizeof(Key128) + sizeof(V)), 2 * n);
     std::swap(src_k, dst_k);
     std::swap(src_v, dst_v);
   }
@@ -144,7 +146,7 @@ void sort_pairs(Device& dev, std::span<Key128> keys, std::span<V> values) {
   if (src_k != keys.data()) {
     std::copy(src_k, src_k + n, keys.data());
     std::copy(src_v, src_v + n, values.data());
-    dev.charge_kernel(2 * n * (sizeof(Key128) + sizeof(V)), n);
+    stream.charge_kernel(2 * n * (sizeof(Key128) + sizeof(V)), n);
   }
 }
 
@@ -152,14 +154,14 @@ void sort_pairs(Device& dev, std::span<Key128> keys, std::span<V> values) {
 /// on the device: every record read and written once, one compare per
 /// output plus 64 per partition for the split searches.
 template <typename R>
-void charge_merge(Stream& stream, std::size_t n) {
+void charge_merge(Stream stream, std::size_t n) {
   stream.charge_kernel(2 * n * sizeof(R),
                        n + detail::partition_count(n) * 64);
 }
 
 /// Exclusive prefix sum; `out` may alias `in`. Returns the total.
 template <typename T>
-T exclusive_scan(Device& dev, std::span<const T> in, std::span<T> out) {
+T exclusive_scan(Stream stream, std::span<const T> in, std::span<T> out) {
   if (out.size() != in.size()) {
     throw std::invalid_argument("exclusive_scan: size mismatch");
   }
@@ -169,12 +171,13 @@ T exclusive_scan(Device& dev, std::span<const T> in, std::span<T> out) {
     out[i] = running;
     running += v;
   }
-  dev.charge_kernel(2 * in.size() * sizeof(T), 2 * in.size());
+  stream.charge_kernel(2 * in.size() * sizeof(T), 2 * in.size());
   return running;
 }
 
 /// For each needle, index of the first haystack element >= needle.
-inline void vector_lower_bound(Device& dev, std::span<const Key128> needles,
+inline void vector_lower_bound(Stream stream,
+                               std::span<const Key128> needles,
                                std::span<const Key128> haystack,
                                std::span<std::uint32_t> out) {
   if (out.size() != needles.size()) {
@@ -190,13 +193,15 @@ inline void vector_lower_bound(Device& dev, std::span<const Key128> needles,
       });
   const std::uint64_t probes =
       haystack.empty() ? 1 : 64 - std::countl_zero(haystack.size() | 1);
-  dev.charge_kernel(needles.size() * (sizeof(Key128) + sizeof(std::uint32_t)) +
-                        needles.size() * probes * sizeof(Key128),
-                    needles.size() * probes);
+  stream.charge_kernel(
+      needles.size() * (sizeof(Key128) + sizeof(std::uint32_t)) +
+          needles.size() * probes * sizeof(Key128),
+      needles.size() * probes);
 }
 
 /// For each needle, index of the first haystack element > needle.
-inline void vector_upper_bound(Device& dev, std::span<const Key128> needles,
+inline void vector_upper_bound(Stream stream,
+                               std::span<const Key128> needles,
                                std::span<const Key128> haystack,
                                std::span<std::uint32_t> out) {
   if (out.size() != needles.size()) {
@@ -212,14 +217,15 @@ inline void vector_upper_bound(Device& dev, std::span<const Key128> needles,
       });
   const std::uint64_t probes =
       haystack.empty() ? 1 : 64 - std::countl_zero(haystack.size() | 1);
-  dev.charge_kernel(needles.size() * (sizeof(Key128) + sizeof(std::uint32_t)) +
-                        needles.size() * probes * sizeof(Key128),
-                    needles.size() * probes);
+  stream.charge_kernel(
+      needles.size() * (sizeof(Key128) + sizeof(std::uint32_t)) +
+          needles.size() * probes * sizeof(Key128),
+      needles.size() * probes);
 }
 
 /// out[i] = src[indices[i]].
 template <typename T, typename I>
-void gather(Device& dev, std::span<const T> src, std::span<const I> indices,
+void gather(Stream stream, std::span<const T> src, std::span<const I> indices,
             std::span<T> out) {
   if (out.size() != indices.size()) {
     throw std::invalid_argument("gather: size mismatch");
@@ -230,8 +236,8 @@ void gather(Device& dev, std::span<const T> src, std::span<const I> indices,
           out[i] = src[static_cast<std::size_t>(indices[i])];
         }
       });
-  dev.charge_kernel(indices.size() * (2 * sizeof(T) + sizeof(I)),
-                    indices.size());
+  stream.charge_kernel(indices.size() * (2 * sizeof(T) + sizeof(I)),
+                       indices.size());
 }
 
 }  // namespace lasagna::gpu

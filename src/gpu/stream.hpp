@@ -1,9 +1,11 @@
 // CUDA-style stream handles over the Device's per-stream modeled timelines.
 //
-// A Stream is a lightweight (device, id) handle. Charges issued through it
-// accumulate on that stream's timeline only; Device::modeled_seconds() is
-// the max over stream completion times, so work charged to different
-// streams is modeled as overlapped unless an Event orders it.
+// A Stream is a lightweight (device, id) handle, passed by value. Every
+// modeled charge names the stream it lands on: charges issued through a
+// Stream accumulate on that stream's timeline only, and
+// Device::modeled_seconds() is the max over stream completion times, so
+// work charged to different streams is modeled as overlapped unless an
+// Event orders it.
 //
 // The `_async` copies move the data immediately (the device is simulated in
 // host memory) — only the modeled cost is asynchronous, exactly like the
@@ -19,27 +21,27 @@ namespace lasagna::gpu {
 
 class Stream {
  public:
-  /// Invalid handle; assign from default_stream()/create_stream().
-  Stream() = default;
-
   Stream(Device& device, StreamId id) : device_(&device), id_(id) {}
 
   [[nodiscard]] StreamId id() const { return id_; }
-  [[nodiscard]] bool valid() const { return device_ != nullptr; }
+
+  /// The device this stream runs on (its allocator and launcher).
+  [[nodiscard]] Device& device() const { return *device_; }
 
   /// Charge a kernel's modeled cost to this stream.
-  void charge_kernel(std::uint64_t bytes_moved, std::uint64_t operations) {
+  void charge_kernel(std::uint64_t bytes_moved,
+                     std::uint64_t operations) const {
     device_->charge_kernel_on(id_, bytes_moved, operations);
   }
 
   /// Charge a transfer's modeled cost to this stream.
-  void charge_transfer(std::uint64_t bytes) {
+  void charge_transfer(std::uint64_t bytes) const {
     device_->charge_transfer_on(id_, bytes);
   }
 
   /// Host -> device copy whose PCIe cost lands on this stream's timeline.
   template <typename T>
-  void copy_to_device_async(std::span<const T> src, std::span<T> dst) {
+  void copy_to_device_async(std::span<const T> src, std::span<T> dst) const {
     if (src.size() > dst.size()) {
       throw std::logic_error("copy_to_device_async: destination too small");
     }
@@ -49,7 +51,7 @@ class Stream {
 
   /// Device -> host copy whose PCIe cost lands on this stream's timeline.
   template <typename T>
-  void copy_to_host_async(std::span<const T> src, std::span<T> dst) {
+  void copy_to_host_async(std::span<const T> src, std::span<T> dst) const {
     if (src.size() > dst.size()) {
       throw std::logic_error("copy_to_host_async: destination too small");
     }
@@ -61,7 +63,7 @@ class Stream {
   [[nodiscard]] Event record() const { return device_->record_event(id_); }
 
   /// Serialize after `event`: this stream cannot complete before it.
-  void wait(const Event& event) { device_->wait_event(id_, event); }
+  void wait(const Event& event) const { device_->wait_event(id_, event); }
 
   /// This stream's completion time, in seconds.
   [[nodiscard]] double seconds() const {
@@ -69,11 +71,11 @@ class Stream {
   }
 
  private:
-  Device* device_ = nullptr;
-  StreamId id_ = Device::kDefaultStream;
+  Device* device_;
+  StreamId id_;
 };
 
-/// The stream synchronous calls charge (the legacy summed timeline).
+/// The device's default stream (the legacy summed timeline).
 inline Stream default_stream(Device& device) {
   return Stream(device, Device::kDefaultStream);
 }
@@ -87,55 +89,31 @@ inline Stream create_stream(Device& device) {
 /// across (chunk/batch/window i runs on leg i % 2). In synchronous mode both
 /// legs alias the default stream, so every charge sums onto the legacy
 /// timeline and modeled values are unchanged.
-///
-/// The device has one compute engine, so kernels serialize across streams
-/// while transfers overlap them; callers bracket each kernel section with
-/// begin_kernel / end_kernel to model that ordering.
 class StreamPair {
  public:
-  StreamPair(Device& device, bool dual) {
-    legs_[0] = dual ? create_stream(device) : default_stream(device);
-    legs_[1] = dual ? create_stream(device) : legs_[0];
-  }
+  StreamPair(Device& device, bool dual)
+      : legs_{dual ? create_stream(device) : default_stream(device),
+              dual ? create_stream(device) : default_stream(device)} {}
 
-  /// Alternate between the two legs.
-  Stream& rotate() {
-    Stream& s = legs_[next_];
+  /// One device call on the next leg: `upload(leg)` issues the H2D copies;
+  /// `kernel(leg)` runs after the last kernel issued on either leg (the
+  /// device has one compute engine, so kernels serialize across streams
+  /// while transfers overlap them); `download(leg)` issues the D2H copies.
+  template <typename Upload, typename Kernel, typename Download>
+  void round_trip(Upload&& upload, Kernel&& kernel, Download&& download) {
+    const Stream leg = legs_[next_];
     next_ ^= 1u;
-    return s;
+    upload(leg);
+    leg.wait(last_kernel_);
+    kernel(leg);
+    last_kernel_ = leg.record();
+    download(leg);
   }
-
-  /// Serialize after the last kernel issued on either leg.
-  void begin_kernel(Stream& s) { s.wait(last_kernel_); }
-
-  /// Mark the end of a kernel section issued on `s`.
-  void end_kernel(Stream& s) { last_kernel_ = s.record(); }
 
  private:
   Stream legs_[2];
   unsigned next_ = 0;
   Event last_kernel_;
-};
-
-/// Reroutes the device's synchronous charges — and therefore every primitive
-/// in gpu/primitives.hpp — onto `stream` for the scope's lifetime (cf.
-/// launching a kernel with an explicit stream argument). Not thread-safe:
-/// device work must be issued from one thread at a time, as with a CUDA
-/// context.
-class StreamScope {
- public:
-  StreamScope(Device& device, const Stream& stream)
-      : device_(device), previous_(device.current_stream()) {
-    device_.set_current_stream(stream.id());
-  }
-  ~StreamScope() { device_.set_current_stream(previous_); }
-
-  StreamScope(const StreamScope&) = delete;
-  StreamScope& operator=(const StreamScope&) = delete;
-
- private:
-  Device& device_;
-  StreamId previous_;
 };
 
 }  // namespace lasagna::gpu

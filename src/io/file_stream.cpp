@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <system_error>
+#include <utility>
 
 #include "io/fault_injector.hpp"
 #include "obs/metrics.hpp"
@@ -38,23 +39,40 @@ IoCounters& io_counters() {
   return counters;
 }
 
-/// Record one disk operation as a dual-clock span. The modeled placement is
-/// deterministic: a file's bytes stream at the tracer's disk bandwidth, so
-/// the op covers [offset_before/bw, offset_after/bw) on that file's
-/// timeline. The name uses only the filename — workspace temp dirs differ
-/// between runs, filenames do not.
-void trace_disk_op(obs::Tracer& tracer, const char* track,
-                   const std::filesystem::path& path,
-                   std::uint64_t offset_before, std::uint64_t bytes,
-                   std::int64_t wall_start_ns, std::int64_t wall_dur_ns) {
-  const std::int64_t start = tracer.disk_ps(offset_before);
-  tracer.add_span(tracer.track(track), path.filename().string(),
-                  wall_start_ns, wall_dur_ns, start,
-                  tracer.disk_ps(offset_before + bytes) - start,
-                  {{"bytes", static_cast<std::int64_t>(bytes)}});
+}  // namespace
+
+namespace detail {
+
+void DiskSpan::add(obs::Tracer& tracer, const std::filesystem::path& path,
+                   std::uint64_t offset_before, std::uint64_t offset_after,
+                   std::int64_t wall_start_ns) {
+  if (tracer_ != &tracer) {
+    finish();
+    tracer_ = &tracer;
+    name_ = path.filename().string();
+    wall_start_ns_ = wall_start_ns;
+    first_offset_ = offset_before;
+    bytes_ = 0;
+    ops_ = 0;
+  }
+  wall_end_ns_ = tracer.now_ns();
+  last_offset_ = offset_after;
+  bytes_ += offset_after - offset_before;
+  ++ops_;
 }
 
-}  // namespace
+void DiskSpan::finish() {
+  obs::Tracer* tracer = std::exchange(tracer_, nullptr);
+  if (tracer == nullptr || tracer != obs::Tracer::active()) return;
+  const std::int64_t start = tracer->disk_ps(first_offset_);
+  tracer->add_span(tracer->track(track_), std::move(name_), wall_start_ns_,
+                   wall_end_ns_ - wall_start_ns_, start,
+                   tracer->disk_ps(last_offset_) - start,
+                   {{"bytes", static_cast<std::int64_t>(bytes_)},
+                    {"ops", static_cast<std::int64_t>(ops_)}});
+}
+
+}  // namespace detail
 
 ReadOnlyStream::ReadOnlyStream(const std::filesystem::path& path,
                                IoStats& stats)
@@ -85,8 +103,7 @@ std::size_t ReadOnlyStream::read_bytes(std::span<std::byte> out) {
     io_counters().bytes_read.add(static_cast<std::int64_t>(got));
     io_counters().read_ops.add(1);
     if (tracer != nullptr) {
-      trace_disk_op(*tracer, "disk.read", path_, offset_before, got,
-                    wall_start, tracer->now_ns() - wall_start);
+      span_.add(*tracer, path_, offset_before, offset_, wall_start);
     }
   }
   return got;
@@ -142,11 +159,13 @@ void WriteOnlyStream::write_bytes(std::span<const std::byte> data) {
     off += put;
   }
   if (tracer != nullptr) {
-    trace_disk_op(*tracer, "disk.write", path_, offset_before, data.size(),
-                  wall_start, tracer->now_ns() - wall_start);
+    span_.add(*tracer, path_, offset_before, offset_, wall_start);
   }
 }
 
-void WriteOnlyStream::close() { file_.reset(); }
+void WriteOnlyStream::close() {
+  file_.reset();
+  span_.finish();
+}
 
 }  // namespace lasagna::io

@@ -9,8 +9,13 @@
 #include <filesystem>
 #include <memory>
 #include <span>
+#include <string>
 
 #include "io/io_stats.hpp"
+
+namespace lasagna::obs {
+class Tracer;
+}  // namespace lasagna::obs
 
 namespace lasagna::io {
 
@@ -21,6 +26,41 @@ struct FileCloser {
   }
 };
 using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
+
+/// The one dual-clock span a stream records on its disk row, named by the
+/// filename (workspace temp dirs differ between runs, filenames do not).
+/// The first traced operation opens it and every later one extends it; it
+/// is recorded when the stream closes or is destroyed. Wall time runs from
+/// the first operation's start to the last one's end; modeled time covers
+/// the first to the final byte offset at the tracer's disk bandwidth.
+class DiskSpan {
+ public:
+  explicit DiskSpan(const char* track) : track_(track) {}
+  DiskSpan(const DiskSpan&) = delete;
+  DiskSpan& operator=(const DiskSpan&) = delete;
+  ~DiskSpan() { finish(); }
+
+  /// Extend the span by one operation that moved the stream from
+  /// `offset_before` to `offset_after`, started at `wall_start_ns`.
+  void add(obs::Tracer& tracer, const std::filesystem::path& path,
+           std::uint64_t offset_before, std::uint64_t offset_after,
+           std::int64_t wall_start_ns);
+
+  /// Record the span (idempotent). Dropped if its tracer is no longer the
+  /// installed one.
+  void finish();
+
+ private:
+  const char* track_ = "";
+  obs::Tracer* tracer_ = nullptr;
+  std::string name_;
+  std::int64_t wall_start_ns_ = 0;
+  std::int64_t wall_end_ns_ = 0;
+  std::uint64_t first_offset_ = 0;
+  std::uint64_t last_offset_ = 0;
+  std::uint64_t bytes_ = 0;
+  std::uint64_t ops_ = 0;
+};
 }  // namespace detail
 
 /// Sequentially readable binary file. All reads are charged to `stats`.
@@ -57,6 +97,7 @@ class ReadOnlyStream {
   std::uint64_t size_ = 0;
   std::uint64_t offset_ = 0;
   bool eof_ = false;
+  detail::DiskSpan span_{"disk.read"};
 };
 
 /// Sequentially writable binary file. All writes are charged to `stats`.
@@ -72,8 +113,9 @@ class WriteOnlyStream {
   /// Bytes written so far.
   [[nodiscard]] std::uint64_t size() const { return offset_; }
 
-  /// Flush and close; further writes are invalid. Called by the destructor
-  /// if not called explicitly (errors in the destructor path are swallowed).
+  /// Flush and close, recording the stream's trace span; further writes
+  /// are invalid. The destructor closes a stream not closed explicitly
+  /// (errors in the destructor path are swallowed).
   void close();
 
   [[nodiscard]] const std::filesystem::path& path() const { return path_; }
@@ -83,6 +125,7 @@ class WriteOnlyStream {
   detail::FileHandle file_;
   IoStats* stats_;
   std::uint64_t offset_ = 0;
+  detail::DiskSpan span_{"disk.write"};
 };
 
 }  // namespace lasagna::io

@@ -9,9 +9,9 @@
 // rolling hash (charged the uncoalesced-transaction penalty the paper's
 // "excessive memory throttling" corresponds to). match_bounds and
 // sort_pairs wrap the device primitives (gpu/primitives.hpp). Every call
-// runs the same sequence on one leg of the caller's stream pair: H2D
-// copies, the kernel section (serialized after the last kernel on either
-// leg), D2H copies.
+// is one StreamPair::round_trip on the caller's stream pair: H2D copies,
+// the kernel (serialized after the last kernel on either leg), D2H copies,
+// all charged on one leg.
 #include <algorithm>
 #include <bit>
 #include <cstring>
@@ -90,26 +90,15 @@ void block_suffix_from_prefix(const gpu::BlockContext& ctx, unsigned len,
   });
 }
 
-/// Runs one call on the next leg of the caller's stream pair, or of a
-/// local synchronous pair (both legs alias the default stream) when the
-/// caller passes none: `upload(leg)` issues the H2D copies, `kernel()`
-/// runs under a StreamScope on the leg after the last kernel issued on
-/// either leg (one compute engine), and `download(leg)` issues the D2H
-/// copies. Transfers on one leg overlap the other leg's kernel.
+/// Runs one call as a StreamPair::round_trip on the caller's stream pair,
+/// or on a local synchronous pair (both legs alias the default stream) when
+/// the caller passes none.
 template <typename Upload, typename Kernel, typename Download>
 void on_next_leg(DeviceContext& ctx, Upload&& upload, Kernel&& kernel,
                  Download&& download) {
   gpu::StreamPair local(*ctx.device, /*dual=*/false);
-  gpu::StreamPair& streams = ctx.streams != nullptr ? *ctx.streams : local;
-  gpu::Stream& s = streams.rotate();
-  upload(s);
-  streams.begin_kernel(s);
-  {
-    gpu::StreamScope scope(*ctx.device, s);
-    kernel();
-  }
-  streams.end_kernel(s);
-  download(s);
+  (ctx.streams != nullptr ? *ctx.streams : local)
+      .round_trip(upload, kernel, download);
 }
 
 /// Device-resident fingerprint batch: the uploaded encoded reads (the
@@ -121,7 +110,7 @@ struct DeviceBatch {
   gpu::DeviceBuffer<Key128> suffix;
 };
 
-void block_per_read_kernel(gpu::Device& dev, const FingerprintJob& job,
+void block_per_read_kernel(gpu::Stream leg, const FingerprintJob& job,
                            DeviceBatch& batch) {
   const unsigned stride = job.stride;
   const std::size_t total = static_cast<std::size_t>(job.count) * stride;
@@ -130,6 +119,7 @@ void block_per_read_kernel(gpu::Device& dev, const FingerprintJob& job,
   // one output staging array per hash function.
   const std::size_t shared_bytes = static_cast<std::size_t>(stride) * 8 * 3;
 
+  gpu::Device& dev = leg.device();
   dev.launch(job.count, stride, shared_bytes, [&](gpu::BlockContext& ctx) {
     const unsigned r = ctx.block_idx();
     const unsigned len = batch.lengths[r];
@@ -171,11 +161,11 @@ void block_per_read_kernel(gpu::Device& dev, const FingerprintJob& job,
   // Cost model: coalesced reads of the codes, coalesced writes of both
   // fingerprint arrays; ~2 modmul ops per element per doubling step per hash.
   const unsigned steps = stride <= 1 ? 1 : std::bit_width(stride - 1);
-  dev.charge_kernel(total * (1 + 2 * sizeof(Key128)),
+  leg.charge_kernel(total * (1 + 2 * sizeof(Key128)),
                     static_cast<std::uint64_t>(total) * steps * 2 * 2);
 }
 
-void thread_per_read_kernel(gpu::Device& dev, const FingerprintJob& job,
+void thread_per_read_kernel(gpu::Stream leg, const FingerprintJob& job,
                             DeviceBatch& batch) {
   const unsigned stride = job.stride;
   const std::size_t total = static_cast<std::size_t>(job.count) * stride;
@@ -184,7 +174,7 @@ void thread_per_read_kernel(gpu::Device& dev, const FingerprintJob& job,
   // size is an arbitrary tiling of the read array.
   constexpr unsigned kBlock = 128;
   const unsigned blocks = (job.count + kBlock - 1) / kBlock;
-  dev.launch(blocks, kBlock, 0, [&](gpu::BlockContext& ctx) {
+  leg.device().launch(blocks, kBlock, 0, [&](gpu::BlockContext& ctx) {
     ctx.for_each_thread([&](unsigned tid) {
       const std::size_t r =
           static_cast<std::size_t>(ctx.block_idx()) * kBlock + tid;
@@ -223,7 +213,7 @@ void thread_per_read_kernel(gpu::Device& dev, const FingerprintJob& job,
   // are uncoalesced -- charge the 8x transaction-expansion penalty that the
   // paper's "excessive memory throttling" observation corresponds to.
   constexpr std::uint64_t kUncoalescedPenalty = 8;
-  dev.charge_kernel(
+  leg.charge_kernel(
       kUncoalescedPenalty * total * (1 + 2 * sizeof(Key128)),
       static_cast<std::uint64_t>(total) * 2 * 2);
 }
@@ -256,18 +246,18 @@ class SimulatedBackend final : public Backend {
                       dev.alloc<Key128>(total), dev.alloc<Key128>(total)};
     on_next_leg(
         *ctx,
-        [&](gpu::Stream& s) {
+        [&](gpu::Stream s) {
           s.copy_to_device_async(job.codes, batch.codes.span());
           s.copy_to_device_async(job.lengths, batch.lengths.span());
         },
-        [&] {
+        [&](gpu::Stream s) {
           if (ctx->thread_per_read) {
-            thread_per_read_kernel(dev, job, batch);
+            thread_per_read_kernel(s, job, batch);
           } else {
-            block_per_read_kernel(dev, job, batch);
+            block_per_read_kernel(s, job, batch);
           }
         },
-        [&](gpu::Stream& s) {
+        [&](gpu::Stream s) {
           s.copy_to_host_async(std::span<const Key128>(batch.prefix.span()),
                                std::span(job.prefix, total));
           s.copy_to_host_async(std::span<const Key128>(batch.suffix.span()),
@@ -293,15 +283,15 @@ class SimulatedBackend final : public Backend {
     const auto d_upper = reserve(dev, ctx->match_upper, window, needles.size());
     on_next_leg(
         *ctx,
-        [&](gpu::Stream& s) {
+        [&](gpu::Stream s) {
           s.copy_to_device_async(needles, d_sfx);
           s.copy_to_device_async(haystack, d_pfx);
         },
-        [&] {
-          gpu::vector_lower_bound(dev, d_sfx, d_pfx, d_lower);
-          gpu::vector_upper_bound(dev, d_sfx, d_pfx, d_upper);
+        [&](gpu::Stream s) {
+          gpu::vector_lower_bound(s, d_sfx, d_pfx, d_lower);
+          gpu::vector_upper_bound(s, d_sfx, d_pfx, d_upper);
         },
-        [&](gpu::Stream& s) {
+        [&](gpu::Stream s) {
           s.copy_to_host_async(std::span<const std::uint32_t>(d_lower), lower);
           s.copy_to_host_async(std::span<const std::uint32_t>(d_upper), upper);
         });
@@ -318,16 +308,16 @@ class SimulatedBackend final : public Backend {
     auto d_vals = dev.alloc<std::uint64_t>(values.size());
     on_next_leg(
         *ctx,
-        [&](gpu::Stream& s) {
+        [&](gpu::Stream s) {
           s.copy_to_device_async(std::span<const Key128>(keys),
                                  d_keys.span());
           s.copy_to_device_async(std::span<const std::uint64_t>(values),
                                  d_vals.span());
         },
-        [&] {
-          gpu::sort_pairs<std::uint64_t>(dev, d_keys.span(), d_vals.span());
+        [&](gpu::Stream s) {
+          gpu::sort_pairs<std::uint64_t>(s, d_keys.span(), d_vals.span());
         },
-        [&](gpu::Stream& s) {
+        [&](gpu::Stream s) {
           s.copy_to_host_async(std::span<const Key128>(d_keys.span()), keys);
           s.copy_to_host_async(std::span<const std::uint64_t>(d_vals.span()),
                                values);

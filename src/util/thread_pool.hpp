@@ -53,8 +53,8 @@ class ThreadPool {
   /// min(ranges - 1, size()) helper tasks, so it never sleeps while ranges
   /// wait in a busy queue, and a call made from inside a pool task (or a
   /// `body`) cannot deadlock. `body` may therefore run on the caller's
-  /// thread or on a worker: it must not read thread-local state such as a
-  /// device's current stream. Ends by refreshing pool.utilization_pct.
+  /// thread or on a worker: it must not read thread-local state such as the
+  /// fault injector's ScopedNode. Ends by refreshing pool.utilization_pct.
   void parallel_for_chunked(
       std::size_t count,
       const std::function<void(std::size_t, std::size_t)>& body);

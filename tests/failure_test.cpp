@@ -177,19 +177,32 @@ TEST(Failure, CrlfLineEndingsParseCleanly) {
 }
 
 TEST(Failure, ReadLongerThanLengthFieldThrowsInsteadOfTruncating) {
+  // The map sizes its place table and emitter for reads of up to 512
+  // bases. A longer read must stop the run with a message naming the read
+  // and the limit; it must never be truncated (70,000 bases would also
+  // wrap the uint16 read-length record to 4464).
   io::ScopedTempDir dir("lasagna-fail");
-  // 70,000 bases overflows the uint16 read-length record; a silent wrap to
-  // 4464 would corrupt every downstream overhang.
-  const std::string huge(70000, 'A');
-  std::ofstream(dir.file("huge.fastq"))
-      << "@r0\n" << huge << "\n+\n" << std::string(huge.size(), 'I') << "\n";
-  core::AssemblyConfig config;
-  config.machine.host_memory_bytes = 8 << 20;
-  config.machine.device_memory_bytes = 4 << 20;
-  core::Assembler assembler(config);
-  EXPECT_THROW((void)assembler.run(dir.file("huge.fastq"),
-                                   dir.file("out.fa")),
-               std::runtime_error);
+  auto assemble = [&dir](std::size_t length) {
+    const auto fastq = dir.file("r" + std::to_string(length) + ".fastq");
+    std::ofstream(fastq) << "@r0\n" << seq::random_genome(length, 5)
+                         << "\n+\n" << std::string(length, 'I') << "\n";
+    core::AssemblyConfig config;
+    config.include_singletons = true;
+    config.machine.host_memory_bytes = 8 << 20;
+    config.machine.device_memory_bytes = 4 << 20;
+    core::Assembler assembler(config);
+    return assembler.run(fastq, dir.file("out.fa"));
+  };
+  EXPECT_EQ(assemble(512).total_bases, 512u);
+  try {
+    (void)assemble(513);
+    ADD_FAILURE() << "a 513-base read assembled";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("read 0 is 513 bases"), std::string::npos) << what;
+    EXPECT_NE(what.find("up to 512 bases"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)assemble(70000), std::runtime_error);
 }
 
 TEST(Failure, KeepWorkspaceEnvPreservesTempDir) {

@@ -65,7 +65,7 @@ TEST_P(SortSweep, SortedStableAndPermutation) {
   std::vector<std::uint32_t> vals(n);
   std::iota(vals.begin(), vals.end(), 0u);
 
-  sort_pairs<std::uint32_t>(dev, keys, vals);
+  sort_pairs<std::uint32_t>(default_stream(dev), keys, vals);
 
   ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   // vals is a permutation and each val points to its original key.
@@ -105,7 +105,7 @@ TEST(SortSkipsDegeneratePasses, ConstantKeysCostLess) {
     Device dev(GpuProfile::k40(), 64ull << 20);
     auto keys = generate(dist, n, 9);
     std::vector<std::uint32_t> vals(n);
-    sort_pairs<std::uint32_t>(dev, keys, vals);
+    sort_pairs<std::uint32_t>(default_stream(dev), keys, vals);
     return dev.modeled_seconds();
   };
   // kSortedAlready uses keys 0..n-1 in lo only -> hi passes skipped.
@@ -144,7 +144,7 @@ TEST(ScanSweep, MatchesStdPartialSum) {
     std::partial_sum(in.begin(), in.end(), expected.begin());
 
     std::vector<std::uint64_t> excl(n);
-    exclusive_scan<std::uint64_t>(dev, in, excl);
+    exclusive_scan<std::uint64_t>(default_stream(dev), in, excl);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(excl[i], expected[i] - in[i]);
     }

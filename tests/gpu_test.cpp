@@ -8,6 +8,8 @@
 #include "gpu/key128.hpp"
 #include "gpu/primitives.hpp"
 #include "gpu/profile.hpp"
+#include "gpu/stream.hpp"
+#include "obs/metrics.hpp"
 
 namespace lasagna::gpu {
 namespace {
@@ -67,11 +69,16 @@ TEST(Device, MaxElementsMatchesFreeCapacity) {
 TEST(Device, TransfersAdvanceModeledClockAndCounter) {
   Device dev = small_device();
   const double before = dev.modeled_seconds();
+  const std::int64_t bytes_before =
+      obs::MetricsRegistry::global().value("gpu.transfer_bytes");
   std::vector<std::uint64_t> host(1 << 16, 42);
   auto buf = dev.alloc<std::uint64_t>(host.size());
-  dev.copy_to_device(std::span<const std::uint64_t>(host), buf.span());
+  default_stream(dev).copy_to_device_async(
+      std::span<const std::uint64_t>(host), buf.span());
   EXPECT_GT(dev.modeled_seconds(), before);
-  EXPECT_EQ(dev.transferred_bytes(), host.size() * 8);
+  EXPECT_EQ(obs::MetricsRegistry::global().value("gpu.transfer_bytes") -
+                bytes_before,
+            static_cast<std::int64_t>(host.size() * 8));
 }
 
 TEST(Device, LaunchRunsEveryBlockWithPrivateSharedMemory) {
@@ -133,7 +140,7 @@ TEST(SortPairs, MatchesStdSortOnRandomKeys) {
                        return a.first < b.first;
                      });
 
-    sort_pairs<std::uint32_t>(dev, keys, vals);
+    sort_pairs<std::uint32_t>(default_stream(dev), keys, vals);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(keys[i], expected[i].first) << "n=" << n << " i=" << i;
       EXPECT_EQ(vals[i], expected[i].second) << "n=" << n << " i=" << i;
@@ -148,7 +155,7 @@ TEST(SortPairs, StableForEqualKeys) {
   for (auto& k : keys) k.hi = 0;
   std::vector<std::uint32_t> vals(keys.size());
   std::iota(vals.begin(), vals.end(), 0u);
-  sort_pairs<std::uint32_t>(dev, keys, vals);
+  sort_pairs<std::uint32_t>(default_stream(dev), keys, vals);
   for (std::size_t i = 1; i < keys.size(); ++i) {
     ASSERT_LE(keys[i - 1], keys[i]);
     if (keys[i - 1] == keys[i]) {
@@ -161,7 +168,7 @@ TEST(SortPairs, RejectsMismatchedSizes) {
   Device dev = small_device();
   std::vector<Key128> keys(4);
   std::vector<std::uint32_t> vals(3);
-  EXPECT_THROW(sort_pairs<std::uint32_t>(dev, keys, vals),
+  EXPECT_THROW(sort_pairs<std::uint32_t>(default_stream(dev), keys, vals),
                std::invalid_argument);
 }
 
@@ -172,23 +179,25 @@ TEST(SortPairs, ChargesDeviceMemoryForDoubleBuffer) {
   auto keys = dev.alloc<Key128>(1000);
   auto vals = dev.alloc<std::uint64_t>(1000);
   const auto host_keys = random_keys(1000, 3);
-  dev.copy_to_device(std::span<const Key128>(host_keys), keys.span());
-  EXPECT_THROW(sort_pairs<std::uint64_t>(dev, keys.span(), vals.span()),
-               util::MemoryTracker::CapacityError);
+  default_stream(dev).copy_to_device_async(
+      std::span<const Key128>(host_keys), keys.span());
+  EXPECT_THROW(
+      sort_pairs<std::uint64_t>(default_stream(dev), keys.span(), vals.span()),
+      util::MemoryTracker::CapacityError);
 }
 
 TEST(Scans, InclusiveExclusive) {
   Device dev = small_device();
   std::vector<std::uint64_t> in{3, 1, 4, 1, 5};
   std::vector<std::uint64_t> out(in.size());
-  EXPECT_EQ(exclusive_scan<std::uint64_t>(dev, in, out), 14u);
+  EXPECT_EQ(exclusive_scan<std::uint64_t>(default_stream(dev), in, out), 14u);
   EXPECT_EQ(out, (std::vector<std::uint64_t>{0, 3, 4, 8, 9}));
 }
 
 TEST(Scans, AliasingInput) {
   Device dev = small_device();
   std::vector<std::uint64_t> data{1, 2, 3, 4};
-  exclusive_scan<std::uint64_t>(dev, data, data);
+  exclusive_scan<std::uint64_t>(default_stream(dev), data, data);
   EXPECT_EQ(data, (std::vector<std::uint64_t>{0, 1, 3, 6}));
 }
 
@@ -200,8 +209,8 @@ TEST(VectorBounds, MatchStdAlgorithms) {
 
   std::vector<std::uint32_t> lower(needles.size());
   std::vector<std::uint32_t> upper(needles.size());
-  vector_lower_bound(dev, needles, haystack, lower);
-  vector_upper_bound(dev, needles, haystack, upper);
+  vector_lower_bound(default_stream(dev), needles, haystack, lower);
+  vector_upper_bound(default_stream(dev), needles, haystack, upper);
 
   for (std::size_t i = 0; i < needles.size(); ++i) {
     const auto lb = std::lower_bound(haystack.begin(), haystack.end(),
@@ -223,7 +232,7 @@ TEST(VectorBounds, EmptyHaystack) {
   auto needles = random_keys(10, 1);
   std::vector<Key128> haystack;
   std::vector<std::uint32_t> lower(needles.size(), 99);
-  vector_lower_bound(dev, needles, haystack, lower);
+  vector_lower_bound(default_stream(dev), needles, haystack, lower);
   for (auto v : lower) EXPECT_EQ(v, 0u);
 }
 
@@ -232,16 +241,17 @@ TEST(GatherScatter, RoundTrip) {
   std::vector<std::uint64_t> src{10, 20, 30, 40, 50};
   std::vector<std::uint32_t> perm{4, 2, 0, 3, 1};
   std::vector<std::uint64_t> gathered(5);
-  gather<std::uint64_t, std::uint32_t>(dev, src, perm, gathered);
+  gather<std::uint64_t, std::uint32_t>(default_stream(dev), src, perm,
+                                       gathered);
   EXPECT_EQ(gathered, (std::vector<std::uint64_t>{50, 30, 10, 40, 20}));
 }
 
 TEST(CostModel, KernelChargesScaleWithBytes) {
   Device dev = small_device();
   const double t0 = dev.modeled_seconds();
-  dev.charge_kernel(1ull << 30, 0);
+  default_stream(dev).charge_kernel(1ull << 30, 0);
   const double t1 = dev.modeled_seconds();
-  dev.charge_kernel(2ull << 30, 0);
+  default_stream(dev).charge_kernel(2ull << 30, 0);
   const double t2 = dev.modeled_seconds();
   EXPECT_NEAR((t2 - t1) / (t1 - t0), 2.0, 0.01);
 }

@@ -255,6 +255,25 @@ TEST_F(RecoveryTest, ChangedInputInvalidatesTheCheckpoint) {
   core::Assembler assembler(c);
   const auto resumed = assembler.run(fastqs_, out("fpr"));
   EXPECT_EQ(resumed.phases_resumed, 0u);
+
+  // Flipping one base in place keeps every name and size: only the content
+  // tells the inputs apart, and the resume must still start fresh.
+  (void)run_full("flip");
+  const std::string text = slurp(fastqs_[0]);
+  const std::size_t base = text.find('\n') + 1;  // read 0's first base
+  {
+    std::fstream edit(fastqs_[0],
+                      std::ios::in | std::ios::out | std::ios::binary);
+    edit.seekp(static_cast<std::streamoff>(base));
+    edit.put(text[base] == 'A' ? 'C' : 'A');
+  }
+  ASSERT_EQ(std::filesystem::file_size(fastqs_[0]), text.size());
+  core::AssemblyConfig flip = config("flip");
+  flip.resume = true;
+  core::Assembler flipped(flip);
+  EXPECT_EQ(flipped.run(fastqs_, out("flip")).phases_resumed, 0u);
+  (void)run_full("fresh");
+  EXPECT_EQ(slurp(out("flip")), slurp(out("fresh")));
 }
 
 TEST_F(RecoveryTest, ChangedParametersInvalidateTheCheckpoint) {

@@ -1,5 +1,6 @@
 // Modeled-stream semantics: per-stream timelines, event ordering, the
-// default-stream compatibility guarantee, and StreamScope rerouting.
+// default-stream compatibility guarantee, and primitives charging the
+// stream they are passed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "gpu/primitives.hpp"
 #include "gpu/profile.hpp"
 #include "gpu/stream.hpp"
+#include "obs/metrics.hpp"
 
 namespace lasagna::gpu {
 namespace {
@@ -22,12 +24,13 @@ TEST(Stream, DefaultStreamSumsLikeLegacyClock) {
   // With only the default stream, modeled_seconds() must reproduce the old
   // single-counter behaviour: every charge adds up.
   Device dev = small_device();
-  dev.charge_transfer(1 << 20);
+  const Stream s = default_stream(dev);
+  s.charge_transfer(1 << 20);
   const double after_one = dev.modeled_seconds();
   EXPECT_GT(after_one, 0.0);
-  dev.charge_transfer(1 << 20);
+  s.charge_transfer(1 << 20);
   EXPECT_NEAR(dev.modeled_seconds(), 2.0 * after_one, 1e-12);
-  dev.charge_kernel(1 << 20, 1 << 20);
+  s.charge_kernel(1 << 20, 1 << 20);
   EXPECT_GT(dev.modeled_seconds(), 2.0 * after_one);
   EXPECT_EQ(dev.stream_count(), 1u);
 }
@@ -74,7 +77,7 @@ TEST(Stream, NewStreamJoinsAtCurrentFrontier) {
   // Sequential phases must stay additive: a stream created after serial
   // work starts at the device frontier, not at zero.
   Device dev = small_device();
-  dev.charge_transfer(8 << 20);  // serial prologue on the default stream
+  default_stream(dev).charge_transfer(8 << 20);  // serial prologue
   const double prologue = dev.modeled_seconds();
   Stream s = create_stream(dev);
   EXPECT_NEAR(s.seconds(), prologue, 1e-15);
@@ -82,26 +85,24 @@ TEST(Stream, NewStreamJoinsAtCurrentFrontier) {
   EXPECT_GT(dev.modeled_seconds(), prologue);
 }
 
-TEST(Stream, StreamScopeRoutesPrimitiveCharges) {
+TEST(Stream, PrimitiveChargesLandOnThePassedStream) {
   Device dev = small_device();
   Stream s = create_stream(dev);
   std::vector<Key128> keys{{3, 0}, {1, 0}, {2, 0}};
   std::vector<std::uint64_t> vals{0, 1, 2};
   auto d_keys = dev.alloc<Key128>(keys.size());
   auto d_vals = dev.alloc<std::uint64_t>(vals.size());
-  dev.copy_to_device(std::span<const Key128>(keys), d_keys.span());
-  dev.copy_to_device(std::span<const std::uint64_t>(vals), d_vals.span());
+  default_stream(dev).copy_to_device_async(std::span<const Key128>(keys),
+                                           d_keys.span());
+  default_stream(dev).copy_to_device_async(
+      std::span<const std::uint64_t>(vals), d_vals.span());
   const double default_after_copies =
       dev.stream_seconds(Device::kDefaultStream);
-  {
-    StreamScope scope(dev, s);
-    sort_pairs<std::uint64_t>(dev, d_keys.span(), d_vals.span());
-  }
+  sort_pairs<std::uint64_t>(s, d_keys.span(), d_vals.span());
   // The kernel charge landed on s, not on the default stream.
   EXPECT_DOUBLE_EQ(dev.stream_seconds(Device::kDefaultStream),
                    default_after_copies);
   EXPECT_GT(s.seconds(), default_after_copies);
-  EXPECT_EQ(dev.current_stream(), Device::kDefaultStream);  // restored
   EXPECT_TRUE(std::is_sorted(d_keys.span().begin(), d_keys.span().end()));
 }
 
@@ -110,13 +111,14 @@ TEST(Stream, AsyncCopiesMoveDataAndChargeStream) {
   Stream s = create_stream(dev);
   std::vector<std::uint64_t> host{1, 2, 3, 4};
   auto d = dev.alloc<std::uint64_t>(host.size());
-  const std::uint64_t bytes_before = dev.transferred_bytes();
+  auto& registry = obs::MetricsRegistry::global();
+  const std::int64_t bytes_before = registry.value("gpu.transfer_bytes");
   s.copy_to_device_async(std::span<const std::uint64_t>(host), d.span());
   std::vector<std::uint64_t> back(host.size());
   s.copy_to_host_async(std::span<const std::uint64_t>(d.span()),
                        std::span<std::uint64_t>(back));
   EXPECT_EQ(back, host);
-  EXPECT_EQ(dev.transferred_bytes() - bytes_before, 2 * 4 * 8u);
+  EXPECT_EQ(registry.value("gpu.transfer_bytes") - bytes_before, 2 * 4 * 8);
   EXPECT_GT(s.seconds(), 0.0);
   EXPECT_DOUBLE_EQ(dev.stream_seconds(Device::kDefaultStream), 0.0);
 }
@@ -124,7 +126,7 @@ TEST(Stream, AsyncCopiesMoveDataAndChargeStream) {
 TEST(Stream, UnknownStreamIdThrows) {
   Device dev = small_device();
   EXPECT_THROW(dev.charge_transfer_on(42, 1024), std::logic_error);
-  EXPECT_THROW(dev.set_current_stream(42), std::logic_error);
+  EXPECT_THROW(Stream(dev, 42).charge_kernel(1024, 1024), std::logic_error);
 }
 
 }  // namespace

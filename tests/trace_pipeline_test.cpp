@@ -78,6 +78,31 @@ TEST(TracePipeline, ModeledEventsByteIdenticalAcrossRuns) {
   EXPECT_EQ(a, b) << "modeled timeline is not deterministic";
 }
 
+TEST(TracePipeline, DiskRowsHoldOneSpanPerFile) {
+  if (io::FaultInjector::active() != nullptr) {
+    GTEST_SKIP() << "ambient injector installed via LASAGNA_FAULT_SPEC";
+  }
+  obs::Tracer tracer;
+  traced_streamed_run(tracer);
+
+  // The run reads each file at most once and writes each at most once, and
+  // a stream records one span when it closes, so every disk row holds at
+  // most one span per file name on each clock.
+  std::map<std::string, int> wall;
+  std::map<std::string, int> modeled;
+  for (const auto& ev : tracer.events()) {
+    const std::string track = tracer.track_name(ev.track);
+    if (ev.type != 'X' || track.rfind("disk.", 0) != 0) continue;
+    const std::string key = track + "/" + ev.name;
+    if (ev.wall_start_ns >= 0) ++wall[key];
+    if (ev.mod_start_ps >= 0) ++modeled[key];
+  }
+  EXPECT_FALSE(wall.empty()) << "no disk spans recorded";
+  for (const auto& counts : {wall, modeled}) {
+    for (const auto& [key, n] : counts) EXPECT_EQ(n, 1) << key;
+  }
+}
+
 /// Modeled interval [start, start+dur) of one span.
 struct Interval {
   std::int64_t start;
