@@ -2,9 +2,11 @@
 // fingerprint kernel vs the naive thread-per-read rolling hash, plus the
 // kernel-backend comparison (simulated device vs scalar host vs AVX2).
 // Everything routes through the kernel backend registry — the same
-// dispatch the pipeline uses — and google-benchmark measures *wall clock*;
-// the modeled device time (where the paper's "memory throttling" penalty
-// shows) is reported as a counter for the simulated backend.
+// dispatch the pipeline uses — and google-benchmark measures *wall clock*.
+// The two strategies are cost models of the simulated device: both compute
+// with the fastest host kernel, so their wall times match, and they differ
+// in the modeled device time (the `modeled_us` counter), where the paper's
+// "memory throttling" penalty shows.
 #include <benchmark/benchmark.h>
 
 #include "fingerprint/kernels.hpp"

@@ -1,6 +1,6 @@
 // Map phase (paper section III-A): stream read batches to the device,
 // generate prefix/suffix fingerprints for each read and its reverse
-// complement with the Hillis-Steele kernel, and partition the resulting
+// complement with the fingerprint kernel, and partition the resulting
 // (fingerprint, vertex) tuples by prefix/suffix length into per-length
 // files on disk.
 #pragma once

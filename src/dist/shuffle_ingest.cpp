@@ -1,5 +1,6 @@
 #include "dist/shuffle_ingest.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <set>
 #include <span>
@@ -7,6 +8,7 @@
 
 #include "core/sort_phase.hpp"
 #include "dist/fnv.hpp"
+#include "obs/metrics.hpp"
 #include "util/background.hpp"
 
 namespace lasagna::dist {
@@ -50,6 +52,13 @@ struct ShuffleIngest::Impl {
   std::filesystem::path run_dir;
   std::mutex* device_mutex;
 
+  /// Bytes delivered and not yet appended to a run builder: queued in
+  /// `chunks`, pending per block or carried as a partial record. Its
+  /// high-water mark over every node is `dist.shuffle.ingest_peak_bytes`.
+  std::atomic<std::int64_t> held{0};
+  obs::Gauge& held_peak =
+      obs::MetricsRegistry::global().gauge("dist.shuffle.ingest_peak_bytes");
+
   // Ingest-thread state.
   std::map<std::uint64_t, Stream> streams;  ///< (role << 32 | key)
   std::set<std::uint32_t> done_blocks;
@@ -90,6 +99,8 @@ struct ShuffleIngest::Impl {
     s.carry.erase(s.carry.begin(),
                   s.carry.begin() +
                       static_cast<std::ptrdiff_t>(whole * kRecordBytes));
+    held.fetch_sub(static_cast<std::int64_t>(whole * kRecordBytes),
+                   std::memory_order_relaxed);
   }
 
   /// Feed every buffered chunk of blocks below the frontier, in ascending
@@ -176,6 +187,9 @@ ShuffleIngest::~ShuffleIngest() = default;
 void ShuffleIngest::deliver(std::uint8_t role, std::uint32_t key,
                             std::uint32_t block,
                             std::vector<std::byte> bytes) {
+  const auto size = static_cast<std::int64_t>(bytes.size());
+  impl_->held_peak.set_max(
+      impl_->held.fetch_add(size, std::memory_order_relaxed) + size);
   impl_->chunks.submit(Impl::Chunk{
       .role = role, .key = key, .block = block, .bytes = std::move(bytes)});
 }

@@ -23,7 +23,9 @@
 // (deliver/block_done are cheap and never touch the device); its single
 // thread owns all per-key state and performs the device block sorts,
 // serialized against the owner's map kernels through the shared device
-// mutex.
+// mutex. Nothing bounds the queue or the pending chunks; the gauge
+// `dist.shuffle.ingest_peak_bytes` reports the most bytes one node's
+// ingest held (queued + pending + carry).
 #pragma once
 
 #include <cstdint>

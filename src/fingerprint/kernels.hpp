@@ -1,4 +1,4 @@
-// Device kernels for fingerprint generation (paper section III-A).
+// Batch fingerprint generation (paper section III-A).
 //
 // The paper's key kernel processes one read per *thread block* and computes
 // the fingerprints of all prefixes with a Hillis-Steele scan (Fig 5): at
@@ -7,12 +7,14 @@
 // offset doubles each step. Suffix fingerprints are then derived from the
 // prefix fingerprints and the place-value table in one more phase (Fig 6):
 //   S[i] = (P[n-1] - P[i-1] * sigma^(n-i)) mod q.
+// The naive alternative runs one read per *thread* with a sequential
+// rolling hash; the paper reports it suffers "excessive memory throttling".
 //
-// The naive alternative (one read per *thread*, sequential rolling hash) is
-// also provided: the paper reports it suffers "excessive memory throttling";
-// in our cost model its per-thread strided global accesses are charged the
-// uncoalesced-transaction penalty, reproducing that comparison (ablation
-// bench bench_fingerprint_kernels).
+// Both strategies are cost models of the simulated device: every backend
+// computes the same values with the host's rolling-hash kernels, and the
+// simulated device charges the chosen strategy's modeled time, the naive
+// kernel's strided global accesses with the uncoalesced-transaction penalty
+// (ablation bench bench_fingerprint_kernels).
 #pragma once
 
 #include <span>
@@ -52,6 +54,7 @@ class PlaceTable {
   std::vector<std::uint64_t> pow_b_;
 };
 
+/// Which kernel the simulated device charges (the values are the same).
 enum class KernelStrategy {
   kBlockPerRead,   ///< Hillis-Steele scan, one block per read (the paper's)
   kThreadPerRead,  ///< naive rolling hash, one thread per read (baseline)

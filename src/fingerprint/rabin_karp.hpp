@@ -4,9 +4,9 @@
 //   f(s) = (s[0]*sigma^(n-1) + s[1]*sigma^(n-2) + ... + s[n-1]) mod q
 // with bases encoded 0..3. The paper pairs two independent 64-bit hashes
 // (different radix and prime) into one 128-bit fingerprint so that false
-// positives vanish in practice (section IV-B). The device kernels in
-// kernels.hpp compute the same values with the Hillis-Steele scan of
-// Figs 5/6; tests cross-check the two.
+// positives vanish in practice (section IV-B). The batch kernels behind
+// kernels.hpp compute the same values for whole read batches; tests check
+// every backend against this per-string reference.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lasagna::gpu {
 
@@ -110,6 +109,8 @@ void Device::charge_transfer_on(StreamId stream, std::uint64_t bytes) {
   }
 }
 
+void Device::note_launch() { gpu_counters().launches.add(1); }
+
 void Device::note_alloc(std::uint64_t bytes) {
   gpu_counters().allocs.add(1);
   gpu_counters().alloc_bytes.add(static_cast<std::int64_t>(bytes));
@@ -126,26 +127,6 @@ void Device::wait_event(StreamId stream, const Event& event) {
          !clock.compare_exchange_weak(current, event.ready_ps,
                                       std::memory_order_relaxed)) {
   }
-}
-
-void Device::launch(unsigned grid_dim, unsigned block_dim,
-                    std::size_t shared_bytes, const Kernel& kernel) {
-  if (grid_dim == 0 || block_dim == 0) return;
-  gpu_counters().launches.add(1);
-  const obs::WallSpan span = obs::wall_span(
-      "gpu.launch", "launch", {{"grid", grid_dim}, {"block", block_dim}});
-  // One shared-memory arena per *worker* would race under work stealing;
-  // simplest correct scheme: one arena per block, allocated up front.
-  std::vector<std::vector<std::byte>> shared(grid_dim);
-  util::ThreadPool::global().parallel_for_chunked(
-      grid_dim, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t b = begin; b < end; ++b) {
-          shared[b].resize(shared_bytes);
-          BlockContext ctx(static_cast<unsigned>(b), block_dim,
-                           std::span<std::byte>(shared[b]));
-          kernel(ctx);
-        }
-      });
 }
 
 double Device::modeled_seconds() const {

@@ -1,6 +1,6 @@
-// The simulated CUDA device: capacity-enforced memory, a grid/block kernel
-// launcher running on a host thread pool, and a modeled clock driven by the
-// GpuProfile cost model.
+// The simulated CUDA device: capacity-enforced memory and a modeled clock
+// driven by the GpuProfile cost model. It runs no code: kernels compute on
+// the host and charge their modeled cost to a stream.
 //
 // The modeled clock is organized as CUDA-style streams: every charge names
 // the stream it lands on (gpu::Stream, gpu/stream.hpp), and the device-time
@@ -12,10 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
-#include <span>
-#include <vector>
 
 #include "gpu/device_buffer.hpp"
 #include "gpu/profile.hpp"
@@ -34,48 +31,6 @@ using StreamId = std::uint32_t;
 struct Event {
   std::uint64_t ready_ps = 0;  ///< modeled time (picoseconds) when ready
 };
-
-/// Execution context handed to a kernel, one per thread block.
-///
-/// A kernel body is written as a sequence of SIMT phases: each call to
-/// `for_each_thread` runs the lambda for every thread id in the block and
-/// acts as an implicit __syncthreads() before the next phase — which is
-/// exactly the structure of the paper's Hillis-Steele fingerprint kernels
-/// (Figs 5/6), where every doubling step is one phase.
-class BlockContext {
- public:
-  BlockContext(unsigned block_idx, unsigned block_dim,
-               std::span<std::byte> shared)
-      : block_idx_(block_idx), block_dim_(block_dim), shared_(shared) {}
-
-  [[nodiscard]] unsigned block_idx() const { return block_idx_; }
-  [[nodiscard]] unsigned block_dim() const { return block_dim_; }
-
-  /// Raw per-block shared memory.
-  [[nodiscard]] std::span<std::byte> shared_bytes() const { return shared_; }
-
-  /// Shared memory viewed as `n` elements of T (asserts it fits).
-  template <typename T>
-  [[nodiscard]] std::span<T> shared_as(std::size_t n) const {
-    if (n * sizeof(T) > shared_.size()) {
-      throw std::logic_error("shared memory overflow");
-    }
-    return {reinterpret_cast<T*>(shared_.data()), n};
-  }
-
-  /// One SIMT phase: body(tid) for every tid in [0, block_dim).
-  void for_each_thread(const std::function<void(unsigned)>& body) const {
-    for (unsigned tid = 0; tid < block_dim_; ++tid) body(tid);
-  }
-
- private:
-  unsigned block_idx_;
-  unsigned block_dim_;
-  std::span<std::byte> shared_;
-};
-
-/// Kernel body: invoked once per block.
-using Kernel = std::function<void(BlockContext&)>;
 
 class Device {
  public:
@@ -107,16 +62,6 @@ class Device {
     return static_cast<std::size_t>(free / sizeof(T));
   }
 
-  // -- kernels -------------------------------------------------------------
-
-  /// Launch `grid_dim` blocks of `block_dim` threads; blocks run in parallel
-  /// on the global host pool, each with `shared_bytes` of private shared
-  /// memory. Blocks must not synchronize with each other (as on a real
-  /// GPU). The launch charges nothing: callers charge the kernel's cost on
-  /// its stream.
-  void launch(unsigned grid_dim, unsigned block_dim, std::size_t shared_bytes,
-              const Kernel& kernel);
-
   // -- modeled clock -------------------------------------------------------
 
   static constexpr StreamId kDefaultStream = 0;
@@ -138,6 +83,10 @@ class Device {
 
   /// Charge a host<->device transfer's modeled cost to `stream`.
   void charge_transfer_on(StreamId stream, std::uint64_t bytes);
+
+  /// Count one kernel launch in `gpu.launches`. Kernels run on the host, so
+  /// this is bookkeeping only: the kernel's cost is its stream's charge.
+  void note_launch();
 
   /// Capture `stream`'s current completion time.
   [[nodiscard]] Event record_event(StreamId stream) const;

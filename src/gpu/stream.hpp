@@ -25,7 +25,7 @@ class Stream {
 
   [[nodiscard]] StreamId id() const { return id_; }
 
-  /// The device this stream runs on (its allocator and launcher).
+  /// The device this stream runs on (its allocator).
   [[nodiscard]] Device& device() const { return *device_; }
 
   /// Charge a kernel's modeled cost to this stream.

@@ -12,9 +12,10 @@
 // simulated GPU (the modeled-clock reference the paper's numbers come
 // from), a scalar host path, and an AVX2-vectorized host path. All
 // backends produce byte-identical outputs — correctness is pinned by the
-// dump/replay golden testbed (kernel/dump.hpp, kernel/replay.hpp) — so new
-// backends (CUDA, HLS) drop in behind the same interface and are verified
-// by byte-compare against captured pipeline workloads.
+// dump/replay golden testbed (kernel/dump.hpp, kernel/replay.hpp) and by
+// the per-string Rabin-Karp reference (fingerprint/rabin_karp.hpp) — so
+// new backends (CUDA, HLS) drop in behind the same interface and are
+// verified by byte-compare against captured pipeline workloads.
 //
 // Output canonical form: fingerprint outputs are row-major count x stride
 // Key128 arrays; entries at [r][i] with i >= lengths[r] are ZERO (callers
@@ -53,7 +54,9 @@ enum class KernelId : std::uint32_t {
 /// Device context for backends that execute on the simulated GPU; host
 /// backends ignore it. Each call rotates onto the next leg of `streams`, so
 /// consecutive calls double-buffer; without a pair, calls charge the
-/// default stream. `thread_per_read` picks the naive fingerprint kernel.
+/// default stream. `thread_per_read` charges the fingerprint as the naive
+/// thread-per-read kernel instead of the paper's block-per-read scan; it
+/// picks a modeled cost, not different arithmetic.
 ///
 /// The four match buffers outlive a call: the simulated backend's first
 /// match_bounds allocates each with room for max(match_window, call size)
@@ -136,6 +139,11 @@ class Backend {
 /// the build disabled vector codegen (LASAGNA_AVX2=OFF) or the running CPU
 /// lacks AVX2 — callers must check before dispatching to it.
 [[nodiscard]] Backend& avx2_backend();
+
+/// The fastest host backend on this host: avx2 when available(), else
+/// scalar. resolve_backend("host") picks it, and the simulated device's
+/// fingerprint kernel computes with it.
+[[nodiscard]] Backend& fastest_host_backend();
 
 /// Every registered backend, in registry order (simulated, scalar, avx2).
 [[nodiscard]] std::vector<Backend*> all_backends();

@@ -36,17 +36,17 @@ Backend* find_backend(std::string_view name) {
   return nullptr;
 }
 
+Backend& fastest_host_backend() {
+  return avx2_backend().available() ? avx2_backend() : scalar_backend();
+}
+
 Backend& resolve_backend(std::string_view name) {
   const CpuFeatures& cpu = cpu_features();
-  auto pick_host = [&]() -> Backend& {
-    return avx2_backend().available() ? avx2_backend() : scalar_backend();
-  };
-
   Backend* chosen = nullptr;
   if (name.empty() || name == "simulated") {
     chosen = &simulated_backend();
   } else if (name == "host" || name == "auto") {
-    chosen = &pick_host();
+    chosen = &fastest_host_backend();
   } else if (name == "avx2") {
     if (avx2_backend().available()) {
       chosen = &avx2_backend();

@@ -1,6 +1,8 @@
 #include "kernel/replay.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -20,6 +22,16 @@ void require(bool ok, const char* what) {
     throw std::runtime_error(std::string("kernel dump record malformed: ") +
                              what);
   }
+}
+
+/// A meta word read as an element count. No checksum covers the meta
+/// words, so the count must fit 32 bits and leave room for that many
+/// `element_bytes` elements in the blob's `bytes` before any size product
+/// is formed: a product of unchecked words can wrap past the blob check.
+std::size_t checked_count(std::uint64_t word, std::size_t bytes,
+                          std::size_t element_bytes, const char* what) {
+  require(word <= UINT32_MAX && word <= bytes / element_bytes, what);
+  return static_cast<std::size_t>(word);
 }
 
 template <typename T>
@@ -45,16 +57,21 @@ std::vector<std::byte> replay_fingerprint(const DumpRecord& rec,
                                           DeviceContext& ctx,
                                           std::uint64_t& elements,
                                           double& wall_seconds) {
-  const auto count = static_cast<unsigned>(rec.meta[0]);
+  // Every read has a u16 length in the blob, which bounds the count, and
+  // no read, so no stride, is longer than a u16 can say.
+  const std::size_t count = checked_count(
+      rec.meta[0], rec.input.size(), sizeof(std::uint16_t),
+      "fingerprint count");
+  require(rec.meta[1] <= UINT16_MAX, "fingerprint stride");
   const auto stride = static_cast<unsigned>(rec.meta[1]);
-  const std::size_t total = static_cast<std::size_t>(count) * stride;
+  const std::size_t total = count * stride;
   require(rec.input.size() == total + count * sizeof(std::uint16_t),
           "fingerprint input size");
   require(rec.output.size() == 2 * total * sizeof(Key128),
           "fingerprint output size");
 
   FingerprintJob job;
-  job.count = count;
+  job.count = static_cast<unsigned>(count);
   job.stride = stride;
   job.codes = view_as<std::uint8_t>(rec.input, 0, total);
   job.lengths = view_as<std::uint16_t>(rec.input, total, count);
@@ -62,19 +79,24 @@ std::vector<std::byte> replay_fingerprint(const DumpRecord& rec,
   job.secondary = {rec.meta[4], rec.meta[5]};
   require(job.primary.modulus != 0 && job.secondary.modulus != 0,
           "fingerprint modulus");
-  const auto pow_a = build_pow(job.primary.radix, job.primary.modulus,
-                               static_cast<std::size_t>(stride) + 1);
-  const auto pow_b = build_pow(job.secondary.radix, job.secondary.modulus,
-                               static_cast<std::size_t>(stride) + 1);
-  job.pow_primary = pow_a;
-  job.pow_secondary = pow_b;
 
   std::uint64_t valid = 0;
+  std::size_t longest = 0;
   for (const std::uint16_t len : job.lengths) {
     require(len <= stride, "fingerprint read length");
     valid += len;
+    longest = std::max<std::size_t>(longest, len);
   }
   elements = 2 * valid;  // one prefix + one suffix fingerprint per base
+
+  // Place values for the longest read, which the codes blob holds: sized
+  // by the stride, a record of no reads could still ask for 2 x 64 Ki.
+  const auto pow_a =
+      build_pow(job.primary.radix, job.primary.modulus, longest + 1);
+  const auto pow_b =
+      build_pow(job.secondary.radix, job.secondary.modulus, longest + 1);
+  job.pow_primary = pow_a;
+  job.pow_secondary = pow_b;
 
   std::vector<Key128> prefix(total);
   std::vector<Key128> suffix(total);
@@ -94,8 +116,11 @@ std::vector<std::byte> replay_match_bounds(const DumpRecord& rec,
                                            DeviceContext& ctx,
                                            std::uint64_t& elements,
                                            double& wall_seconds) {
-  const std::size_t nn = rec.meta[0];
-  const std::size_t nh = rec.meta[1];
+  const std::size_t nn = checked_count(rec.meta[0], rec.input.size(),
+                                       sizeof(Key128), "match_bounds count");
+  const std::size_t nh =
+      checked_count(rec.meta[1], rec.input.size() - nn * sizeof(Key128),
+                    sizeof(Key128), "match_bounds count");
   require(rec.input.size() == (nn + nh) * sizeof(Key128),
           "match_bounds input size");
   require(rec.output.size() == 2 * nn * sizeof(std::uint32_t),
@@ -119,9 +144,10 @@ std::vector<std::byte> replay_sort_pairs(const DumpRecord& rec,
                                          Backend& backend, DeviceContext& ctx,
                                          std::uint64_t& elements,
                                          double& wall_seconds) {
-  const std::size_t n = rec.meta[0];
-  require(rec.input.size() ==
-              n * (sizeof(Key128) + sizeof(std::uint64_t)),
+  const std::size_t n =
+      checked_count(rec.meta[0], rec.input.size(),
+                    sizeof(Key128) + sizeof(std::uint64_t), "sort_pairs count");
+  require(rec.input.size() == n * (sizeof(Key128) + sizeof(std::uint64_t)),
           "sort_pairs input size");
   require(rec.output.size() == rec.input.size(), "sort_pairs output size");
   elements = n;

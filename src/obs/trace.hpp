@@ -4,7 +4,7 @@
 //
 //   - the *wall* clock: real nanoseconds since the tracer's construction,
 //     measured with steady_clock. Wall spans show what actually overlapped
-//     on the host (prefetch threads, drain workers, kernel launches).
+//     on the host (prefetch threads, drain workers, phases).
 //   - the *modeled* clock: the simulator's deterministic timeline — device
 //     picoseconds from gpu::Device's per-stream counters, disk time from
 //     byte offsets over the configured disk bandwidth, lane times from the

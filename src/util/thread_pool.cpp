@@ -129,8 +129,7 @@ void ThreadPool::parallel_for_chunked(
                          [&region] { return region->done == region->ranges; });
   }
   update_utilization();
-  // Rethrow the first failure in the caller (a faulting kernel surfaces
-  // where the launch happened, like a CUDA error code would).
+  // Rethrow the first failure in the caller, once every range is done.
   if (region->first_error != nullptr) {
     std::rethrow_exception(region->first_error);
   }

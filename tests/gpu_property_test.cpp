@@ -1,7 +1,6 @@
 // Property sweeps over the device primitives: the radix sort and merge
 // must agree with the standard library across key distributions, sizes and
-// duplicate densities, and the launcher must behave like a grid of
-// independent blocks.
+// duplicate densities.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,27 +110,6 @@ TEST(SortSkipsDegeneratePasses, ConstantKeysCostLess) {
   // kSortedAlready uses keys 0..n-1 in lo only -> hi passes skipped.
   EXPECT_LT(cost_of(KeyDistribution::kHighBitsOnly),
             cost_of(KeyDistribution::kUniform));
-}
-
-TEST(LaunchSweep, GridShapesCoverAllBlocks) {
-  Device dev(GpuProfile::k40(), 64ull << 20);
-  for (const unsigned blocks : {1u, 2u, 33u, 256u}) {
-    for (const unsigned threads : {1u, 7u, 64u}) {
-      std::vector<std::uint32_t> counters(blocks, 0);
-      dev.launch(blocks, threads, 0, [&](BlockContext& ctx) {
-        ctx.for_each_thread([&](unsigned tid) {
-          if (tid == 0) counters[ctx.block_idx()] = ctx.block_dim();
-        });
-      });
-      for (const auto c : counters) ASSERT_EQ(c, threads);
-    }
-  }
-}
-
-TEST(LaunchSweep, ZeroGridIsNoop) {
-  Device dev(GpuProfile::k40(), 64ull << 20);
-  dev.launch(0, 32, 0, [](BlockContext&) { FAIL(); });
-  dev.launch(32, 0, 0, [](BlockContext&) { FAIL(); });
 }
 
 TEST(ScanSweep, MatchesStdPartialSum) {

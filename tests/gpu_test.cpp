@@ -81,37 +81,6 @@ TEST(Device, TransfersAdvanceModeledClockAndCounter) {
             static_cast<std::int64_t>(host.size() * 8));
 }
 
-TEST(Device, LaunchRunsEveryBlockWithPrivateSharedMemory) {
-  Device dev = small_device();
-  constexpr unsigned kBlocks = 37;
-  constexpr unsigned kThreads = 19;
-  std::vector<std::uint64_t> sums(kBlocks, 0);
-  dev.launch(kBlocks, kThreads, kThreads * 8, [&](BlockContext& ctx) {
-    auto shared = ctx.shared_as<std::uint64_t>(kThreads);
-    ctx.for_each_thread([&](unsigned tid) { shared[tid] = tid; });
-    ctx.for_each_thread([&](unsigned tid) {
-      if (tid == 0) {
-        std::uint64_t total = 0;
-        for (unsigned i = 0; i < kThreads; ++i) total += shared[i];
-        sums[ctx.block_idx()] = total + ctx.block_idx();
-      }
-    });
-  });
-  for (unsigned b = 0; b < kBlocks; ++b) {
-    EXPECT_EQ(sums[b], kThreads * (kThreads - 1) / 2 + b);
-  }
-}
-
-TEST(BlockContext, SharedOverflowThrows) {
-  Device dev = small_device();
-  EXPECT_THROW(
-      dev.launch(1, 4, 8,
-                 [&](BlockContext& ctx) {
-                   (void)ctx.shared_as<std::uint64_t>(100);
-                 }),
-      std::logic_error);
-}
-
 TEST(Profiles, PaperSpecsOrdering) {
   // Fig 9's explanation: P40 has more cores but less bandwidth than P100.
   EXPECT_GT(GpuProfile::p40().cuda_cores, GpuProfile::p100().cuda_cores);

@@ -28,6 +28,7 @@
 #include "kernel/cpu_features.hpp"
 #include "kernel/dump.hpp"
 #include "kernel/replay.hpp"
+#include "obs/metrics.hpp"
 #include "seq/genome.hpp"
 #include "seq/simulator.hpp"
 #include "tie_corpus.hpp"
@@ -71,6 +72,30 @@ fingerprint::BatchFingerprints run_fingerprints(
   return fingerprint::compute_batch_fingerprints(dev, reads, places);
 }
 
+/// The per-string Rabin-Karp reference in the batch layout: every read,
+/// position and hash, and zero past each read's end (the canonical form).
+fingerprint::BatchFingerprints reference_fingerprints(
+    const std::vector<std::string>& reads,
+    const fingerprint::FingerprintConfig& cfg) {
+  fingerprint::BatchFingerprints want;
+  for (const auto& r : reads) {
+    want.stride = std::max(want.stride, static_cast<unsigned>(r.size()));
+  }
+  want.prefix.assign(reads.size() * want.stride, Key128{});
+  want.suffix.assign(reads.size() * want.stride, Key128{});
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    const auto pa = fingerprint::prefix_hashes(reads[r], cfg.primary);
+    const auto pb = fingerprint::prefix_hashes(reads[r], cfg.secondary);
+    const auto sa = fingerprint::suffix_hashes(reads[r], cfg.primary);
+    const auto sb = fingerprint::suffix_hashes(reads[r], cfg.secondary);
+    for (std::size_t i = 0; i < reads[r].size(); ++i) {
+      want.prefix[r * want.stride + i] = Key128{pa[i], pb[i]};
+      want.suffix[r * want.stride + i] = Key128{sa[i], sb[i]};
+    }
+  }
+  return want;
+}
+
 std::vector<kernel::Backend*> host_backends_under_test() {
   std::vector<kernel::Backend*> backends = {&kernel::scalar_backend()};
   if (kernel::avx2_backend().available()) {
@@ -79,51 +104,86 @@ std::vector<kernel::Backend*> host_backends_under_test() {
   return backends;
 }
 
-TEST(KernelBackend, FingerprintGoldenAcrossBackends) {
-  const auto reads = ragged_reads(42);
-  const auto cfg = fingerprint::FingerprintConfig::standard();
-  const auto golden = run_fingerprints(kernel::simulated_backend(), reads, cfg);
+std::vector<kernel::Backend*> all_backends_under_test() {
+  std::vector<kernel::Backend*> backends = {&kernel::simulated_backend()};
+  for (kernel::Backend* b : host_backends_under_test()) backends.push_back(b);
+  return backends;
+}
 
-  // The simulated scan agrees with the host Rabin-Karp reference.
-  const auto ref_prefix = fingerprint::prefix_hashes(reads[0], cfg.primary);
-  for (std::size_t i = 0; i < reads[0].size(); ++i) {
-    ASSERT_EQ(golden.prefix[i].hi, ref_prefix[i]) << i;
-  }
-
-  for (kernel::Backend* backend : host_backends_under_test()) {
+/// Every backend's batch equals the per-string reference byte for byte.
+void expect_fingerprints_match_reference(
+    const std::vector<std::string>& reads,
+    const fingerprint::FingerprintConfig& cfg) {
+  const auto want = reference_fingerprints(reads, cfg);
+  for (kernel::Backend* backend : all_backends_under_test()) {
     const auto got = run_fingerprints(*backend, reads, cfg);
-    ASSERT_EQ(got.stride, golden.stride) << backend->name();
-    ASSERT_EQ(0, std::memcmp(got.prefix.data(), golden.prefix.data(),
-                             golden.prefix.size() * sizeof(Key128)))
+    ASSERT_EQ(got.stride, want.stride) << backend->name();
+    EXPECT_EQ(0, std::memcmp(got.prefix.data(), want.prefix.data(),
+                             want.prefix.size() * sizeof(Key128)))
         << backend->name() << " prefix";
-    ASSERT_EQ(0, std::memcmp(got.suffix.data(), golden.suffix.data(),
-                             golden.suffix.size() * sizeof(Key128)))
+    EXPECT_EQ(0, std::memcmp(got.suffix.data(), want.suffix.data(),
+                             want.suffix.size() * sizeof(Key128)))
         << backend->name() << " suffix";
   }
+}
 
-  // Canonical form: lanes past a read's length are zero (read #2 is empty,
-  // so its whole row must be zero).
-  const std::size_t empty_row = 2 * static_cast<std::size_t>(golden.stride);
-  for (std::size_t i = 0; i < golden.stride; ++i) {
-    EXPECT_EQ(golden.prefix[empty_row + i], Key128{});
-    EXPECT_EQ(golden.suffix[empty_row + i], Key128{});
-  }
+TEST(KernelBackend, FingerprintGoldenAcrossBackends) {
+  // The simulated device computes with a host kernel, so the golden is the
+  // independent per-string reference, not another backend.
+  expect_fingerprints_match_reference(
+      ragged_reads(42), fingerprint::FingerprintConfig::standard());
 }
 
 TEST(KernelBackend, FingerprintWeakModuliFallBackToScalar) {
   // Tiny moduli violate the AVX2 path's headroom preconditions; the job
-  // must silently take the scalar path and still match the simulated scan.
-  const auto reads = ragged_reads(7);
-  const auto cfg = fingerprint::FingerprintConfig::weak(251, 257);
-  const auto golden = run_fingerprints(kernel::simulated_backend(), reads, cfg);
-  for (kernel::Backend* backend : host_backends_under_test()) {
-    const auto got = run_fingerprints(*backend, reads, cfg);
-    EXPECT_EQ(0, std::memcmp(got.prefix.data(), golden.prefix.data(),
-                             golden.prefix.size() * sizeof(Key128)))
-        << backend->name();
-    EXPECT_EQ(0, std::memcmp(got.suffix.data(), golden.suffix.data(),
-                             golden.suffix.size() * sizeof(Key128)))
-        << backend->name();
+  // must silently take the scalar path and still match the reference.
+  expect_fingerprints_match_reference(
+      ragged_reads(7), fingerprint::FingerprintConfig::weak(251, 257));
+}
+
+TEST(KernelBackend, SimulatedFingerprintChargesArePinned) {
+  // One ragged batch per strategy on a fresh device: 6 reads at stride
+  // 128, so 768 lanes and 7 doubling steps. Block-per-read charges 33
+  // bytes and 7 x 4 ops per lane, thread-per-read 8 x 33 bytes and 4 ops:
+  // the paper kernels' cost model, whichever host kernel computes the
+  // values.
+  std::vector<std::string> reads;
+  for (const unsigned len : {0u, 1u, 63u, 64u, 65u, 128u}) {
+    reads.push_back(seq::random_genome(len, len + 1));
+  }
+  const fingerprint::PlaceTable places(
+      fingerprint::FingerprintConfig::standard(), 512);
+  struct Pinned {
+    fingerprint::KernelStrategy strategy;
+    std::int64_t kernel_bytes;
+    std::int64_t kernel_ops;
+    double modeled_seconds;
+  };
+  const char* counters[] = {"gpu.kernel_bytes", "gpu.kernel_ops",
+                            "gpu.transfer_bytes", "gpu.allocs",
+                            "gpu.launches"};
+  auto& registry = obs::MetricsRegistry::global();
+  for (const Pinned& pin :
+       {Pinned{fingerprint::KernelStrategy::kBlockPerRead, 25344, 21504,
+               9.4173299999999998e-07},
+        Pinned{fingerprint::KernelStrategy::kThreadPerRead, 202752, 3072,
+               1.5504189999999999e-06}}) {
+    gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
+    std::vector<std::int64_t> before;
+    for (const char* c : counters) before.push_back(registry.value(c));
+    (void)fingerprint::compute_batch_fingerprints(dev, reads, places,
+                                                  pin.strategy);
+    std::vector<std::int64_t> delta;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      delta.push_back(registry.value(counters[i]) - before[i]);
+    }
+    // Codes and lengths up (768 + 12 bytes), both fingerprint arrays down
+    // (2 x 768 x 16 bytes), four allocations, one launch.
+    EXPECT_EQ(delta, (std::vector<std::int64_t>{pin.kernel_bytes,
+                                                pin.kernel_ops, 25356, 4, 1}))
+        << static_cast<int>(pin.strategy);
+    EXPECT_EQ(dev.modeled_seconds(), pin.modeled_seconds)
+        << static_cast<int>(pin.strategy);
   }
 }
 
@@ -157,9 +217,7 @@ TEST(KernelBackend, MatchBoundsAcrossBackends) {
 
   gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
   kernel::DeviceContext ctx{&dev, nullptr, false};
-  std::vector<kernel::Backend*> backends = {&kernel::simulated_backend()};
-  for (kernel::Backend* b : host_backends_under_test()) backends.push_back(b);
-  for (kernel::Backend* backend : backends) {
+  for (kernel::Backend* backend : all_backends_under_test()) {
     std::vector<std::uint32_t> lower(needles.size(), 123);
     std::vector<std::uint32_t> upper(needles.size(), 123);
     backend->match_bounds(needles, haystack, lower, upper, &ctx);
@@ -210,9 +268,7 @@ TEST(KernelBackend, SortPairsAcrossBackends) {
 
   gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
   kernel::DeviceContext ctx{&dev, nullptr, false};
-  std::vector<kernel::Backend*> backends = {&kernel::simulated_backend()};
-  for (kernel::Backend* b : host_backends_under_test()) backends.push_back(b);
-  for (kernel::Backend* backend : backends) {
+  for (kernel::Backend* backend : all_backends_under_test()) {
     auto got_keys = keys;
     auto got_vals = vals;
     backend->sort_pairs(got_keys, got_vals, &ctx);
@@ -335,9 +391,7 @@ TEST(KernelBackendDumpTest, ReplayByteComparesEveryBackendAgainstGolden) {
   const auto fastq = write_fastq(dir, 23);
   capture_run(fastq, dir.file("dump"), dir.file("out.fa"));
 
-  std::vector<kernel::Backend*> backends = {&kernel::simulated_backend()};
-  for (kernel::Backend* b : host_backends_under_test()) backends.push_back(b);
-  for (kernel::Backend* backend : backends) {
+  for (kernel::Backend* backend : all_backends_under_test()) {
     const auto report = kernel::replay_dump(dir.file("dump"), *backend);
     EXPECT_TRUE(report.ok()) << backend->name();
     EXPECT_EQ(report.kernels.size(), 3u) << backend->name();
@@ -481,6 +535,257 @@ TEST(KernelBackendDumpTest, RejectsMalformedAndTruncatedDumps) {
       (void)kernel::replay_dump(dir.file("empty"),
                                 kernel::scalar_backend()),
       std::runtime_error);
+}
+
+// ---- seeded dump mutations -------------------------------------------------
+
+/// A small capture of each kernel through the dispatch entries: four ragged
+/// reads, five needles in a tied haystack, one five-pair sort chunk.
+void capture_small_dump(const std::filesystem::path& dir) {
+  kernel::CaptureSession session(dir, 4, /*force=*/false);
+  kernel::ScopedCapture scoped(session);
+  gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
+  const fingerprint::PlaceTable places(
+      fingerprint::FingerprintConfig::standard(), 16);
+  const std::vector<std::string> reads = {"ACGTTGCA", "", "GGA", "TTACG"};
+  (void)fingerprint::compute_batch_fingerprints(dev, reads, places);
+
+  kernel::DeviceContext ctx{&dev, nullptr, false};
+  const std::vector<Key128> haystack = {{1, 1}, {2, 0}, {2, 0}, {5, 3},
+                                        {9, 9}, {9, 9}, {12, 0}};
+  const std::vector<Key128> needles = {{2, 0}, {0, 0}, {9, 9}, {13, 1},
+                                       {5, 3}};
+  std::vector<std::uint32_t> lower(needles.size());
+  std::vector<std::uint32_t> upper(needles.size());
+  kernel::run_match_bounds(needles, haystack, lower, upper, ctx);
+  kernel::run_sort_pairs_batch(
+      1,
+      [](std::size_t, std::vector<Key128>& keys,
+         std::vector<std::uint64_t>& values) {
+        keys = {{3, 1}, {1, 2}, {3, 0}, {1, 2}, {0, 7}};
+        values = {0, 1, 2, 3, 4};
+      },
+      [](std::size_t, std::span<const Key128>,
+         std::span<const std::uint64_t>) {},
+      ctx);
+}
+
+/// Forwards to `inner` only when the replay sized every buffer of the call
+/// from bytes the dump holds: no element count beyond the file's bytes.
+class BoundedBackend final : public kernel::Backend {
+ public:
+  BoundedBackend(kernel::Backend& inner, std::uint64_t file_bytes,
+                 std::string what)
+      : inner_(inner), file_bytes_(file_bytes), what_(std::move(what)) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return inner_.name();
+  }
+  [[nodiscard]] bool available() const override { return inner_.available(); }
+  [[nodiscard]] bool uses_device() const override {
+    return inner_.uses_device();
+  }
+
+  void fingerprint(const kernel::FingerprintJob& job,
+                   kernel::DeviceContext* ctx) override {
+    if (fits(static_cast<std::uint64_t>(job.count) * job.stride) &&
+        fits(job.pow_primary.size()) && fits(job.pow_secondary.size())) {
+      inner_.fingerprint(job, ctx);
+    }
+  }
+
+  void match_bounds(std::span<const Key128> needles,
+                    std::span<const Key128> haystack,
+                    std::span<std::uint32_t> lower,
+                    std::span<std::uint32_t> upper,
+                    kernel::DeviceContext* ctx) override {
+    if (fits(needles.size()) && fits(haystack.size())) {
+      inner_.match_bounds(needles, haystack, lower, upper, ctx);
+    }
+  }
+
+  void sort_pairs(std::span<Key128> keys, std::span<std::uint64_t> values,
+                  kernel::DeviceContext* ctx) override {
+    if (fits(keys.size()) && fits(values.size())) {
+      inner_.sort_pairs(keys, values, ctx);
+    }
+  }
+
+ private:
+  bool fits(std::uint64_t elements) const {
+    // A place-value table holds one entry past the longest read.
+    if (elements <= file_bytes_ + 1) return true;
+    ADD_FAILURE() << what_ << " under " << inner_.name() << ": a buffer of "
+                  << elements << " elements from a " << file_bytes_
+                  << "-byte dump";
+    return false;
+  }
+
+  kernel::Backend& inner_;
+  std::uint64_t file_bytes_;
+  std::string what_;
+};
+
+/// Writes `bytes` as the only dump file in a directory of its kernel's
+/// under `dir` and replays it under `backends`: each replay returns a
+/// report or throws std::runtime_error (returned as its message; "" for a
+/// report), and sizes no buffer beyond the dump's bytes.
+std::vector<std::string> replay_mutant(
+    const std::filesystem::path& dir, kernel::KernelId id,
+    const std::string& bytes, const std::vector<kernel::Backend*>& backends,
+    const std::string& what) {
+  const auto kernel_dir = dir / kernel::kernel_name(id);
+  const auto path = kernel_dir / kernel::dump_filename(id);
+  std::filesystem::create_directories(kernel_dir);
+  // A new file each time: rewriting a truncated one makes some file
+  // systems flush it on close, thousands of times over.
+  std::filesystem::remove(path);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  std::vector<std::string> errors;
+  for (kernel::Backend* backend : backends) {
+    BoundedBackend bounded(*backend, bytes.size(), what);
+    try {
+      (void)kernel::replay_dump(kernel_dir, bounded);
+      errors.emplace_back();
+    } catch (const std::runtime_error& e) {
+      errors.emplace_back(e.what());
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << " under " << backend->name() << ": "
+                    << e.what();
+      errors.emplace_back(e.what());
+    }
+  }
+  return errors;
+}
+
+/// Every backend rejects `bytes` as a malformed record.
+void expect_malformed(const std::filesystem::path& dir, kernel::KernelId id,
+                      const std::string& bytes, const std::string& what) {
+  const auto backends = all_backends_under_test();
+  const auto errors = replay_mutant(dir, id, bytes, backends, what);
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    EXPECT_NE(errors[i].find("kernel dump record malformed"),
+              std::string::npos)
+        << what << " under " << backends[i]->name() << ": \"" << errors[i]
+        << "\"";
+  }
+}
+
+// Byte offsets in a dump: the 24-byte header (record count at 16), then
+// the first record's 8 meta words, its input and output sizes, their two
+// checksums and the blobs.
+constexpr std::size_t kRecordCountAt = 16;
+constexpr std::size_t kMetaAt = 24;
+constexpr std::size_t kInputSizeAt = kMetaAt + 8 * 8;
+constexpr std::size_t kChecksumsAt = kInputSizeAt + 2 * 8;
+constexpr std::size_t kBlobsAt = kChecksumsAt + 2 * 8;
+
+std::uint64_t word_at(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+void set_word(std::string& bytes, std::size_t at, std::uint64_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof(v));
+}
+
+/// Recompute the first record's blob checksums, so the damage reaches the
+/// replay instead of failing the reader.
+void rechecksum(std::string& bytes) {
+  const std::uint64_t in = word_at(bytes, kInputSizeAt);
+  const std::uint64_t out = word_at(bytes, kInputSizeAt + 8);
+  const auto* blobs = reinterpret_cast<const std::byte*>(bytes.data()) +
+                      kBlobsAt;
+  set_word(bytes, kChecksumsAt, kernel::fnv1a_bytes({blobs, in}));
+  set_word(bytes, kChecksumsAt + 8, kernel::fnv1a_bytes({blobs + in, out}));
+}
+
+TEST(KernelBackendDumpTest, SeededMutationsParseOrReject) {
+  io::ScopedTempDir dir("lasagna-kmutate");
+  capture_small_dump(dir.file("dump"));
+  const auto mutant_dir = dir.file("mutant");
+  const auto backends = all_backends_under_test();
+
+  // Fixed inputs: counts whose size products wrap, and a stride that would
+  // size the place tables by itself.
+  std::string m = slurp(dir.file("dump") / "match_bounds.lkd");
+  set_word(m, kMetaAt + 8, word_at(m, kMetaAt + 8) | (1ull << 60));
+  expect_malformed(mutant_dir, kernel::KernelId::kMatchBounds, m,
+                   "haystack count bit 60");
+  m = slurp(dir.file("dump") / "sort_pairs.lkd");
+  set_word(m, kMetaAt, word_at(m, kMetaAt) | (1ull << 61));
+  expect_malformed(mutant_dir, kernel::KernelId::kSortPairs, m,
+                   "sort count bit 61");
+  {
+    const auto path = dir.file("empty_reads.lkd");
+    kernel::DumpWriter writer(path, kernel::KernelId::kFingerprint, false);
+    const auto cfg = fingerprint::FingerprintConfig::standard();
+    writer.append({0, 0xffffffffull, cfg.primary.radix, cfg.primary.modulus,
+                   cfg.secondary.radix, cfg.secondary.modulus, 0, 0},
+                  {}, {});
+    writer.close();
+    expect_malformed(mutant_dir, kernel::KernelId::kFingerprint, slurp(path),
+                     "no reads at stride 2^32-1");
+  }
+
+  std::mt19937_64 rng(0x1cd);
+  auto pick = [&](std::size_t bound) {
+    return static_cast<std::size_t>(rng() % bound);
+  };
+  for (const kernel::KernelId id :
+       {kernel::KernelId::kFingerprint, kernel::KernelId::kMatchBounds,
+        kernel::KernelId::kSortPairs}) {
+    const std::string at = kernel::kernel_name(id);
+    const std::string dump =
+        slurp(dir.file("dump") / kernel::dump_filename(id));
+    ASSERT_GT(dump.size(), kBlobsAt) << at;
+    auto replay = [&](const std::string& bytes, const std::string& what) {
+      (void)replay_mutant(mutant_dir, id, bytes, backends, at + " " + what);
+    };
+    const std::size_t blob_bytes = dump.size() - kBlobsAt;
+    for (int trial = 0; trial < 32; ++trial) {
+      m = dump;
+      m[pick(m.size())] ^= static_cast<char>(1u << pick(8));
+      replay(m, "bit flip");
+      m = dump;
+      m[pick(m.size())] = static_cast<char>(rng());
+      replay(m, "overwrite");
+      replay(dump.substr(0, pick(dump.size())), "truncate");
+      m = dump;
+      for (std::size_t k = 1 + pick(16); k > 0; --k) {
+        m.push_back(static_cast<char>(rng()));
+      }
+      replay(m, "tail");
+      // Damage the blobs behind valid checksums: lengths past the stride,
+      // codes past 3, an unsorted haystack reach the replay itself.
+      m = dump;
+      for (std::size_t k = 1 + pick(4); k > 0; --k) {
+        m[kBlobsAt + pick(blob_bytes)] = static_cast<char>(rng());
+      }
+      rechecksum(m);
+      replay(m, "re-checksummed overwrite");
+    }
+    // The record count, the first record's meta words and both blob sizes
+    // near every power of two.
+    std::vector<std::size_t> words = {kRecordCountAt, kInputSizeAt,
+                                      kInputSizeAt + 8};
+    for (std::size_t w = 0; w < 8; ++w) words.push_back(kMetaAt + 8 * w);
+    for (const std::size_t word : words) {
+      for (unsigned k = 0; k < 64; ++k) {
+        for (const std::uint64_t v :
+             {(1ull << k) - 1, 1ull << k, (1ull << k) + 1}) {
+          m = dump;
+          set_word(m, word, v);
+          replay(m, "word @" + std::to_string(word) + " = " +
+                        std::to_string(v));
+        }
+      }
+    }
+  }
 }
 
 // ---- pipeline conformance --------------------------------------------------

@@ -7,6 +7,7 @@
 #include <functional>
 #include <future>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "util/bitvector.hpp"
@@ -181,6 +182,22 @@ TEST(ThreadPool, ChunkedCoversDisjointRanges) {
   pool.parallel_for_chunked(517, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
   });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ChunkedRethrowsARangesExceptionInTheCaller) {
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.parallel_for_chunked(
+                   8,
+                   [](std::size_t begin, std::size_t end) {
+                     if (begin <= 5 && 5 < end) {
+                       throw std::runtime_error("range fault");
+                     }
+                   }),
+               std::runtime_error);
+  // The pool survives the fault and runs the next call.
+  std::vector<std::atomic<int>> hits(8);
+  pool.parallel_for(8, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
