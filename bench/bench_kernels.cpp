@@ -1,9 +1,9 @@
 // Multi-backend kernel benchmark: wall-clock vs modeled throughput for the
 // three hot kernels (fingerprint generation, match bounds, radix sort) on
 // every available backend. This is the harness's headline number — the
-// simulated backend's "wall" column is the cost of simulation (its
-// fingerprint runs the fastest host kernel between the device copies), its
-// "modeled" column is the paper-world device time; the scalar and AVX2
+// simulated backend's "wall" column is the cost of simulation (its kernels
+// run the fastest host kernel in place, match bounds split over the pool),
+// its "modeled" column is the paper-world device time; the scalar and AVX2
 // columns are real host wall-clock, measured on identical inputs that
 // every backend must reduce to byte-identical outputs (checked here too).
 //

@@ -1,10 +1,13 @@
 #include "core/checkpoint.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -52,6 +55,16 @@ static_assert(sizeof(SidecarHeader) ==
 constexpr std::uint64_t kSidecarMagic = 0x54504b434e47534cULL;  // "LSGNCKPT"
 constexpr std::uint32_t kSidecarVersion = 1;
 
+/// `token` as an unsigned number in `base` when it is nothing but digits
+/// and fits 64 bits; nothing otherwise (no sign, space or prefix).
+std::optional<std::uint64_t> parse_u64(std::string_view token, int base) {
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value, base);
+  if (token.empty() || error != std::errc() || stop != end) return {};
+  return value;
+}
+
 }  // namespace
 
 CheckpointManager::CheckpointManager(std::filesystem::path dir,
@@ -81,30 +94,31 @@ bool CheckpointManager::load() {
   std::string line;
   if (!std::getline(lines, line) || line != kHeader) return false;
 
-  std::uint64_t input = 0;
-  std::uint64_t config = 0;
+  // Any line that does not parse rejects the whole manifest.
+  std::optional<std::uint64_t> input;
+  std::optional<std::uint64_t> config;
   std::map<std::string, Counters> entries;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
     std::istringstream fields(line);
     std::string tag;
-    fields >> tag;
-    if (tag == "input") {
-      fields >> std::hex >> input;
-    } else if (tag == "config") {
-      fields >> std::hex >> config;
+    std::string word;
+    fields >> tag >> word;
+    if (tag == "input" || tag == "config") {
+      (tag == "input" ? input : config) = parse_u64(word, 16);
+      if (fields >> word) return false;
     } else if (tag == "entry") {
-      std::string key;
-      fields >> key;
-      if (key.empty()) return false;  // malformed line: reject the manifest
+      if (word.empty()) return false;
       Counters counters;
       std::string pair;
       while (fields >> pair) {
         const std::size_t eq = pair.find('=');
         if (eq == std::string::npos) return false;
-        counters[pair.substr(0, eq)] = std::stoull(pair.substr(eq + 1));
+        const auto value = parse_u64(std::string_view(pair).substr(eq + 1), 10);
+        if (!value) return false;
+        counters[pair.substr(0, eq)] = *value;
       }
-      entries[key] = std::move(counters);  // a later line for a key wins
+      entries[word] = std::move(counters);  // a later line for a key wins
     } else {
       return false;  // unknown tag: written by a newer format
     }

@@ -206,7 +206,7 @@ struct BlockGeometry {
 
   /// m_h from the host budget; m_d from the device budget. The device sort
   /// needs input + double buffer (2x) plus staging, hence the divisor 4;
-  /// see gpu::sort_pairs.
+  /// see gpu::charge_sort_pairs.
   static BlockGeometry from(const MachineConfig& machine);
 };
 

@@ -1019,6 +1019,7 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
           ? 0
           : core::CheckpointManager::fingerprint_inputs({fastq});
   const std::uint64_t config_hash = hash_cluster_config(config);
+  bool resumable = config.resume;
   for (unsigned i = 0; i < config.node_count; ++i) {
     NodeContext& node = nodes[i];
     node.id = i;
@@ -1034,12 +1035,15 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
     if (!config.work_dir.empty()) {
       node.checkpoint = std::make_unique<core::CheckpointManager>(
           node.dir, input_fp, config_hash, node.io);
-      if (!(config.resume && node.checkpoint->load())) {
-        node.checkpoint->reset();
-      }
+      resumable = resumable && node.checkpoint->load();
       node.ws.checkpoint = node.checkpoint.get();
     }
     node.mark();
+  }
+  // The cluster resumes from every node's manifest or from none: a node
+  // that started over would wait for shuffle data the others skip.
+  for (NodeContext& node : nodes) {
+    if (node.checkpoint != nullptr && !resumable) node.checkpoint->reset();
   }
 
   // Pre-scan the shared input once (master): read count for block

@@ -1,6 +1,6 @@
-// The simulated CUDA device: capacity-enforced memory and a modeled clock
-// driven by the GpuProfile cost model. It runs no code: kernels compute on
-// the host and charge their modeled cost to a stream.
+// The simulated CUDA device: a memory budget and a modeled clock driven by
+// the GpuProfile cost model. It holds no data and runs no code: kernels
+// compute on the host, in place, and charge their modeled cost to a stream.
 //
 // The modeled clock is organized as CUDA-style streams: every charge names
 // the stream it lands on (gpu::Stream, gpu/stream.hpp), and the device-time
@@ -14,7 +14,6 @@
 #include <deque>
 #include <mutex>
 
-#include "gpu/device_buffer.hpp"
 #include "gpu/profile.hpp"
 #include "io/fault_injector.hpp"
 #include "util/memory_tracker.hpp"
@@ -43,23 +42,18 @@ class Device {
   [[nodiscard]] util::MemoryTracker& memory() { return memory_; }
   [[nodiscard]] const util::MemoryTracker& memory() const { return memory_; }
 
-  /// Allocate a device buffer of `count` elements; throws
-  /// util::MemoryTracker::CapacityError when the device is full, or
-  /// io::FaultError when an installed injector fails the allocation.
+  /// Reserve device memory for `count` elements of T until the returned
+  /// allocation is reset or destroyed. It holds no bytes: the device is a
+  /// budget, so any algorithm that would not fit on the real GPU throws
+  /// util::MemoryTracker::CapacityError exactly where cudaMalloc would have
+  /// failed, and io::FaultError when an installed injector fails it.
   template <typename T>
-  [[nodiscard]] DeviceBuffer<T> alloc(std::size_t count) {
+  [[nodiscard]] util::TrackedAllocation alloc(std::size_t count) {
     if (io::FaultInjector* injector = io::FaultInjector::active()) {
       injector->on_alloc(count * sizeof(T));
     }
     note_alloc(count * sizeof(T));
-    return DeviceBuffer<T>(memory_, count);
-  }
-
-  /// Largest element count of type T that fits in the remaining capacity.
-  template <typename T>
-  [[nodiscard]] std::size_t max_elements() const {
-    const std::uint64_t free = memory_.capacity() - memory_.current();
-    return static_cast<std::size_t>(free / sizeof(T));
+    return util::TrackedAllocation(memory_, count * sizeof(T));
   }
 
   // -- modeled clock -------------------------------------------------------

@@ -1,22 +1,24 @@
 // Thrust-style device primitives used by the pipeline:
-//   - sort_pairs:     LSD radix sort of (Key128, value) pairs
-//   - exclusive_scan: exclusive prefix sum
-//   - vector bounds:  batched lower_bound/upper_bound (Algorithm 2, lines 8-9)
-//   - gather:         permutation copy (contig layout, section III-D)
+//   - charge_sort_pairs: LSD radix sort of (Key128, u64) pairs
+//   - exclusive_scan:    exclusive prefix sum
+//   - charge_bound:      batched lower_bound/upper_bound (Algorithm 2,
+//                        lines 8-9)
+//   - gather:            permutation copy (contig layout, section III-D)
+//   - charge_merge:      merge-path merge of two sorted runs
 //
-// Each primitive executes for real on the host *and* charges the stream it
-// is passed according to the bytes it moves and the operations it
-// performs, so modeled timings reflect what a Thrust implementation of the
-// same operation costs on the profiled GPU.
+// Each primitive charges the stream it is passed according to the bytes it
+// moves and the operations it performs, so modeled timings reflect what a
+// Thrust implementation of the same operation costs on the profiled GPU.
+// The scan and the gather also compute their result on the host; the
+// `charge_` primitives only charge, and their caller computes the result
+// with a host kernel (kernel/backend.hpp).
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "gpu/device.hpp"
 #include "gpu/key128.hpp"
@@ -25,138 +27,52 @@
 
 namespace lasagna::gpu {
 
-namespace detail {
-
-/// Number of parallel partitions used by the block-structured primitives.
-inline std::size_t partition_count(std::size_t n) {
-  // Enough to keep any host pool busy while bounding histogram memory.
-  const std::size_t kMax = 32;
-  return std::clamp<std::size_t>(n / 4096, 1, kMax);
-}
-
-}  // namespace detail
-
-/// In-place stable LSD radix sort of `keys` with `values` permuted alongside.
-/// Allocates one double-buffer of the same size on the stream's device, so
-/// the caller must leave >= keys.size() * (sizeof(Key128)+sizeof(V)) bytes
-/// free.
-template <typename V>
-void sort_pairs(Stream stream, std::span<Key128> keys, std::span<V> values) {
+/// Charges `stream` a stable LSD radix sort of `keys` with u64 values
+/// permuted alongside. Allocates the sort's double buffer on the stream's
+/// device while it charges, so the caller must leave >= keys.size() *
+/// (sizeof(Key128) + sizeof(u64)) bytes free.
+inline void charge_sort_pairs(Stream stream, std::span<const Key128> keys) {
   const std::size_t n = keys.size();
-  if (values.size() != n) {
-    throw std::invalid_argument("sort_pairs: key/value size mismatch");
-  }
   if (n < 2) return;
-
-  auto tmp_keys = stream.device().alloc<Key128>(n);
-  auto tmp_vals = stream.device().alloc<V>(n);
-
-  auto& pool = util::ThreadPool::global();
-  const std::size_t parts = detail::partition_count(n);
-  const std::size_t step = (n + parts - 1) / parts;
+  constexpr std::uint64_t kPairBytes = sizeof(Key128) + sizeof(std::uint64_t);
+  const auto tmp_keys = stream.device().alloc<Key128>(n);
+  const auto tmp_vals = stream.device().alloc<std::uint64_t>(n);
 
   // One pre-pass builds all 16 digit histograms so degenerate passes
   // (every key shares the digit) can be skipped without touching data.
-  std::array<std::array<std::uint64_t, 256>, Key128::kDigits> global{};
-  {
-    std::vector<decltype(global)> local(parts);
-    pool.parallel_for_chunked(parts, [&](std::size_t pb, std::size_t pe) {
-      for (std::size_t p = pb; p < pe; ++p) {
-        const std::size_t begin = p * step;
-        const std::size_t end = std::min(n, begin + step);
-        auto& h = local[p];
-        for (std::size_t i = begin; i < end; ++i) {
-          for (unsigned d = 0; d < Key128::kDigits; ++d) {
-            ++h[d][keys[i].digit(d)];
-          }
-        }
-      }
-    });
-    for (const auto& h : local) {
-      for (unsigned d = 0; d < Key128::kDigits; ++d) {
-        for (unsigned b = 0; b < 256; ++b) global[d][b] += h[d][b];
-      }
-    }
-    stream.charge_kernel(n * sizeof(Key128), n * Key128::kDigits);
+  stream.charge_kernel(n * sizeof(Key128), n * Key128::kDigits);
+  // The bits where some key differs from the first: every key shares each
+  // digit whose byte is zero here.
+  Key128 differs;
+  for (const Key128& k : keys) {
+    differs.hi |= k.hi ^ keys[0].hi;
+    differs.lo |= k.lo ^ keys[0].lo;
   }
 
-  Key128* src_k = keys.data();
-  V* src_v = values.data();
-  Key128* dst_k = tmp_keys.data();
-  V* dst_v = tmp_vals.data();
-
+  unsigned passes = 0;
   for (unsigned d = 0; d < Key128::kDigits; ++d) {
-    // Skip passes where all keys fall into a single bucket.
-    bool degenerate = false;
-    for (unsigned b = 0; b < 256; ++b) {
-      if (global[d][b] == n) {
-        degenerate = true;
-        break;
-      }
-    }
-    if (degenerate) continue;
-
-    // Per-partition digit counts on the *current* ordering.
-    std::vector<std::array<std::uint64_t, 256>> counts(parts);
-    pool.parallel_for_chunked(parts, [&](std::size_t pb, std::size_t pe) {
-      for (std::size_t p = pb; p < pe; ++p) {
-        const std::size_t begin = p * step;
-        const std::size_t end = std::min(n, begin + step);
-        auto& c = counts[p];
-        c.fill(0);
-        for (std::size_t i = begin; i < end; ++i) ++c[src_k[i].digit(d)];
-      }
-    });
-
-    // Exclusive scan over (digit, partition) gives stable scatter bases.
-    std::vector<std::array<std::uint64_t, 256>> bases(parts);
-    std::uint64_t running = 0;
-    for (unsigned b = 0; b < 256; ++b) {
-      for (std::size_t p = 0; p < parts; ++p) {
-        bases[p][b] = running;
-        running += counts[p][b];
-      }
-    }
-
-    pool.parallel_for_chunked(parts, [&](std::size_t pb, std::size_t pe) {
-      for (std::size_t p = pb; p < pe; ++p) {
-        const std::size_t begin = p * step;
-        const std::size_t end = std::min(n, begin + step);
-        auto offsets = bases[p];
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::uint64_t at = offsets[src_k[i].digit(d)]++;
-          dst_k[at] = src_k[i];
-          dst_v[at] = src_v[i];
-        }
-      }
-    });
-
+    if (differs.digit(d) == 0) continue;
     // Radix-sort passes are bandwidth-bound with heavy amplification:
     // besides the read + scattered write of keys and values, the scatter's
     // poor coalescing and the histogram traffic cost several extra
     // effective passes over the data (sustained radix-sort throughputs on
     // real GPUs are a small fraction of peak bandwidth).
     constexpr std::uint64_t kPassAmplification = 8;
-    stream.charge_kernel(
-        kPassAmplification * n * (sizeof(Key128) + sizeof(V)), 2 * n);
-    std::swap(src_k, dst_k);
-    std::swap(src_v, dst_v);
+    stream.charge_kernel(kPassAmplification * n * kPairBytes, 2 * n);
+    ++passes;
   }
-
-  if (src_k != keys.data()) {
-    std::copy(src_k, src_k + n, keys.data());
-    std::copy(src_v, src_v + n, values.data());
-    stream.charge_kernel(2 * n * (sizeof(Key128) + sizeof(V)), n);
-  }
+  // An odd pass count leaves the result in the double buffer.
+  if (passes % 2 == 1) stream.charge_kernel(2 * n * kPairBytes, n);
 }
 
 /// Charges `stream` what a merge-path merge of `n` records of type R costs
 /// on the device: every record read and written once, one compare per
-/// output plus 64 per partition for the split searches.
+/// output plus 64 per partition (one per 4,096 records, 1 to 32) for the
+/// split searches.
 template <typename R>
 void charge_merge(Stream stream, std::size_t n) {
-  stream.charge_kernel(2 * n * sizeof(R),
-                       n + detail::partition_count(n) * 64);
+  const std::size_t partitions = std::clamp<std::size_t>(n / 4096, 1, 32);
+  stream.charge_kernel(2 * n * sizeof(R), n + partitions * 64);
 }
 
 /// Exclusive prefix sum; `out` may alias `in`. Returns the total.
@@ -175,52 +91,17 @@ T exclusive_scan(Stream stream, std::span<const T> in, std::span<T> out) {
   return running;
 }
 
-/// For each needle, index of the first haystack element >= needle.
-inline void vector_lower_bound(Stream stream,
-                               std::span<const Key128> needles,
-                               std::span<const Key128> haystack,
-                               std::span<std::uint32_t> out) {
-  if (out.size() != needles.size()) {
-    throw std::invalid_argument("vector_lower_bound: size mismatch");
-  }
-  util::ThreadPool::global().parallel_for_chunked(
-      needles.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          out[i] = static_cast<std::uint32_t>(
-              std::lower_bound(haystack.begin(), haystack.end(), needles[i]) -
-              haystack.begin());
-        }
-      });
-  const std::uint64_t probes =
-      haystack.empty() ? 1 : 64 - std::countl_zero(haystack.size() | 1);
+/// Charges `stream` one batched binary search (a vectorized lower_bound or
+/// upper_bound) of `needles` keys in a sorted haystack of `haystack` keys:
+/// each needle reads its key, writes its u32 index and probes the haystack
+/// log2 times.
+inline void charge_bound(Stream stream, std::size_t needles,
+                         std::size_t haystack) {
+  const std::uint64_t probes = std::bit_width(haystack | 1);
   stream.charge_kernel(
-      needles.size() * (sizeof(Key128) + sizeof(std::uint32_t)) +
-          needles.size() * probes * sizeof(Key128),
-      needles.size() * probes);
-}
-
-/// For each needle, index of the first haystack element > needle.
-inline void vector_upper_bound(Stream stream,
-                               std::span<const Key128> needles,
-                               std::span<const Key128> haystack,
-                               std::span<std::uint32_t> out) {
-  if (out.size() != needles.size()) {
-    throw std::invalid_argument("vector_upper_bound: size mismatch");
-  }
-  util::ThreadPool::global().parallel_for_chunked(
-      needles.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          out[i] = static_cast<std::uint32_t>(
-              std::upper_bound(haystack.begin(), haystack.end(), needles[i]) -
-              haystack.begin());
-        }
-      });
-  const std::uint64_t probes =
-      haystack.empty() ? 1 : 64 - std::countl_zero(haystack.size() | 1);
-  stream.charge_kernel(
-      needles.size() * (sizeof(Key128) + sizeof(std::uint32_t)) +
-          needles.size() * probes * sizeof(Key128),
-      needles.size() * probes);
+      needles * (sizeof(Key128) + sizeof(std::uint32_t)) +
+          needles * probes * sizeof(Key128),
+      needles * probes);
 }
 
 /// out[i] = src[indices[i]].

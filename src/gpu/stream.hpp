@@ -7,13 +7,9 @@
 // work charged to different streams is modeled as overlapped unless an
 // Event orders it.
 //
-// The `_async` copies move the data immediately (the device is simulated in
-// host memory) — only the modeled cost is asynchronous, exactly like the
-// rest of the cost model: real work on the host, modeled time on the GPU.
+// A transfer is charged by its byte count: the device holds no data, so
+// nothing is copied, and the caller's kernel computes on the host arrays.
 #pragma once
-
-#include <span>
-#include <stdexcept>
 
 #include "gpu/device.hpp"
 
@@ -37,26 +33,6 @@ class Stream {
   /// Charge a transfer's modeled cost to this stream.
   void charge_transfer(std::uint64_t bytes) const {
     device_->charge_transfer_on(id_, bytes);
-  }
-
-  /// Host -> device copy whose PCIe cost lands on this stream's timeline.
-  template <typename T>
-  void copy_to_device_async(std::span<const T> src, std::span<T> dst) const {
-    if (src.size() > dst.size()) {
-      throw std::logic_error("copy_to_device_async: destination too small");
-    }
-    std::copy(src.begin(), src.end(), dst.begin());
-    charge_transfer(src.size_bytes());
-  }
-
-  /// Device -> host copy whose PCIe cost lands on this stream's timeline.
-  template <typename T>
-  void copy_to_host_async(std::span<const T> src, std::span<T> dst) const {
-    if (src.size() > dst.size()) {
-      throw std::logic_error("copy_to_host_async: destination too small");
-    }
-    std::copy(src.begin(), src.end(), dst.begin());
-    charge_transfer(src.size_bytes());
   }
 
   /// Capture this stream's current completion time.

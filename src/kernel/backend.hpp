@@ -8,9 +8,10 @@
 //                                (Algorithm 2 lines 8-9),
 //   3. radix sort              — stable LSD sort of (Key128, u64) pairs.
 //
-// A Backend is one implementation of all three over plain host memory: the
-// simulated GPU (the modeled-clock reference the paper's numbers come
-// from), a scalar host path, and an AVX2-vectorized host path. All
+// A Backend is one implementation of all three over plain host memory: a
+// scalar host path, an AVX2-vectorized host path, and the simulated GPU,
+// which computes in place with the fastest host path and charges the
+// device budget and modeled clock the paper's numbers come from. All
 // backends produce byte-identical outputs — correctness is pinned by the
 // dump/replay golden testbed (kernel/dump.hpp, kernel/replay.hpp) and by
 // the per-string Rabin-Karp reference (fingerprint/rabin_karp.hpp) — so
@@ -31,8 +32,8 @@
 #include <vector>
 
 #include "fingerprint/rabin_karp.hpp"
-#include "gpu/device_buffer.hpp"
 #include "gpu/key128.hpp"
+#include "util/memory_tracker.hpp"
 
 namespace lasagna::gpu {
 class Device;
@@ -58,8 +59,8 @@ enum class KernelId : std::uint32_t {
 /// thread-per-read kernel instead of the paper's block-per-read scan; it
 /// picks a modeled cost, not different arithmetic.
 ///
-/// The four match buffers outlive a call: the simulated backend's first
-/// match_bounds allocates each with room for max(match_window, call size)
+/// The four match allocations outlive a call: the simulated backend's first
+/// match_bounds reserves each with room for max(match_window, call size)
 /// elements and later calls that fit reuse them, so a caller matching
 /// window after window (the reduce) allocates once, at its window size.
 struct DeviceContext {
@@ -67,10 +68,10 @@ struct DeviceContext {
   gpu::StreamPair* streams = nullptr;
   bool thread_per_read = false;
   std::size_t match_window = 0;
-  gpu::DeviceBuffer<gpu::Key128> match_needles{};
-  gpu::DeviceBuffer<gpu::Key128> match_haystack{};
-  gpu::DeviceBuffer<std::uint32_t> match_lower{};
-  gpu::DeviceBuffer<std::uint32_t> match_upper{};
+  util::TrackedAllocation match_needles{};
+  util::TrackedAllocation match_haystack{};
+  util::TrackedAllocation match_lower{};
+  util::TrackedAllocation match_upper{};
 };
 
 /// One fingerprint-generation workload: a batch of encoded reads

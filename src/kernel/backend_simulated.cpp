@@ -3,16 +3,18 @@
 // pipeline uses by default and the only simulated copy of the kernels: the
 // pipeline, kernel_replay and bench_kernels all run this code.
 //
-// Like the device primitives, every kernel computes on the host and charges
-// the device's cost. The fingerprint kernel runs the fastest host kernel
-// (fastest_host_backend) on the device-resident batch and charges the
-// paper's block-per-read Hillis-Steele scan (Figs 5/6), or the naive
-// thread-per-read rolling hash with the uncoalesced-transaction penalty the
-// paper's "excessive memory throttling" corresponds to. match_bounds and
-// sort_pairs wrap the device primitives (gpu/primitives.hpp). Every call
-// is one StreamPair::round_trip on the caller's stream pair: H2D copies,
-// the kernel (serialized after the last kernel on either leg), D2H copies,
-// all charged on one leg.
+// The device is a memory budget and a clock. Every kernel computes in
+// place, on the caller's arrays, with the fastest host kernel
+// (fastest_host_backend), and charges what the device version costs:
+// its device allocations, its transfers by byte count, and its kernel.
+// The fingerprint charges the paper's block-per-read Hillis-Steele scan
+// (Figs 5/6), or the naive thread-per-read rolling hash with the
+// uncoalesced-transaction penalty the paper's "excessive memory throttling"
+// corresponds to; match_bounds and sort_pairs charge the Thrust-style
+// primitives (gpu/primitives.hpp). Every call is one
+// StreamPair::round_trip on the caller's stream pair: H2D copies, the
+// kernel (serialized after the last kernel on either leg), D2H copies, all
+// charged on one leg.
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
@@ -22,6 +24,7 @@
 #include "gpu/primitives.hpp"
 #include "gpu/stream.hpp"
 #include "kernel/backend.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lasagna::kernel {
 
@@ -40,26 +43,12 @@ void on_next_leg(DeviceContext& ctx, Upload&& upload, Kernel&& kernel,
       .round_trip(upload, kernel, download);
 }
 
-/// Device-resident fingerprint batch: the uploaded encoded reads (the
-/// pipeline uploads reads, not fingerprints) and both output arrays.
-struct DeviceBatch {
-  gpu::DeviceBuffer<std::uint8_t> codes;
-  gpu::DeviceBuffer<std::uint16_t> lengths;
-  gpu::DeviceBuffer<Key128> prefix;
-  gpu::DeviceBuffer<Key128> suffix;
-};
-
-/// The fingerprint kernel on the device-resident batch: the fastest host
-/// kernel fills both output arrays, and `leg` is charged one launch of the
-/// paper's kernel, or of the naive one when `thread_per_read`.
+/// The fingerprint kernel: the fastest host kernel fills the caller's
+/// output arrays, and `leg` is charged one launch of the paper's kernel,
+/// or of the naive one when `thread_per_read`.
 void fingerprint_kernel(gpu::Stream leg, const FingerprintJob& job,
-                        DeviceBatch& batch, bool thread_per_read) {
-  FingerprintJob on_device = job;
-  on_device.codes = batch.codes.span();
-  on_device.lengths = batch.lengths.span();
-  on_device.prefix = batch.prefix.data();
-  on_device.suffix = batch.suffix.data();
-  fastest_host_backend().fingerprint(on_device, nullptr);
+                        bool thread_per_read) {
+  fastest_host_backend().fingerprint(job, nullptr);
 
   // A block-per-read grid over empty reads has no threads to launch.
   if (thread_per_read || job.stride > 0) leg.device().note_launch();
@@ -83,16 +72,15 @@ void fingerprint_kernel(gpu::Stream leg, const FingerprintJob& job,
   }
 }
 
-/// `buffer` viewed as its first `n` elements, reallocated first (at
-/// max(window, n) elements) when it holds fewer.
+/// Reallocates `buffer` (at max(window, n) elements of T) when it holds
+/// fewer than `n`.
 template <typename T>
-std::span<T> reserve(gpu::Device& dev, gpu::DeviceBuffer<T>& buffer,
-                     std::size_t window, std::size_t n) {
-  if (buffer.size() < n) {
+void reserve(gpu::Device& dev, util::TrackedAllocation& buffer,
+             std::size_t window, std::size_t n) {
+  if (buffer.bytes() < n * sizeof(T)) {
     buffer.reset();
     buffer = dev.alloc<T>(std::max(window, n));
   }
-  return buffer.first(n);
 }
 
 class SimulatedBackend final : public Backend {
@@ -106,23 +94,24 @@ class SimulatedBackend final : public Backend {
     if (job.count == 0) return;
     const std::size_t total =
         static_cast<std::size_t>(job.count) * job.stride;
-    DeviceBatch batch{dev.alloc<std::uint8_t>(job.codes.size()),
-                      dev.alloc<std::uint16_t>(job.lengths.size()),
-                      dev.alloc<Key128>(total), dev.alloc<Key128>(total)};
+    // The device batch: the uploaded encoded reads (the pipeline uploads
+    // reads, not fingerprints) and both output arrays.
+    const auto codes = dev.alloc<std::uint8_t>(job.codes.size());
+    const auto lengths = dev.alloc<std::uint16_t>(job.lengths.size());
+    const auto prefix = dev.alloc<Key128>(total);
+    const auto suffix = dev.alloc<Key128>(total);
     on_next_leg(
         *ctx,
         [&](gpu::Stream s) {
-          s.copy_to_device_async(job.codes, batch.codes.span());
-          s.copy_to_device_async(job.lengths, batch.lengths.span());
+          s.charge_transfer(job.codes.size_bytes());
+          s.charge_transfer(job.lengths.size_bytes());
         },
         [&](gpu::Stream s) {
-          fingerprint_kernel(s, job, batch, ctx->thread_per_read);
+          fingerprint_kernel(s, job, ctx->thread_per_read);
         },
         [&](gpu::Stream s) {
-          s.copy_to_host_async(std::span<const Key128>(batch.prefix.span()),
-                               std::span(job.prefix, total));
-          s.copy_to_host_async(std::span<const Key128>(batch.suffix.span()),
-                               std::span(job.suffix, total));
+          s.charge_transfer(prefix.bytes());
+          s.charge_transfer(suffix.bytes());
         });
   }
 
@@ -137,24 +126,32 @@ class SimulatedBackend final : public Backend {
     }
     if (needles.empty()) return;
     const std::size_t window = ctx->match_window;
-    const auto d_sfx = reserve(dev, ctx->match_needles, window, needles.size());
-    const auto d_pfx =
-        reserve(dev, ctx->match_haystack, window, haystack.size());
-    const auto d_lower = reserve(dev, ctx->match_lower, window, needles.size());
-    const auto d_upper = reserve(dev, ctx->match_upper, window, needles.size());
+    reserve<Key128>(dev, ctx->match_needles, window, needles.size());
+    reserve<Key128>(dev, ctx->match_haystack, window, haystack.size());
+    reserve<std::uint32_t>(dev, ctx->match_lower, window, needles.size());
+    reserve<std::uint32_t>(dev, ctx->match_upper, window, needles.size());
     on_next_leg(
         *ctx,
         [&](gpu::Stream s) {
-          s.copy_to_device_async(needles, d_sfx);
-          s.copy_to_device_async(haystack, d_pfx);
+          s.charge_transfer(needles.size_bytes());
+          s.charge_transfer(haystack.size_bytes());
         },
         [&](gpu::Stream s) {
-          gpu::vector_lower_bound(s, d_sfx, d_pfx, d_lower);
-          gpu::vector_upper_bound(s, d_sfx, d_pfx, d_upper);
+          // One thread per needle on the device; ranges of needles on the
+          // host pool.
+          util::ThreadPool::global().parallel_for_chunked(
+              needles.size(), [&](std::size_t begin, std::size_t end) {
+                fastest_host_backend().match_bounds(
+                    needles.subspan(begin, end - begin), haystack,
+                    lower.subspan(begin, end - begin),
+                    upper.subspan(begin, end - begin), nullptr);
+              });
+          gpu::charge_bound(s, needles.size(), haystack.size());  // lower
+          gpu::charge_bound(s, needles.size(), haystack.size());  // upper
         },
         [&](gpu::Stream s) {
-          s.copy_to_host_async(std::span<const std::uint32_t>(d_lower), lower);
-          s.copy_to_host_async(std::span<const std::uint32_t>(d_upper), upper);
+          s.charge_transfer(lower.size_bytes());
+          s.charge_transfer(upper.size_bytes());
         });
   }
 
@@ -165,23 +162,21 @@ class SimulatedBackend final : public Backend {
       throw std::invalid_argument("sort_pairs: key/value size mismatch");
     }
     if (keys.size() < 2) return;
-    auto d_keys = dev.alloc<Key128>(keys.size());
-    auto d_vals = dev.alloc<std::uint64_t>(values.size());
+    const auto d_keys = dev.alloc<Key128>(keys.size());
+    const auto d_vals = dev.alloc<std::uint64_t>(values.size());
     on_next_leg(
         *ctx,
         [&](gpu::Stream s) {
-          s.copy_to_device_async(std::span<const Key128>(keys),
-                                 d_keys.span());
-          s.copy_to_device_async(std::span<const std::uint64_t>(values),
-                                 d_vals.span());
+          s.charge_transfer(keys.size_bytes());
+          s.charge_transfer(values.size_bytes());
         },
         [&](gpu::Stream s) {
-          gpu::sort_pairs<std::uint64_t>(s, d_keys.span(), d_vals.span());
+          gpu::charge_sort_pairs(s, keys);
+          fastest_host_backend().sort_pairs(keys, values, nullptr);
         },
         [&](gpu::Stream s) {
-          s.copy_to_host_async(std::span<const Key128>(d_keys.span()), keys);
-          s.copy_to_host_async(std::span<const std::uint64_t>(d_vals.span()),
-                               values);
+          s.charge_transfer(keys.size_bytes());
+          s.charge_transfer(values.size_bytes());
         });
   }
 

@@ -3,7 +3,8 @@
 // in json.hpp; this header is the matching reader. Header-only, no
 // dependencies, throws std::runtime_error with byte offsets on malformed
 // input. Object member order is preserved (bench documents are
-// deterministic, so diffs stay stable).
+// deterministic, so diffs stay stable). Arrays and objects nest at most
+// kMaxDepth deep, so no input can recurse the parser off its stack.
 #pragma once
 
 #include <cctype>
@@ -46,6 +47,10 @@ struct JsonValue {
 };
 
 namespace json_detail {
+
+/// Deepest array/object nesting a document may have. The repository's own
+/// documents nest at most 5 deep.
+inline constexpr std::size_t kMaxDepth = 256;
 
 class Parser {
  public:
@@ -92,9 +97,14 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // A failure abandons the whole parse, so depth_ need not unwind.
+        if (depth_ == kMaxDepth) fail("nesting too deep");
+        ++depth_;
+        JsonValue v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.type = JsonValue::Type::kString;
@@ -266,6 +276,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace json_detail

@@ -292,6 +292,22 @@ TEST_F(DistRecoveryTest, ResizedSidecarsAreRecomputed) {
   }
 }
 
+TEST_F(DistRecoveryTest, RejectedNodeManifestRestartsEveryNode) {
+  // One node's manifest does not load (a counter that is not a number),
+  // so that node starts over, and with it every node: the others' resumed
+  // phases would skip the shuffle it needs.
+  (void)run_full("manifest");
+  const std::string reference = slurp(out("manifest"));
+  ClusterConfig c = config("manifest");
+  std::ofstream(c.work_dir / "node1" / "checkpoint.manifest", std::ios::app)
+      << "entry phase:map records=abc\n";
+  c.resume = true;
+  const DistributedResult resumed =
+      run_distributed(dir_.file("reads.fq"), out("manifest"), c);
+  EXPECT_EQ(resumed.phases_resumed, 0u);
+  EXPECT_EQ(slurp(out("manifest")), reference);
+}
+
 TEST_F(DistRecoveryTest, NodeScopedPolicyOnlyFiresOnThatNode) {
   // A kill scoped to node 7 of a 2-node cluster can never fire.
   auto injector = io::FaultInjector::parse("node:nth=1,node=7");

@@ -1,14 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <random>
+#include <vector>
 
 #include "gpu/device.hpp"
 #include "gpu/key128.hpp"
 #include "gpu/primitives.hpp"
 #include "gpu/profile.hpp"
 #include "gpu/stream.hpp"
+#include "kernel/backend.hpp"
 #include "obs/metrics.hpp"
 
 namespace lasagna::gpu {
@@ -56,14 +57,7 @@ TEST(Device, EnforcesCapacity) {
   a.reset();
   EXPECT_EQ(dev.memory().current(), 0u);
   auto b = dev.alloc<std::uint64_t>(128);  // fits now
-  EXPECT_EQ(b.size(), 128u);
-}
-
-TEST(Device, MaxElementsMatchesFreeCapacity) {
-  Device dev = small_device(1000);
-  EXPECT_EQ(dev.max_elements<std::uint64_t>(), 125u);
-  auto a = dev.alloc<std::uint64_t>(100);
-  EXPECT_EQ(dev.max_elements<std::uint64_t>(), 25u);
+  EXPECT_EQ(b.bytes(), 1024u);
 }
 
 TEST(Device, TransfersAdvanceModeledClockAndCounter) {
@@ -71,14 +65,11 @@ TEST(Device, TransfersAdvanceModeledClockAndCounter) {
   const double before = dev.modeled_seconds();
   const std::int64_t bytes_before =
       obs::MetricsRegistry::global().value("gpu.transfer_bytes");
-  std::vector<std::uint64_t> host(1 << 16, 42);
-  auto buf = dev.alloc<std::uint64_t>(host.size());
-  default_stream(dev).copy_to_device_async(
-      std::span<const std::uint64_t>(host), buf.span());
+  default_stream(dev).charge_transfer(std::uint64_t{1} << 19);
   EXPECT_GT(dev.modeled_seconds(), before);
   EXPECT_EQ(obs::MetricsRegistry::global().value("gpu.transfer_bytes") -
                 bytes_before,
-            static_cast<std::int64_t>(host.size() * 8));
+            std::int64_t{1} << 19);
 }
 
 TEST(Profiles, PaperSpecsOrdering) {
@@ -95,64 +86,15 @@ TEST(Profiles, PaperSpecsOrdering) {
             GpuProfile::p40().kernel_seconds(bytes, bytes / 8));
 }
 
-TEST(SortPairs, MatchesStdSortOnRandomKeys) {
-  Device dev = small_device();
-  for (std::size_t n : {0ull, 1ull, 2ull, 100ull, 4097ull, 50000ull}) {
-    auto keys = random_keys(n, n + 1);
-    std::vector<std::uint32_t> vals(n);
-    std::iota(vals.begin(), vals.end(), 0u);
-
-    std::vector<std::pair<Key128, std::uint32_t>> expected;
-    for (std::size_t i = 0; i < n; ++i) expected.emplace_back(keys[i], i);
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-
-    sort_pairs<std::uint32_t>(default_stream(dev), keys, vals);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(keys[i], expected[i].first) << "n=" << n << " i=" << i;
-      EXPECT_EQ(vals[i], expected[i].second) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(SortPairs, StableForEqualKeys) {
-  Device dev = small_device();
-  // Narrow key space forces many duplicates.
-  auto keys = random_keys(20000, 7, 15);
-  for (auto& k : keys) k.hi = 0;
-  std::vector<std::uint32_t> vals(keys.size());
-  std::iota(vals.begin(), vals.end(), 0u);
-  sort_pairs<std::uint32_t>(default_stream(dev), keys, vals);
-  for (std::size_t i = 1; i < keys.size(); ++i) {
-    ASSERT_LE(keys[i - 1], keys[i]);
-    if (keys[i - 1] == keys[i]) {
-      EXPECT_LT(vals[i - 1], vals[i]) << "stability violated at " << i;
-    }
-  }
-}
-
-TEST(SortPairs, RejectsMismatchedSizes) {
-  Device dev = small_device();
-  std::vector<Key128> keys(4);
-  std::vector<std::uint32_t> vals(3);
-  EXPECT_THROW(sort_pairs<std::uint32_t>(default_stream(dev), keys, vals),
-               std::invalid_argument);
-}
-
 TEST(SortPairs, ChargesDeviceMemoryForDoubleBuffer) {
   // Sorting n resident pairs needs another n pairs of double-buffer; a
   // device sized for the input alone must throw.
   Device dev(GpuProfile::k40(), 1000 * (16 + 8) + 100);
-  auto keys = dev.alloc<Key128>(1000);
-  auto vals = dev.alloc<std::uint64_t>(1000);
-  const auto host_keys = random_keys(1000, 3);
-  default_stream(dev).copy_to_device_async(
-      std::span<const Key128>(host_keys), keys.span());
-  EXPECT_THROW(
-      sort_pairs<std::uint64_t>(default_stream(dev), keys.span(), vals.span()),
-      util::MemoryTracker::CapacityError);
+  const auto d_keys = dev.alloc<Key128>(1000);
+  const auto d_vals = dev.alloc<std::uint64_t>(1000);
+  const std::vector<Key128> keys(1000);
+  EXPECT_THROW(charge_sort_pairs(default_stream(dev), keys),
+               util::MemoryTracker::CapacityError);
 }
 
 TEST(Scans, InclusiveExclusive) {
@@ -170,6 +112,8 @@ TEST(Scans, AliasingInput) {
   EXPECT_EQ(data, (std::vector<std::uint64_t>{0, 1, 3, 6}));
 }
 
+// The batched lower/upper bound of Algorithm 2 (lines 8-9), run on the
+// simulated device's default stream.
 TEST(VectorBounds, MatchStdAlgorithms) {
   Device dev = small_device();
   auto haystack = random_keys(5000, 11, 300);
@@ -178,8 +122,11 @@ TEST(VectorBounds, MatchStdAlgorithms) {
 
   std::vector<std::uint32_t> lower(needles.size());
   std::vector<std::uint32_t> upper(needles.size());
-  vector_lower_bound(default_stream(dev), needles, haystack, lower);
-  vector_upper_bound(default_stream(dev), needles, haystack, upper);
+  kernel::DeviceContext ctx{&dev};
+  const double before = dev.modeled_seconds();
+  kernel::simulated_backend().match_bounds(needles, haystack, lower, upper,
+                                           &ctx);
+  EXPECT_GT(dev.modeled_seconds(), before);
 
   for (std::size_t i = 0; i < needles.size(); ++i) {
     const auto lb = std::lower_bound(haystack.begin(), haystack.end(),
@@ -201,8 +148,12 @@ TEST(VectorBounds, EmptyHaystack) {
   auto needles = random_keys(10, 1);
   std::vector<Key128> haystack;
   std::vector<std::uint32_t> lower(needles.size(), 99);
-  vector_lower_bound(default_stream(dev), needles, haystack, lower);
+  std::vector<std::uint32_t> upper(needles.size(), 99);
+  kernel::DeviceContext ctx{&dev};
+  kernel::simulated_backend().match_bounds(needles, haystack, lower, upper,
+                                           &ctx);
   for (auto v : lower) EXPECT_EQ(v, 0u);
+  for (auto v : upper) EXPECT_EQ(v, 0u);
 }
 
 TEST(GatherScatter, RoundTrip) {

@@ -15,6 +15,9 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <iomanip>
+#include <numeric>
 #include <random>
 #include <sstream>
 
@@ -187,53 +190,150 @@ TEST(KernelBackend, SimulatedFingerprintChargesArePinned) {
   }
 }
 
+TEST(KernelBackend, SimulatedMatchAndSortChargesArePinned) {
+  // Calls on one fresh device, default stream. A sort of 1,000 pairs holds
+  // keys and values plus their double buffer (4 allocations, 48,000 bytes)
+  // and moves both arrays up and down (48,000 bytes); its kernel charges
+  // are the histogram pre-pass, one scatter pass per digit some keys
+  // differ in, and a copy-back after an odd number of passes. The three
+  // match calls use a 400-key haystack at match_window 512: the first
+  // allocates the four buffers at 512 elements, the second fits them, the
+  // third reallocates the needle and both bound buffers at 700.
+  gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
+  kernel::DeviceContext ctx{&dev, nullptr, false, 512};
+  kernel::Backend& sim = kernel::simulated_backend();
+  std::mt19937_64 rng(5);
+  auto sort_keys = [&](auto&& key_of) {
+    std::vector<Key128> keys(1000);
+    std::vector<std::uint64_t> vals(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = key_of(i);
+      vals[i] = i;
+    }
+    return [&sim, &ctx, keys, vals]() mutable {
+      sim.sort_pairs(keys, vals, &ctx);
+    };
+  };
+  std::vector<Key128> haystack(400);
+  for (auto& k : haystack) k = Key128{rng() % 64, rng() % 4};
+  std::sort(haystack.begin(), haystack.end());
+  auto match = [&](std::size_t n) {
+    std::vector<Key128> needles(n);
+    for (auto& k : needles) k = Key128{rng() % 64, rng() % 4};
+    return [&sim, &ctx, &haystack, needles] {
+      std::vector<std::uint32_t> lower(needles.size());
+      std::vector<std::uint32_t> upper(needles.size());
+      sim.match_bounds(needles, haystack, lower, upper, &ctx);
+    };
+  };
+  struct Step {
+    const char* what;
+    std::function<void()> call;
+    std::vector<std::int64_t> deltas;
+    double modeled_seconds;  ///< the device clock after the call
+  };
+  const std::vector<Step> steps = {
+      {"sort, all keys equal",
+       sort_keys([](std::size_t) { return Key128{7, 7}; }),
+       {16000, 16000, 1, 48000, 4, 48000},
+       1.6619050000000001e-06},
+      {"sort, keys differ in byte 3",
+       sort_keys([](std::size_t i) { return Key128{7, (i % 5) << 24}; }),
+       {256000, 19000, 3, 48000, 4, 48000},
+       4.1583329999999999e-06},
+      {"sort, keys differ in bytes 0 and 9",
+       sort_keys([](std::size_t i) {
+         return Key128{(i % 3) << 8, i % 7};
+       }),
+       {400000, 20000, 3, 48000, 4, 48000},
+       7.1551579999999998e-06},
+      {"sort, random keys",
+       sort_keys([&rng](std::size_t) { return Key128{rng(), rng()}; }),
+       {3088000, 48000, 17, 48000, 4, 48000},
+       1.9496422999999998e-05},
+      {"match, 300 needles", match(300), {98400, 5400, 2, 13600, 4, 20480},
+       2.0293565999999999e-05},
+      {"match, 200 needles", match(200), {65600, 3600, 2, 11200, 0, 0},
+       2.0896106000000001e-05},
+      {"match, 700 needles", match(700),
+       {229600, 12600, 2, 23200, 3, 16800},
+       2.2471660000000001e-05},
+  };
+  const char* counters[] = {"gpu.kernel_bytes",   "gpu.kernel_ops",
+                            "gpu.kernel_charges", "gpu.transfer_bytes",
+                            "gpu.allocs",         "gpu.alloc_bytes"};
+  auto& registry = obs::MetricsRegistry::global();
+  for (const Step& step : steps) {
+    std::vector<std::int64_t> before;
+    for (const char* c : counters) before.push_back(registry.value(c));
+    step.call();
+    std::vector<std::int64_t> delta;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      delta.push_back(registry.value(counters[i]) - before[i]);
+    }
+    EXPECT_EQ(delta, step.deltas) << step.what;
+    EXPECT_EQ(dev.modeled_seconds(), step.modeled_seconds)
+        << step.what << " " << std::setprecision(17) << dev.modeled_seconds();
+  }
+}
+
 TEST(KernelBackend, MatchBoundsAcrossBackends) {
   std::mt19937_64 rng(99);
   // Haystack with dense duplicate runs (the tie-heavy shape the reduce
   // phase produces for repeated fingerprints).
-  std::vector<Key128> haystack;
+  std::vector<Key128> tied;
   for (unsigned v = 0; v < 200; ++v) {
     const Key128 k{rng() % 50, rng() % 3};
     const unsigned copies = 1 + static_cast<unsigned>(rng() % 4);
-    for (unsigned c = 0; c < copies; ++c) haystack.push_back(k);
+    for (unsigned c = 0; c < copies; ++c) tied.push_back(k);
   }
-  std::sort(haystack.begin(), haystack.end());
-  std::vector<Key128> needles;
+  std::sort(tied.begin(), tied.end());
+  std::vector<Key128> tied_needles;
   for (unsigned i = 0; i < 333; ++i) {
-    needles.push_back(i % 3 == 0 ? haystack[rng() % haystack.size()]
-                                 : Key128{rng() % 60, rng() % 3});
+    tied_needles.push_back(i % 3 == 0 ? tied[rng() % tied.size()]
+                                      : Key128{rng() % 60, rng() % 3});
   }
-
-  std::vector<std::uint32_t> want_lower(needles.size());
-  std::vector<std::uint32_t> want_upper(needles.size());
-  for (std::size_t i = 0; i < needles.size(); ++i) {
-    want_lower[i] = static_cast<std::uint32_t>(
-        std::lower_bound(haystack.begin(), haystack.end(), needles[i]) -
-        haystack.begin());
-    want_upper[i] = static_cast<std::uint32_t>(
-        std::upper_bound(haystack.begin(), haystack.end(), needles[i]) -
-        haystack.begin());
-  }
+  // A larger haystack of 301 values per word, mostly distinct keys.
+  std::vector<Key128> spread(5000);
+  for (auto& k : spread) k = Key128{rng() % 301, rng() % 301};
+  std::sort(spread.begin(), spread.end());
+  std::vector<Key128> spread_needles(1000);
+  for (auto& k : spread_needles) k = Key128{rng() % 301, rng() % 301};
 
   gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
   kernel::DeviceContext ctx{&dev, nullptr, false};
-  for (kernel::Backend* backend : all_backends_under_test()) {
-    std::vector<std::uint32_t> lower(needles.size(), 123);
-    std::vector<std::uint32_t> upper(needles.size(), 123);
-    backend->match_bounds(needles, haystack, lower, upper, &ctx);
-    EXPECT_EQ(lower, want_lower) << backend->name();
-    EXPECT_EQ(upper, want_upper) << backend->name();
+  for (const auto& [needles, haystack] :
+       {std::pair{tied_needles, tied}, std::pair{spread_needles, spread}}) {
+    std::vector<std::uint32_t> want_lower(needles.size());
+    std::vector<std::uint32_t> want_upper(needles.size());
+    for (std::size_t i = 0; i < needles.size(); ++i) {
+      want_lower[i] = static_cast<std::uint32_t>(
+          std::lower_bound(haystack.begin(), haystack.end(), needles[i]) -
+          haystack.begin());
+      want_upper[i] = static_cast<std::uint32_t>(
+          std::upper_bound(haystack.begin(), haystack.end(), needles[i]) -
+          haystack.begin());
+    }
+    for (kernel::Backend* backend : all_backends_under_test()) {
+      std::vector<std::uint32_t> lower(needles.size(), 123);
+      std::vector<std::uint32_t> upper(needles.size(), 123);
+      backend->match_bounds(needles, haystack, lower, upper, &ctx);
+      EXPECT_EQ(lower, want_lower) << backend->name() << " " << haystack.size();
+      EXPECT_EQ(upper, want_upper) << backend->name() << " " << haystack.size();
+    }
+  }
 
+  for (kernel::Backend* backend : all_backends_under_test()) {
     // Empty haystack: all bounds are zero.
     std::vector<std::uint32_t> lo2(5, 77);
     std::vector<std::uint32_t> up2(5, 77);
-    backend->match_bounds(std::span<const Key128>(needles).first(5), {}, lo2,
-                          up2, &ctx);
+    backend->match_bounds(std::span<const Key128>(tied_needles).first(5), {},
+                          lo2, up2, &ctx);
     EXPECT_EQ(lo2, std::vector<std::uint32_t>(5, 0)) << backend->name();
     EXPECT_EQ(up2, std::vector<std::uint32_t>(5, 0)) << backend->name();
 
     // Empty needles: a no-op.
-    backend->match_bounds({}, haystack, {}, {}, &ctx);
+    backend->match_bounds({}, tied, {}, {}, &ctx);
   }
 }
 
@@ -283,6 +383,134 @@ TEST(KernelBackend, SortPairsAcrossBackends) {
     std::vector<Key128> k0;
     std::vector<std::uint64_t> v0;
     backend->sort_pairs(k0, v0, &ctx);
+  }
+}
+
+// ---- sort sweeps over every backend ----------------------------------------
+
+/// `keys` with values 0..n-1 alongside, sorted by `backend`, equal the
+/// std::stable_sort of the same pairs by key.
+void expect_stable_sort(kernel::Backend& backend, std::vector<Key128> keys) {
+  const std::size_t n = keys.size();
+  std::vector<std::uint64_t> want_vals(n);
+  std::iota(want_vals.begin(), want_vals.end(), 0u);
+  std::stable_sort(want_vals.begin(), want_vals.end(),
+                   [&keys](std::uint64_t a, std::uint64_t b) {
+                     return keys[a] < keys[b];
+                   });
+  std::vector<Key128> want_keys(n);
+  for (std::size_t i = 0; i < n; ++i) want_keys[i] = keys[want_vals[i]];
+
+  gpu::Device dev(gpu::GpuProfile::k40(), 64ull << 20);
+  kernel::DeviceContext ctx{&dev, nullptr, false};
+  std::vector<std::uint64_t> vals(n);
+  std::iota(vals.begin(), vals.end(), 0u);
+  backend.sort_pairs(keys, vals, &ctx);
+  // Compared whole, so a failure names the backend without printing
+  // every key.
+  EXPECT_TRUE(keys == want_keys) << backend.name() << " keys, n=" << n;
+  EXPECT_TRUE(vals == want_vals) << backend.name() << " values, n=" << n;
+}
+
+enum class KeyDistribution {
+  kUniform,
+  kLowEntropy,     // few distinct values
+  kSortedAlready,  // best case
+  kReverseSorted,  // adversarial
+  kHighBitsOnly,   // lo word constant -> many skipped radix passes
+  kLowBitsOnly,    // hi word constant
+};
+
+struct SortCase {
+  KeyDistribution dist;
+  std::size_t n;
+};
+
+std::vector<Key128> generate(KeyDistribution dist, std::size_t n,
+                             std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Key128> keys(n);
+  switch (dist) {
+    case KeyDistribution::kUniform:
+      for (auto& k : keys) k = Key128{rng(), rng()};
+      break;
+    case KeyDistribution::kLowEntropy:
+      for (auto& k : keys) k = Key128{rng() % 3, rng() % 5};
+      break;
+    case KeyDistribution::kSortedAlready:
+      for (std::size_t i = 0; i < n; ++i) keys[i] = Key128{0, i};
+      break;
+    case KeyDistribution::kReverseSorted:
+      for (std::size_t i = 0; i < n; ++i) keys[i] = Key128{0, n - i};
+      break;
+    case KeyDistribution::kHighBitsOnly:
+      for (auto& k : keys) k = Key128{rng(), 0xdeadbeef};
+      break;
+    case KeyDistribution::kLowBitsOnly:
+      for (auto& k : keys) k = Key128{42, rng()};
+      break;
+  }
+  return keys;
+}
+
+class SortSweep : public ::testing::TestWithParam<SortCase> {};
+
+TEST_P(SortSweep, SortedStableAndPermutation) {
+  const auto [dist, n] = GetParam();
+  for (kernel::Backend* backend : all_backends_under_test()) {
+    expect_stable_sort(*backend, generate(dist, n, n * 31 + 1));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Distributions, SortSweep,
+    ::testing::Values(SortCase{KeyDistribution::kUniform, 10000},
+                      SortCase{KeyDistribution::kLowEntropy, 10000},
+                      SortCase{KeyDistribution::kSortedAlready, 5000},
+                      SortCase{KeyDistribution::kReverseSorted, 5000},
+                      SortCase{KeyDistribution::kHighBitsOnly, 8000},
+                      SortCase{KeyDistribution::kLowBitsOnly, 8000},
+                      SortCase{KeyDistribution::kUniform, 1},
+                      SortCase{KeyDistribution::kUniform, 2},
+                      SortCase{KeyDistribution::kLowEntropy, 3}),
+    [](const auto& info) { return "case" + std::to_string(info.index); });
+
+TEST(SortPairs, MatchesStdSortOnRandomKeys) {
+  for (const std::size_t n : {0ull, 1ull, 2ull, 100ull, 4097ull, 50000ull}) {
+    for (kernel::Backend* backend : all_backends_under_test()) {
+      expect_stable_sort(*backend, generate(KeyDistribution::kUniform, n,
+                                            n + 1));
+    }
+  }
+}
+
+TEST(SortPairs, StableForEqualKeys) {
+  // A 16-value key space forces long runs of equal keys.
+  std::mt19937_64 rng(7);
+  std::vector<Key128> keys(20000);
+  for (auto& k : keys) k = Key128{0, rng() % 16};
+  for (kernel::Backend* backend : all_backends_under_test()) {
+    expect_stable_sort(*backend, keys);
+  }
+}
+
+TEST(SortPairs, RejectsMismatchedSizes) {
+  // Both kernels that take parallel arrays check their sizes first.
+  gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
+  kernel::DeviceContext ctx{&dev, nullptr, false};
+  std::vector<Key128> keys(4);
+  std::vector<std::uint64_t> vals(3);
+  std::vector<std::uint32_t> four(4);
+  std::vector<std::uint32_t> three(3);
+  for (kernel::Backend* backend : all_backends_under_test()) {
+    EXPECT_THROW(backend->sort_pairs(keys, vals, &ctx), std::invalid_argument)
+        << backend->name();
+    EXPECT_THROW(backend->match_bounds(keys, keys, three, four, &ctx),
+                 std::invalid_argument)
+        << backend->name();
+    EXPECT_THROW(backend->match_bounds(keys, keys, four, three, &ctx),
+                 std::invalid_argument)
+        << backend->name();
   }
 }
 

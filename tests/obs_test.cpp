@@ -456,5 +456,75 @@ TEST(BenchDiff, IgnorePatternsSkipMachineDependentKeys) {
       diff_documents(baseline, modeled_regressed, ignore_wall).ok());
 }
 
+
+// -- json_parse ---------------------------------------------------------------
+
+TEST(JsonParse, SeededMutationsParseOrReject) {
+  // A BENCH_kernels.json-shaped document with every value kind, escapes
+  // included. Each mutant either parses or throws std::runtime_error: no
+  // other exception, and no crash.
+  const std::string doc = R"({
+  "quick": true,
+  "cpu": {"avx2": true, "bmi2": false},
+  "rows": [
+    {"backend": "simulated", "kernel": "fingerprint", "elements": 819200,
+     "bytes": 13516800, "wall_seconds": 0.00143388,
+     "modeled_seconds": 0.000251159, "gigabytes_per_second": 9.4266e0},
+    {"backend": "scalar", "kernel": "match_bounds", "elements": 262144,
+     "modeled_seconds": 0, "note": "tab\t \"q\" \/ \u00e9 \u20ac"},
+    {"backend": "avx2", "kernel": "sort_pairs", "elements": -1,
+     "rows": [], "meta": {}, "ok": null}
+  ]
+})";
+  const JsonValue parsed = JsonValue::parse(doc);
+  ASSERT_EQ(parsed.find("rows")->array.size(), 3u);
+
+  auto parse_or_reject = [](const std::string& text) {
+    try {
+      (void)JsonValue::parse(text);
+    } catch (const std::runtime_error&) {
+    }
+  };
+  std::mt19937_64 rng(0x15011);
+  auto pick = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng() % bound);
+  };
+  for (int trial = 0; trial < 512; ++trial) {
+    std::string m = doc;
+    m[pick(m.size())] ^= static_cast<char>(1u << pick(8));
+    EXPECT_NO_THROW(parse_or_reject(m)) << "bit flip " << trial;
+    m = doc;
+    m[pick(m.size())] = static_cast<char>(rng());
+    EXPECT_NO_THROW(parse_or_reject(m)) << "overwrite " << trial;
+    EXPECT_NO_THROW(parse_or_reject(doc.substr(0, pick(doc.size()))))
+        << "truncate " << trial;
+    m = doc;
+    for (std::size_t k = 1 + pick(64); k > 0; --k) {
+      m.push_back(static_cast<char>(rng()));
+    }
+    EXPECT_NO_THROW(parse_or_reject(m)) << "tail " << trial;
+  }
+
+  // Nesting past the bound (256 levels) throws at the byte that opens one
+  // level too many, however deep the input goes.
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  for (const std::string& deep : {std::string(100000, '['), objects}) {
+    EXPECT_THROW((void)JsonValue::parse(deep), std::runtime_error);
+  }
+  const std::size_t max = 256;
+  EXPECT_NO_THROW(
+      (void)JsonValue::parse(std::string(max, '[') + std::string(max, ']')));
+  try {
+    (void)JsonValue::parse(std::string(max + 1, '[') +
+                           std::string(max + 1, ']'));
+    ADD_FAILURE() << "nesting one past the bound parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte " + std::to_string(max)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace lasagna::obs

@@ -6,6 +6,9 @@
 #include <sys/stat.h>
 
 #include <fstream>
+#include <map>
+#include <optional>
+#include <random>
 #include <sstream>
 
 #include "core/checkpoint.hpp"
@@ -405,6 +408,121 @@ TEST(CheckpointManager, TornAppendKeepsEveryCompleteEntry) {
   core::CheckpointManager(dir.path(), 1, 2).reset();
   chop(5);
   EXPECT_FALSE(core::CheckpointManager(dir.path(), 1, 2).load());
+}
+
+
+/// Reads `pair`'s value as the decimal number its digits spell, or nothing
+/// when it is not `name=digits` with a value below 2^64.
+std::optional<std::uint64_t> decimal_value(const std::string& pair) {
+  const std::size_t eq = pair.find('=');
+  if (eq == std::string::npos || eq + 1 == pair.size()) return std::nullopt;
+  unsigned __int128 value = 0;
+  for (const char c : pair.substr(eq + 1)) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<unsigned>(c - '0');
+    if (value > UINT64_MAX) return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+TEST(CheckpointManager, SeededManifestMutationsLoadOrReject) {
+  io::ScopedTempDir dir("lasagna-ckpt-mutation");
+  {
+    core::CheckpointManager cm(dir.path(), 0x1111, 0x2222);
+    cm.reset();
+    cm.record("phase:load", {{"read_count", 60000}, {"total_bases", 6000000}});
+    cm.record("sort:run:sfx_00080.sorted:0", {{"records", 7}});
+    cm.record("sort:run:sfx_00080.sorted:1", {{"records", 1234567}});
+    cm.record("phase:map", {{"partitions", 37}, {"records", 903}});
+  }
+  const std::string text = slurp(dir.file("checkpoint.manifest"));
+
+  // load() returns true or false and never throws; every counter it keeps
+  // is the decimal value of the digits on the last complete line of its key.
+  // A fresh directory per mutant: truncating and rewriting one file can
+  // wait for its earlier blocks to reach the disk.
+  std::size_t dirs = 0;
+  auto write_mutant = [&](const std::string& mutant) {
+    const auto path = dir.path() / ("m" + std::to_string(dirs++));
+    std::filesystem::create_directory(path);
+    std::ofstream(path / "checkpoint.manifest", std::ios::binary) << mutant;
+    return path;
+  };
+  auto expect_load_or_reject = [&](const std::string& mutant,
+                                   const std::string& what) {
+    core::CheckpointManager cm(write_mutant(mutant), 0x1111, 0x2222);
+    bool loaded = false;
+    ASSERT_NO_THROW(loaded = cm.load()) << what;
+    if (!loaded) return;
+    std::map<std::string, core::CheckpointManager::Counters> lines;
+    std::istringstream in(mutant.substr(0, mutant.rfind('\n') + 1));
+    for (std::string line; std::getline(in, line);) {
+      std::istringstream fields(line);
+      std::string tag;
+      std::string key;
+      if (!(fields >> tag >> key) || tag != "entry") continue;
+      auto& counters = lines[key];
+      counters.clear();
+      for (std::string pair; fields >> pair;) {
+        const auto value = decimal_value(pair);
+        ASSERT_TRUE(value.has_value()) << what << ": accepted " << pair;
+        counters[pair.substr(0, pair.find('='))] = *value;
+      }
+    }
+    for (const std::string& key : cm.keys_with_prefix("")) {
+      EXPECT_EQ(cm.counters(key), lines[key]) << what << ": " << key;
+    }
+  };
+
+  expect_load_or_reject(text, "unmodified");
+  for (const char* value :
+       {"abc", "-1", "99999999999999999999999", "18446744073709551616"}) {
+    const auto path =
+        write_mutant(text + "entry k records=" + value + "\n");
+    EXPECT_FALSE(core::CheckpointManager(path, 0x1111, 0x2222).load())
+        << value;
+  }
+
+  std::mt19937_64 rng(0xc4ec);
+  auto pick = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng() % bound);
+  };
+  const std::string structure = " =\n";
+  const std::vector<std::string> values = {
+      "abc", "-1", "+1", "", "0x10", "1e3", "12a", "007", "0",
+      "99999999999999999999999", "18446744073709551616",
+      "18446744073709551615"};
+  for (int trial = 0; trial < 256; ++trial) {
+    std::string m = text;
+    m[pick(m.size())] ^= static_cast<char>(1u << pick(8));
+    expect_load_or_reject(m, "bit flip " + std::to_string(trial));
+    expect_load_or_reject(text.substr(0, pick(text.size())),
+                          "truncate " + std::to_string(trial));
+    m = text;
+    for (std::size_t k = 1 + pick(4); k > 0; --k) {
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(pick(m.size() + 1)),
+               structure[pick(structure.size())]);
+    }
+    expect_load_or_reject(m, "insert " + std::to_string(trial));
+    m = text;
+    for (std::size_t k = 1 + pick(4); k > 0; --k) {
+      std::vector<std::size_t> hits;
+      for (std::size_t i = 0; i < m.size(); ++i) {
+        if (structure.find(m[i]) != std::string::npos) hits.push_back(i);
+      }
+      m.erase(hits[pick(hits.size())], 1);
+    }
+    expect_load_or_reject(m, "delete " + std::to_string(trial));
+    // One counter's digits replaced.
+    m = text;
+    std::vector<std::size_t> eqs;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (m[i] == '=') eqs.push_back(i);
+    }
+    const std::size_t at = eqs[pick(eqs.size())] + 1;
+    m.replace(at, m.find_first_of(" \n", at) - at, values[pick(values.size())]);
+    expect_load_or_reject(m, "value " + std::to_string(trial));
+  }
 }
 
 }  // namespace
