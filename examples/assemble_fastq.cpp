@@ -190,9 +190,11 @@ int main(int argc, char** argv) {
   }
 
   io::FaultInjector::ScopedInstall install(injector.get());
+  // A multi-node run writes the profiler's merged trace instead, so it
+  // records no tracer events.
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::Tracer::ScopedInstall> tracer_install;
-  if (!trace_out.empty()) {
+  if (!trace_out.empty() && nodes <= 1) {
     tracer = std::make_unique<obs::Tracer>();
     tracer->set_disk_bandwidth(config.machine.disk_bandwidth_bytes_per_sec);
     tracer_install = std::make_unique<obs::Tracer::ScopedInstall>(tracer.get());
@@ -208,7 +210,7 @@ int main(int argc, char** argv) {
         std::make_unique<obs::Profiler::ScopedInstall>(profiler.get());
   }
   std::unique_ptr<kernel::CaptureSession> capture;
-  std::unique_ptr<kernel::ScopedCapture> capture_install;
+  std::unique_ptr<kernel::CaptureSession::ScopedInstall> capture_install;
   if (!dump_dir.empty()) {
     try {
       capture = std::make_unique<kernel::CaptureSession>(dump_dir, dump_limit,
@@ -220,7 +222,8 @@ int main(int argc, char** argv) {
                    e.what());
       return 2;
     }
-    capture_install = std::make_unique<kernel::ScopedCapture>(*capture);
+    capture_install =
+        std::make_unique<kernel::CaptureSession::ScopedInstall>(capture.get());
   }
   try {
     if (nodes > 0) {
@@ -242,11 +245,11 @@ int main(int argc, char** argv) {
       const dist::DistributedResult result =
           dist::run_distributed(argv[1], argv[2], cluster);
       if (!trace_out.empty()) {
-        if (nodes > 1 && profiler != nullptr) {
+        if (nodes > 1) {
           profiler->write_merged_trace(trace_out);
           std::printf("wrote merged trace %s (%u node rows)\n",
                       trace_out.c_str(), nodes);
-        } else if (tracer != nullptr) {
+        } else {
           tracer->write_chrome_trace(trace_out);
           std::printf("wrote trace %s\n", trace_out.c_str());
         }

@@ -297,7 +297,6 @@ std::uint64_t hash_assembly_config(const AssemblyConfig& config) {
   hash = fnv1a_value(hash, config.min_overlap);
   hash = fnv1a_value(hash, config.machine.host_memory_bytes);
   hash = fnv1a_value(hash, config.machine.device_memory_bytes);
-  hash = fnv1a_value(hash, config.machine.host_sort_fraction);
   hash = fnv1a_value(hash, config.fingerprints.primary.radix);
   hash = fnv1a_value(hash, config.fingerprints.primary.modulus);
   hash = fnv1a_value(hash, config.fingerprints.secondary.radix);

@@ -43,15 +43,6 @@ struct MachineConfig {
   /// the memory scale like disk bandwidth, so modeled host seconds are in
   /// full-size-world units.
   double host_bandwidth_bytes_per_sec = 1e9 / 4096.0;
-  /// Fraction of host memory usable as a single sort block m_h (the rest
-  /// is double-buffering and pipeline overhead).
-  double host_sort_fraction = 0.5;
-  /// Per-node NIC cap for the distributed network lane (bytes/second each
-  /// direction; the node cannot send or receive faster than this no matter
-  /// what the link offers). 0 = uncapped, the pre-topology behaviour.
-  /// Scaled like disk bandwidth so modeled seconds stay in full-size-world
-  /// units.
-  double nic_bandwidth_bytes_per_sec = 0.0;
 
   /// QueenBee II node: 128 GB host + K40 12 GB (Tables II/IV), divided by
   /// `scale`.
@@ -59,9 +50,6 @@ struct MachineConfig {
   /// SuperMIC node: 64 GB host + K20X 6 GB (Tables III/V), divided by
   /// `scale`.
   static MachineConfig supermic_k20(double scale = 4096.0);
-
-  static MachineConfig with_gpu(const gpu::GpuProfile& profile,
-                                double scale = 4096.0);
 };
 
 inline MachineConfig MachineConfig::queenbee_k40(double scale) {
@@ -74,7 +62,6 @@ inline MachineConfig MachineConfig::queenbee_k40(double scale) {
   m.gpu_profile = gpu::GpuProfile::k40();
   m.disk_bandwidth_bytes_per_sec = 500e6 / scale;
   m.host_bandwidth_bytes_per_sec = 1e9 / scale;
-  m.nic_bandwidth_bytes_per_sec = 7e9 / scale;  // 56 Gb/s InfiniBand
   m.time_scale = scale;
   return m;
 }
@@ -89,19 +76,7 @@ inline MachineConfig MachineConfig::supermic_k20(double scale) {
   m.gpu_profile = gpu::GpuProfile::k20x();
   m.disk_bandwidth_bytes_per_sec = 500e6 / scale;
   m.host_bandwidth_bytes_per_sec = 1e9 / scale;
-  m.nic_bandwidth_bytes_per_sec = 7e9 / scale;  // 56 Gb/s InfiniBand
   m.time_scale = scale;
-  return m;
-}
-
-inline MachineConfig MachineConfig::with_gpu(const gpu::GpuProfile& profile,
-                                             double scale) {
-  MachineConfig m = queenbee_k40(scale);
-  m.name = profile.name;
-  m.gpu_profile = profile;
-  m.device_memory_bytes =
-      static_cast<std::uint64_t>(
-          static_cast<double>(profile.memory_bytes) / scale);
   return m;
 }
 
@@ -204,17 +179,17 @@ struct BlockGeometry {
   /// with a strictly serial modeled timeline — keep it for comparisons.
   bool streamed = false;
 
-  /// m_h from the host budget; m_d from the device budget. The device sort
-  /// needs input + double buffer (2x) plus staging, hence the divisor 4;
-  /// see gpu::charge_sort_pairs.
+  /// m_h from the host budget: half of host memory is one sort block (the
+  /// rest is double-buffering and pipeline overhead). m_d from the device
+  /// budget: the device sort needs input + double buffer (2x) plus
+  /// staging, hence the divisor 4; see gpu::charge_sort_pairs.
   static BlockGeometry from(const MachineConfig& machine);
 };
 
 inline BlockGeometry BlockGeometry::from(const MachineConfig& machine) {
   BlockGeometry g;
   g.host_block_records = std::max<std::uint64_t>(
-      16, static_cast<std::uint64_t>(machine.host_sort_fraction *
-                                     machine.host_memory_bytes) /
+      16, static_cast<std::uint64_t>(0.5 * machine.host_memory_bytes) /
               sizeof(FpRecord));
   g.device_block_records = std::max<std::uint64_t>(
       16, machine.device_memory_bytes / (4 * sizeof(FpRecord)));

@@ -263,7 +263,8 @@ MapResult run_map_phase(Workspace& ws,
       util::TrackedAllocation strand_mem(
           *ws.host, strands.size() * (strands.front().size() + 32));
       job.fps = fingerprint::compute_batch_fingerprints(
-          *ws.device, strands, places, options.strategy, &streams);
+          *ws.device, strands, places,
+          fingerprint::KernelStrategy::kBlockPerRead, &streams);
     }
     util::TrackedAllocation fp_mem(
         *ws.host, (job.fps.prefix.size() + job.fps.suffix.size()) *

@@ -38,8 +38,6 @@ struct MapOptions {
   unsigned min_overlap = 63;
   fingerprint::FingerprintConfig fingerprints =
       fingerprint::FingerprintConfig::standard();
-  fingerprint::KernelStrategy strategy =
-      fingerprint::KernelStrategy::kBlockPerRead;
   /// Restrict to a sub-range of reads [first_read, first_read + max_reads);
   /// used by the distributed map where the master hands out input blocks.
   std::uint64_t first_read = 0;

@@ -39,7 +39,7 @@ using Payload = std::vector<std::byte>;
 
 class Network {
  public:
-  /// Per-link bandwidth, NIC caps and rack structure come from `topology`
+  /// Per-link bandwidth, latency and rack structure come from `topology`
   /// (`ClusterTopology::flat` for a uniform network).
   Network(unsigned node_count, const ClusterTopology& topology);
 

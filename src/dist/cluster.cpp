@@ -39,16 +39,6 @@ std::uint64_t combine_role_hashes(std::uint64_t h_sfx, std::uint64_t h_pfx) {
   return fnv::fold_u64(fnv::fold_u64(fnv::kOffset, h_sfx), h_pfx);
 }
 
-/// The link model actually used: a zero NIC cap inherits the machine's.
-ClusterTopology effective_topology(const ClusterConfig& config) {
-  ClusterTopology t = config.topology;
-  if (t.nic_bandwidth_bytes_per_sec <= 0.0) {
-    t.nic_bandwidth_bytes_per_sec =
-        config.machine.nic_bandwidth_bytes_per_sec;
-  }
-  return t;
-}
-
 /// Parameters that shape per-node intermediate files and work division:
 /// the single-node hash over the fields both configs share, plus the node
 /// count. The reduce strategy and `streamed` are deliberately absent —
@@ -206,12 +196,13 @@ void register_push_handlers(ClusterRun& run) {
                                      path.string());
           }
           const std::size_t n = logical.size();
-          if (n > 0 && std::fwrite(logical.data(), 1, n, f) != n) {
-            std::fclose(f);
+          const bool wrote =
+              n == 0 || std::fwrite(logical.data(), 1, n, f) == n;
+          // fclose writes the buffered tail: its failure is a failed write.
+          if (std::fclose(f) != 0 || !wrote) {
             throw std::runtime_error("shuffle stage write failed: " +
                                      path.string());
           }
-          std::fclose(f);
           if (n > 0) node.shuffle_io.add_write(n);
           return Payload{};
         });
@@ -997,8 +988,7 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
                        const ClusterConfig& cfg)
     : config(cfg),
       fastq(fastq_path),
-      topo(effective_topology(cfg)),
-      net(cfg.node_count, topo),
+      net(cfg.node_count, ClusterTopology::fat_tree(cfg.machine.time_scale)),
       geometry(core::BlockGeometry::from(cfg.machine)),
       fused(cfg.streamed && cfg.fuse_shuffle && cfg.work_dir.empty()),
       nodes(cfg.node_count) {
@@ -1069,14 +1059,6 @@ ClusterConfig ClusterConfig::supermic(unsigned nodes, double scale) {
   ClusterConfig config;
   config.node_count = nodes;
   config.machine = core::MachineConfig::supermic_k20(scale);
-  config.topology.link_bandwidth_bytes_per_sec = 7e9 / scale;  // 56 Gb/s
-  config.graph_insert_seconds = 50e-9 * scale;
-  config.graph_probe_seconds = 1e-9 * scale;
-  // SuperMIC's fat tree: 16 nodes per leaf switch at full 56 Gb/s, 2:1
-  // oversubscribed uplinks between racks, an extra switch hop of latency.
-  config.topology.rack_size = 16;
-  config.topology.inter_rack_bandwidth_bytes_per_sec = 3.5e9 / scale;
-  config.topology.inter_rack_latency_seconds = 1e-5;
   return config;
 }
 

@@ -50,7 +50,6 @@
 
 #include "core/compress_phase.hpp"
 #include "core/config.hpp"
-#include "dist/topology.hpp"
 #include "util/stats.hpp"
 
 namespace lasagna::dist {
@@ -76,35 +75,18 @@ enum class ReduceStrategy {
 struct ClusterConfig {
   unsigned node_count = 4;
   ReduceStrategy reduce_strategy = ReduceStrategy::kLengthToken;
-  core::MachineConfig machine;  ///< per-node machine (SuperMIC K20 default)
+  /// Per-node machine. The network (`ClusterTopology::fat_tree`) and the
+  /// reduce's per-candidate graph costs scale with its `time_scale`.
+  core::MachineConfig machine;
   unsigned min_overlap = 63;
   fingerprint::FingerprintConfig fingerprints =
       fingerprint::FingerprintConfig::standard();
-  /// Link-level network model (racks, NIC caps, inter-rack
-  /// oversubscription). The default is a flat network of 56 Gb/s
-  /// InfiniBand links scaled like the machine (see MachineConfig); a zero
-  /// NIC cap inherits the machine's. `supermic()` rescales the links and
-  /// fills in the paper clusters' fat-tree shape.
-  ClusterTopology topology = ClusterTopology::flat(7e9 / 4096.0, 5e-6);
   /// Fuse the shuffle into the sort: owners feed arriving chunks straight
   /// into sort-run formation instead of staging them on disk. Requires
   /// `streamed` and an empty `work_dir` (staging is what checkpointed
   /// re-pushes splice into); ignored otherwise. Contigs and the shuffle
   /// hash are byte-identical either way.
   bool fuse_shuffle = true;
-  /// Modeled host-side cost of offering one candidate edge to the greedy
-  /// graph (the serialized t_g component of the distributed reduce).
-  /// Scaled runs shrink the candidate count but not the real-world insert
-  /// cost they stand for, so `supermic()` multiplies the per-candidate
-  /// nanoseconds by the scale factor to keep the paper's t_o/t_g ratio —
-  /// the quantity that bounds reduce-phase scalability to t_o/t_g nodes.
-  double graph_insert_seconds = 50e-9;
-  /// Modeled cost of *probing* the greedy graph — an out-degree bit test
-  /// with no stores. The speculative reduce's reconciliation is probe-
-  /// bound (rank merge + conflict checks); only committed edges pay the
-  /// full insert cost, which is what lets it break the token's t_g wall.
-  /// Scaled by `supermic()` alongside graph_insert_seconds.
-  double graph_probe_seconds = 1e-9;
   bool include_singletons = false;
   /// Pipeline graph mode. `kReduced` replaces the greedy reduce with a
   /// distributed full-graph build: owners of contiguous vertex blocks
@@ -126,6 +108,7 @@ struct ClusterConfig {
   /// of starting clean.
   bool resume = false;
 
+  /// `nodes` SuperMIC nodes (`MachineConfig::supermic_k20(scale)`).
   static ClusterConfig supermic(unsigned nodes, double scale = 4096.0);
 };
 

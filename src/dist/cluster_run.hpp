@@ -132,7 +132,6 @@ struct ClusterRun {
   const ClusterConfig& config;
   const std::filesystem::path& fastq;
   std::optional<io::ScopedTempDir> temp;  ///< node root without a work_dir
-  ClusterTopology topo;
   Network net;
   core::BlockGeometry geometry;
   /// Owners feed arriving push chunks straight into sort runs instead of

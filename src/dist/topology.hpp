@@ -9,15 +9,14 @@
 //   * per-direction NIC clocks — a node's send and receive engines run
 //     concurrently (full-duplex), so its network-lane time is the max of
 //     the two, not the sum;
-//   * a per-link bandwidth resolved as min(src NIC, dst NIC, link class),
-//     where the link class is intra-rack or inter-rack (fat-tree style:
-//     the oversubscribed core gives inter-rack links less bandwidth and
-//     more latency);
+//   * a per-link bandwidth and latency by link class, intra-rack or
+//     inter-rack (fat-tree style: the oversubscribed core gives inter-rack
+//     links less bandwidth and more latency);
 //   * incast contention for free — N senders pushing to one owner each
 //     charge the owner's receive clock, which serializes them exactly the
 //     way an incast bottlenecks a real reduction.
 //
-// Zero means "unconstrained" for every bandwidth field and "inherit the
+// Zero means "unconstrained" for the link bandwidth and "inherit the
 // base value" for the inter-rack overrides, so a default ClusterTopology
 // is a flat, infinitely-provisioned network.
 #pragma once
@@ -27,8 +26,6 @@
 namespace lasagna::dist {
 
 struct ClusterTopology {
-  /// Per-node NIC cap, bytes/second each direction (0 = uncapped).
-  double nic_bandwidth_bytes_per_sec = 0.0;
   /// Intra-rack (leaf switch) link bandwidth, bytes/second (0 = uncapped).
   double link_bandwidth_bytes_per_sec = 0.0;
   /// Inter-rack (core) link bandwidth (0 = same as intra-rack).
@@ -49,23 +46,31 @@ struct ClusterTopology {
     return t;
   }
 
+  /// The paper clusters' network (SuperMIC, §III-E): 56 Gb/s InfiniBand
+  /// at 5 µs within a 16-node leaf switch, 2:1 oversubscribed uplinks and
+  /// an extra switch hop between racks. Bandwidths are divided by the
+  /// dataset `scale` like the machine's disk and host rates, so modeled
+  /// seconds stay in full-size-world units.
+  static ClusterTopology fat_tree(double scale) {
+    ClusterTopology t = flat(7e9 / scale, 5e-6);
+    t.rack_size = 16;
+    t.inter_rack_bandwidth_bytes_per_sec = 3.5e9 / scale;
+    t.inter_rack_latency_seconds = 1e-5;
+    return t;
+  }
+
   [[nodiscard]] bool same_rack(unsigned a, unsigned b) const {
     return rack_size == 0 || a / rack_size == b / rack_size;
   }
 
-  /// Bandwidth one transfer between `src` and `dst` can sustain:
-  /// min(src NIC, dst NIC, link class). Unconstrained fields drop out;
-  /// a fully unconstrained path returns +inf.
+  /// Bandwidth one transfer between `src` and `dst` can sustain: its link
+  /// class's, or +inf when that class is unconstrained.
   [[nodiscard]] double effective_bandwidth(unsigned src, unsigned dst) const {
-    double link = same_rack(src, dst)
-                      ? link_bandwidth_bytes_per_sec
-                      : (inter_rack_bandwidth_bytes_per_sec > 0.0
-                             ? inter_rack_bandwidth_bytes_per_sec
-                             : link_bandwidth_bytes_per_sec);
-    double bw = std::numeric_limits<double>::infinity();
-    if (nic_bandwidth_bytes_per_sec > 0.0) bw = nic_bandwidth_bytes_per_sec;
-    if (link > 0.0 && link < bw) bw = link;
-    return bw;
+    const double link = same_rack(src, dst) ||
+                                inter_rack_bandwidth_bytes_per_sec <= 0.0
+                            ? link_bandwidth_bytes_per_sec
+                            : inter_rack_bandwidth_bytes_per_sec;
+    return link > 0.0 ? link : std::numeric_limits<double>::infinity();
   }
 
   /// One-way latency of the `src`->`dst` path.

@@ -10,8 +10,6 @@
 
 namespace lasagna::io {
 
-std::atomic<FaultInjector*> FaultInjector::active_{nullptr};
-
 namespace {
 thread_local int t_current_node = -1;
 }  // namespace

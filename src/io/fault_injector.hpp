@@ -11,8 +11,9 @@
 // attempt (the stream retries the remainder, exactly as POSIX write(2)
 // callers must); fatal faults surface as the typed io::FaultError.
 //
-// Disabled cost: with no injector installed, every hook is a single relaxed
-// atomic pointer load and a never-taken branch — no locks, no counters.
+// Disabled cost: with no injector installed, every hook is a single atomic
+// pointer load (util::Installed) and a never-taken branch — no locks, no
+// counters.
 // Determinism: rate-based decisions hash (seed, per-policy op index), so a
 // given seed produces the same fault schedule on every run.
 #pragma once
@@ -25,6 +26,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "util/installed.hpp"
 
 namespace lasagna::io {
 
@@ -78,7 +81,7 @@ struct FaultPolicy {
 /// A set of policies plus fault accounting. Thread-safe: policy state is
 /// mutex-guarded (only ever touched when an injector is installed), the
 /// counters are atomics.
-class FaultInjector {
+class FaultInjector : public util::Installed<FaultInjector> {
  public:
   explicit FaultInjector(std::uint64_t seed = 0) : seed_(seed) {}
 
@@ -172,35 +175,6 @@ class FaultInjector {
     return fatal_.load(std::memory_order_relaxed);
   }
 
-  // -- global installation -------------------------------------------------
-
-  /// The currently installed injector (nullptr = fault injection disabled;
-  /// this load is the only cost on hot paths).
-  [[nodiscard]] static FaultInjector* active() {
-    return active_.load(std::memory_order_acquire);
-  }
-
-  /// Install (or with nullptr, remove) the process-wide injector.
-  static void install(FaultInjector* injector) {
-    active_.store(injector, std::memory_order_release);
-  }
-
-  /// RAII installation for tests: installs on construction, restores the
-  /// previous injector on destruction.
-  class ScopedInstall {
-   public:
-    explicit ScopedInstall(FaultInjector* injector)
-        : previous_(active()) {
-      install(injector);
-    }
-    ~ScopedInstall() { install(previous_); }
-    ScopedInstall(const ScopedInstall&) = delete;
-    ScopedInstall& operator=(const ScopedInstall&) = delete;
-
-   private:
-    FaultInjector* previous_;
-  };
-
  private:
   struct PolicyState {
     FaultPolicy policy;
@@ -230,8 +204,6 @@ class FaultInjector {
   std::atomic<std::uint64_t> injected_{0};
   std::atomic<std::uint64_t> retried_{0};
   std::atomic<std::uint64_t> fatal_{0};
-
-  static std::atomic<FaultInjector*> active_;
 };
 
 }  // namespace lasagna::io

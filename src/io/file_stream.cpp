@@ -164,8 +164,14 @@ void WriteOnlyStream::write_bytes(std::span<const std::byte> data) {
 }
 
 void WriteOnlyStream::close() {
-  file_.reset();
+  // fclose writes the buffered tail, so its failure is a failed write.
+  const int rc = file_ != nullptr ? std::fclose(file_.release()) : 0;
+  const int err = errno;
   span_.finish();
+  if (rc != 0) {
+    throw std::system_error(err, std::generic_category(),
+                            "close " + path_.string());
+  }
 }
 
 }  // namespace lasagna::io

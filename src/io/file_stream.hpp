@@ -114,8 +114,9 @@ class WriteOnlyStream {
   [[nodiscard]] std::uint64_t size() const { return offset_; }
 
   /// Flush and close, recording the stream's trace span; further writes
-  /// are invalid. The destructor closes a stream not closed explicitly
-  /// (errors in the destructor path are swallowed).
+  /// are invalid. Throws std::system_error when the final flush fails. The
+  /// destructor closes a stream not closed explicitly (errors in the
+  /// destructor path are swallowed).
   void close();
 
   [[nodiscard]] const std::filesystem::path& path() const { return path_; }

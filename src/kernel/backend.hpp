@@ -33,6 +33,7 @@
 
 #include "fingerprint/rabin_karp.hpp"
 #include "gpu/key128.hpp"
+#include "util/installed.hpp"
 #include "util/memory_tracker.hpp"
 
 namespace lasagna::gpu {
@@ -96,7 +97,7 @@ struct FingerprintJob {
 /// One kernel-backend implementation. Methods are synchronous and
 /// thread-compatible (no shared mutable state); the same Backend instance
 /// may be used from several threads on disjoint data.
-class Backend {
+class Backend : public util::Installed<Backend> {
  public:
   virtual ~Backend() = default;
 
@@ -165,15 +166,9 @@ class Backend {
 [[nodiscard]] Backend& active_backend();
 
 /// RAII install of the active backend (restores the previous selection).
-class ScopedBackend {
+class ScopedBackend : public Backend::ScopedInstall {
  public:
-  explicit ScopedBackend(Backend& backend);
-  ~ScopedBackend();
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  Backend* previous_;
+  explicit ScopedBackend(Backend& backend) : ScopedInstall(&backend) {}
 };
 
 // ---- dispatch --------------------------------------------------------------

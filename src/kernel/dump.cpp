@@ -177,10 +177,6 @@ bool DumpReader::next(DumpRecord& record) {
 
 // ---- CaptureSession --------------------------------------------------------
 
-CaptureSession* CaptureSession::active_ = nullptr;
-
-CaptureSession* CaptureSession::active() { return active_; }
-
 CaptureSession::CaptureSession(std::filesystem::path dir,
                                std::size_t limit_per_kernel, bool force)
     : dir_(std::move(dir)), limit_(limit_per_kernel), force_(force) {
@@ -234,13 +230,6 @@ void CaptureSession::close() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [id, writer] : writers_) writer->close();
 }
-
-ScopedCapture::ScopedCapture(CaptureSession& session)
-    : previous_(CaptureSession::active_) {
-  CaptureSession::active_ = &session;
-}
-
-ScopedCapture::~ScopedCapture() { CaptureSession::active_ = previous_; }
 
 std::vector<std::byte> concat_bytes(
     std::initializer_list<std::span<const std::byte>> parts) {

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "kernel/backend.hpp"
+#include "util/installed.hpp"
 
 namespace lasagna::kernel {
 
@@ -110,20 +111,16 @@ class DumpReader {
 };
 
 /// A capture session: one directory receiving the three kernel dump
-/// files. Install process-wide with ScopedCapture; the dispatch wrappers
+/// files. Install process-wide with ScopedInstall; the dispatch wrappers
 /// (kernel::run_*) then record every invocation (up to `limit_per_kernel`
 /// each, to bound dump size on large runs). Thread-safe; capture order is
 /// the call order under the session mutex, which the pipeline's serialized
 /// kernel sites make deterministic for a fixed seed.
-class CaptureSession {
+class CaptureSession : public util::Installed<CaptureSession> {
  public:
   CaptureSession(std::filesystem::path dir, std::size_t limit_per_kernel,
                  bool force);
   ~CaptureSession();
-
-  /// The installed session, or nullptr (capture disabled — the common
-  /// case; dispatch sites pay one pointer load).
-  [[nodiscard]] static CaptureSession* active();
 
   void record(KernelId kernel, const std::array<std::uint64_t, 8>& meta,
               std::span<const std::byte> input,
@@ -136,26 +133,11 @@ class CaptureSession {
   void close();
 
  private:
-  friend class ScopedCapture;
-  static CaptureSession* active_;
-
   mutable std::mutex mutex_;
   std::filesystem::path dir_;
   std::size_t limit_;
   bool force_;
   std::map<KernelId, std::unique_ptr<DumpWriter>> writers_;
-};
-
-/// RAII install of the active capture session.
-class ScopedCapture {
- public:
-  explicit ScopedCapture(CaptureSession& session);
-  ~ScopedCapture();
-  ScopedCapture(const ScopedCapture&) = delete;
-  ScopedCapture& operator=(const ScopedCapture&) = delete;
-
- private:
-  CaptureSession* previous_;
 };
 
 // -- capture helper for the dispatch wrappers ---------------------------------

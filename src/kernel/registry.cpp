@@ -7,12 +7,6 @@
 
 namespace lasagna::kernel {
 
-namespace {
-
-Backend* g_active = nullptr;
-
-}  // namespace
-
 const char* kernel_name(KernelId id) {
   switch (id) {
     case KernelId::kFingerprint:
@@ -71,14 +65,8 @@ Backend& resolve_backend(std::string_view name) {
 }
 
 Backend& active_backend() {
-  if (g_active == nullptr) g_active = &simulated_backend();
-  return *g_active;
+  Backend* backend = Backend::active();
+  return backend != nullptr ? *backend : simulated_backend();
 }
-
-ScopedBackend::ScopedBackend(Backend& backend) : previous_(&active_backend()) {
-  g_active = &backend;
-}
-
-ScopedBackend::~ScopedBackend() { g_active = previous_; }
 
 }  // namespace lasagna::kernel

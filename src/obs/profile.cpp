@@ -13,7 +13,6 @@
 
 namespace lasagna::obs {
 
-std::atomic<Profiler*> Profiler::active_{nullptr};
 thread_local ProfEdgeKind Profiler::hint_ = ProfEdgeKind::kAm;
 
 // The accessors of the thread_local hint live beside its definition: GCC's

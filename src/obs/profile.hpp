@@ -40,13 +40,14 @@
 // modeled clocks, so enabling it cannot change contigs or modeled seconds.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/installed.hpp"
 
 namespace lasagna::obs {
 
@@ -93,7 +94,7 @@ struct PhaseCriticalPath {
   [[nodiscard]] double coverage_percent() const;
 };
 
-class Profiler {
+class Profiler : public util::Installed<Profiler> {
  public:
   Profiler() = default;
   Profiler(const Profiler&) = delete;
@@ -166,28 +167,6 @@ class Profiler {
   [[nodiscard]] std::string merged_chrome_trace_json() const;
   void write_merged_trace(const std::filesystem::path& path) const;
 
-  // -- global installation (FaultInjector pattern) -------------------------
-
-  [[nodiscard]] static Profiler* active() {
-    return active_.load(std::memory_order_acquire);
-  }
-  static void install(Profiler* profiler) {
-    active_.store(profiler, std::memory_order_release);
-  }
-
-  class ScopedInstall {
-   public:
-    explicit ScopedInstall(Profiler* profiler) : previous_(active()) {
-      install(profiler);
-    }
-    ~ScopedInstall() { install(previous_); }
-    ScopedInstall(const ScopedInstall&) = delete;
-    ScopedInstall& operator=(const ScopedInstall&) = delete;
-
-   private:
-    Profiler* previous_;
-  };
-
  private:
   struct Phase {
     std::string name;
@@ -208,7 +187,6 @@ class Profiler {
   std::int64_t cursor_ps_ = 0;        ///< current phase's chain cursor
   std::uint64_t last_chain_id_ = 0;   ///< tail of the current chain
 
-  static std::atomic<Profiler*> active_;
   static thread_local ProfEdgeKind hint_;
 };
 

@@ -12,8 +12,6 @@
 
 namespace lasagna::obs {
 
-std::atomic<Tracer*> Tracer::active_{nullptr};
-
 namespace {
 
 std::int64_t steady_ns() {

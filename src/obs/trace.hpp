@@ -16,13 +16,12 @@
 // groups; each named track becomes one "thread" row. Open the file with
 // chrome://tracing "Load" or https://ui.perfetto.dev.
 //
-// Disabled cost: Tracer::active() is a single relaxed-ish atomic pointer
-// load (the FaultInjector pattern); no tracer installed means no locks, no
-// allocation, no string formatting at any call site — call sites must build
-// names only after checking active(), which wall_span() does for them.
+// Disabled cost: Tracer::active() is a single atomic pointer load
+// (util::Installed); no tracer installed means no locks, no allocation, no
+// string formatting at any call site — call sites must build names only
+// after checking active(), which wall_span() does for them.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <initializer_list>
@@ -33,6 +32,8 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/installed.hpp"
 
 namespace lasagna::obs {
 
@@ -62,7 +63,7 @@ struct TraceEvent {
   std::vector<TraceArg> args;
 };
 
-class Tracer {
+class Tracer : public util::Installed<Tracer> {
  public:
   Tracer();
 
@@ -114,32 +115,6 @@ class Tracer {
   /// is used for the modeled section of chrome_trace_json.)
   [[nodiscard]] std::string modeled_events_json() const;
 
-  // -- global installation (FaultInjector pattern) -------------------------
-
-  /// The installed tracer, or nullptr when tracing is disabled. This load
-  /// is the only cost on hot paths with tracing off.
-  [[nodiscard]] static Tracer* active() {
-    return active_.load(std::memory_order_acquire);
-  }
-
-  static void install(Tracer* tracer) {
-    active_.store(tracer, std::memory_order_release);
-  }
-
-  /// RAII installation; restores the previous tracer on destruction.
-  class ScopedInstall {
-   public:
-    explicit ScopedInstall(Tracer* tracer) : previous_(active()) {
-      install(tracer);
-    }
-    ~ScopedInstall() { install(previous_); }
-    ScopedInstall(const ScopedInstall&) = delete;
-    ScopedInstall& operator=(const ScopedInstall&) = delete;
-
-   private:
-    Tracer* previous_;
-  };
-
  private:
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
@@ -147,8 +122,6 @@ class Tracer {
   std::map<std::string, TrackId, std::less<>> track_ids_;
   std::int64_t epoch_ns_;  ///< steady_clock at construction
   double disk_bandwidth_ = 500e6 / 4096.0;
-
-  static std::atomic<Tracer*> active_;
 };
 
 /// RAII wall-clock span. Default-constructed spans are inert; active ones

@@ -227,7 +227,6 @@ TEST(Codec, SeededMutationsParseOrReject) {
 
 TEST(Topology, EffectiveBandwidthAndLatencyFollowRacks) {
   ClusterTopology t;
-  t.nic_bandwidth_bytes_per_sec = 10e9;
   t.link_bandwidth_bytes_per_sec = 7e9;
   t.inter_rack_bandwidth_bytes_per_sec = 3.5e9;
   t.latency_seconds = 5e-6;
@@ -240,12 +239,21 @@ TEST(Topology, EffectiveBandwidthAndLatencyFollowRacks) {
   EXPECT_DOUBLE_EQ(t.effective_bandwidth(0, 4), 3.5e9);
   EXPECT_DOUBLE_EQ(t.effective_latency(0, 3), 5e-6);
   EXPECT_DOUBLE_EQ(t.effective_latency(0, 4), 1e-5);
-  // The NIC caps a path when it is the narrowest element.
-  t.nic_bandwidth_bytes_per_sec = 1e9;
-  EXPECT_DOUBLE_EQ(t.effective_bandwidth(0, 3), 1e9);
   // Zero fields drop out; a fully unconstrained path is infinite.
   ClusterTopology open;
   EXPECT_TRUE(std::isinf(open.effective_bandwidth(0, 1)));
+  // The paper clusters' fat tree: scaled 56 Gb/s links at 5 us in 16-node
+  // racks, half the bandwidth and 10 us between racks.
+  for (const double scale : {4096.0, 16384.0}) {
+    const ClusterTopology f = ClusterTopology::fat_tree(scale);
+    EXPECT_EQ(f.rack_size, 16u);
+    EXPECT_TRUE(f.same_rack(0, 15));
+    EXPECT_FALSE(f.same_rack(15, 16));
+    EXPECT_EQ(f.effective_bandwidth(0, 15), 7e9 / scale);
+    EXPECT_EQ(f.effective_bandwidth(0, 16), 3.5e9 / scale);
+    EXPECT_EQ(f.effective_latency(0, 15), 5e-6);
+    EXPECT_EQ(f.effective_latency(0, 16), 1e-5);
+  }
 }
 
 TEST(Topology, IncastStacksOnReceiverClock) {

@@ -7,6 +7,7 @@
 #include "dist/active_message.hpp"
 #include "dist/cluster.hpp"
 #include "io/fastq.hpp"
+#include "io/fault_injector.hpp"
 #include "io/tempdir.hpp"
 #include "seq/dna.hpp"
 #include "seq/genome.hpp"
@@ -215,6 +216,33 @@ TEST(Cluster, ModeledSortTimeScalesDown) {
   // Total time improves despite the added shuffle.
   EXPECT_LT(n4.stats.total_modeled_seconds(),
             n1.stats.total_modeled_seconds());
+}
+
+TEST(Cluster, CostsComeFromTheMachine) {
+  // The network and the reduce's per-candidate graph costs derive from the
+  // machine's time scale, so a default-constructed config prices a run
+  // exactly like the SuperMIC preset on the same machine. Synchronous runs
+  // make every phase's modeled time a pure function of the input; injected
+  // faults move it by design, so an ambient injector is set aside.
+  const io::FaultInjector::ScopedInstall no_faults(nullptr);
+  const Dataset d = make_dataset(3000, 12.0, 80);
+  ClusterConfig preset = small_cluster(4);
+  preset.streamed = false;
+  ClusterConfig plain;
+  plain.node_count = 4;
+  plain.machine = preset.machine;
+  plain.min_overlap = preset.min_overlap;
+  plain.streamed = false;
+  const auto a =
+      run_distributed(d.dir.file("reads.fq"), d.dir.file("a.fa"), preset);
+  const auto b =
+      run_distributed(d.dir.file("reads.fq"), d.dir.file("b.fa"), plain);
+  ASSERT_GT(a.candidate_edges, 0u);
+  for (const char* phase : {"map", "shuffle", "sort", "reduce", "compress"}) {
+    EXPECT_EQ(a.stats.phase(phase).modeled_seconds,
+              b.stats.phase(phase).modeled_seconds)
+        << phase;
+  }
 }
 
 }  // namespace

@@ -81,6 +81,15 @@ TEST(FileStream, ShortReadSetsEof) {
   EXPECT_TRUE(in.eof());
 }
 
+TEST(FileStream, CloseReportsAFailedFlush) {
+  // The write fits in the stdio buffer, so only the flush at close meets
+  // the full device.
+  WriteOnlyStream out("/dev/full");
+  const std::string payload(100, 'x');
+  out.write_bytes(std::as_bytes(std::span(payload.data(), payload.size())));
+  EXPECT_THROW(out.close(), std::system_error);
+}
+
 TEST(FileStream, OpenMissingThrows) {
   EXPECT_THROW(ReadOnlyStream in("/nonexistent/path/file.bin"),
                std::system_error);

@@ -576,7 +576,7 @@ void capture_run(const std::filesystem::path& fastq,
                  const std::filesystem::path& contigs,
                  const core::AssemblyConfig& config = small_config()) {
   kernel::CaptureSession session(dump_dir, 16, /*force=*/false);
-  kernel::ScopedCapture scoped(session);
+  kernel::CaptureSession::ScopedInstall scoped(&session);
   core::Assembler assembler(config);
   (void)assembler.run(fastq, contigs);
 }
@@ -674,7 +674,7 @@ TEST(KernelBackendDumpTest, RefusesToOverwriteExistingDumpWithoutForce) {
   const auto dump = dir.file("dump");
   {
     kernel::CaptureSession session(dump, 4, false);
-    kernel::ScopedCapture scoped(session);
+    kernel::CaptureSession::ScopedInstall scoped(&session);
     gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
     fingerprint::PlaceTable places(
         fingerprint::FingerprintConfig::standard(), 128);
@@ -771,7 +771,7 @@ TEST(KernelBackendDumpTest, RejectsMalformedAndTruncatedDumps) {
 /// reads, five needles in a tied haystack, one five-pair sort chunk.
 void capture_small_dump(const std::filesystem::path& dir) {
   kernel::CaptureSession session(dir, 4, /*force=*/false);
-  kernel::ScopedCapture scoped(session);
+  kernel::CaptureSession::ScopedInstall scoped(&session);
   gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
   const fingerprint::PlaceTable places(
       fingerprint::FingerprintConfig::standard(), 16);

@@ -9,7 +9,6 @@
 #include "io/fastq.hpp"
 #include "io/record_stream.hpp"
 #include "seq/dna.hpp"
-#include "seq/genome.hpp"
 #include "test_workspace.hpp"
 
 namespace lasagna::core {
@@ -119,39 +118,6 @@ TEST(MapPhase, BlockRangeRestriction) {
   for (const auto& r : records) {
     EXPECT_GE(graph::read_of(r.vertex), 3u);
     EXPECT_LT(graph::read_of(r.vertex), 7u);
-  }
-}
-
-TEST(MapPhase, StrategiesProduceIdenticalPartitions) {
-  TestWorkspace tw_a;
-  TestWorkspace tw_b;
-  const std::string genome = seq::random_genome(400, 71);
-  std::vector<std::string> reads;
-  for (std::size_t pos = 0; pos + 50 <= genome.size(); pos += 25) {
-    reads.push_back(genome.substr(pos, 50));
-  }
-
-  MapOptions block;
-  block.min_overlap = 30;
-  block.strategy = fingerprint::KernelStrategy::kBlockPerRead;
-  MapOptions thread = block;
-  thread.strategy = fingerprint::KernelStrategy::kThreadPerRead;
-
-  const auto a =
-      run_map_phase(tw_a.ws(), write_reads(tw_a, reads), block);
-  const auto b =
-      run_map_phase(tw_b.ws(), write_reads(tw_b, reads), thread);
-  ASSERT_EQ(a.tuples_emitted, b.tuples_emitted);
-  for (const unsigned l : a.suffixes->lengths()) {
-    const auto ra =
-        io::read_all_records<FpRecord>(a.suffixes->path(l), tw_a.io());
-    const auto rb =
-        io::read_all_records<FpRecord>(b.suffixes->path(l), tw_b.io());
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      ASSERT_EQ(ra[i].fp, rb[i].fp) << "l=" << l << " i=" << i;
-      ASSERT_EQ(ra[i].vertex, rb[i].vertex);
-    }
   }
 }
 
