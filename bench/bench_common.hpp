@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "seq/datasets.hpp"
+#include "util/fnv.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
@@ -145,6 +147,17 @@ inline std::string cell_time(double seconds) {
 
 inline std::string cell_bytes(std::uint64_t bytes) {
   return util::format_bytes(bytes);
+}
+
+/// FNV-1a over a file's bytes: equal digests mean identical outputs.
+inline std::uint64_t file_hash(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t h = util::fnv::kOffset;
+  char buf[1 << 16];
+  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
+    h = util::fnv::fold_bytes(h, buf, static_cast<std::size_t>(in.gcount()));
+  }
+  return h;
 }
 
 }  // namespace lasagna::bench

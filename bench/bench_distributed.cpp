@@ -48,19 +48,6 @@ using namespace lasagna;
 
 namespace {
 
-std::uint64_t file_hash(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  char buf[1 << 16];
-  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-    for (std::streamsize i = 0; i < in.gcount(); ++i) {
-      h ^= static_cast<unsigned char>(buf[i]);
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
 const char* kPhases[] = {"map", "shuffle", "sort", "reduce", "compress"};
 constexpr unsigned kStrongNodes[] = {1, 2, 4, 8, 16, 32, 64};
 constexpr unsigned kWeakNodes[] = {1, 4, 16, 64};
@@ -242,9 +229,10 @@ int main(int argc, char** argv) {
     }
 
     // Byte-identity guards: every cell must match the 1-node streamed run.
-    const std::uint64_t sync_hash = file_hash(out.file("sync.fa"));
-    const std::uint64_t streamed_hash = file_hash(out.file("streamed.fa"));
-    const std::uint64_t spec_hash = file_hash(out.file("spec.fa"));
+    const std::uint64_t sync_hash = bench::file_hash(out.file("sync.fa"));
+    const std::uint64_t streamed_hash =
+        bench::file_hash(out.file("streamed.fa"));
+    const std::uint64_t spec_hash = bench::file_hash(out.file("spec.fa"));
     if (reference_contigs == 0) reference_contigs = streamed_hash;
     guards.spec_identical =
         guards.spec_identical && spec_hash == reference_contigs;

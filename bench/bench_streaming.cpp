@@ -59,19 +59,6 @@ void make_partition_file(const std::filesystem::path& path,
   writer.close();
 }
 
-std::uint64_t file_hash(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  char buf[1 << 16];
-  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-    for (std::streamsize i = 0; i < in.gcount(); ++i) {
-      h ^= static_cast<unsigned char>(buf[i]);
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
 struct SortRun {
   double device_seconds = 0.0;  ///< modeled, full-size-world units
   double disk_seconds = 0.0;
@@ -98,7 +85,7 @@ SortRun run_sort(const core::MachineConfig& machine,
   run.modeled_seconds =
       geometry.streamed ? std::max(run.device_seconds, run.disk_seconds)
                         : run.device_seconds + run.disk_seconds;
-  run.output_hash = file_hash(dir.file("out.bin"));
+  run.output_hash = bench::file_hash(dir.file("out.bin"));
   return run;
 }
 
@@ -144,8 +131,8 @@ PipelineSweep run_pipeline_sweep(const bench::BenchArgs& args,
         run_pipeline(machine, spec, fastq, out.file("sync.fa"), false);
     const auto streamed =
         run_pipeline(machine, spec, fastq, out.file("streamed.fa"), true);
-    const bool identical =
-        file_hash(out.file("sync.fa")) == file_hash(out.file("streamed.fa"));
+    const bool identical = bench::file_hash(out.file("sync.fa")) ==
+                           bench::file_hash(out.file("streamed.fa"));
     sweep.identical = sweep.identical && identical;
 
     std::string phases_json;

@@ -233,15 +233,10 @@ int main(int argc, char** argv) {
       const kernel::ScopedBackend kernel_scope(
           kernel::resolve_backend(config.kernel_backend));
       dist::ClusterConfig cluster;
+      static_cast<core::RunConfig&>(cluster) = config;
       cluster.node_count = nodes;
-      cluster.machine = config.machine;
-      cluster.min_overlap = config.min_overlap;
-      cluster.include_singletons = config.include_singletons;
-      cluster.streamed = config.streamed_sort;
-      cluster.work_dir = config.work_dir;
-      cluster.resume = config.resume;
       cluster.reduce_strategy = reduce;
-      cluster.graph = config.graph;
+      cluster.streamed = config.streamed_sort;
       const dist::DistributedResult result =
           dist::run_distributed(argv[1], argv[2], cluster);
       if (!trace_out.empty()) {

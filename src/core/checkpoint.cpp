@@ -13,6 +13,7 @@
 
 #include "io/file_stream.hpp"
 #include "obs/trace.hpp"
+#include "util/fnv.hpp"
 
 namespace lasagna::core {
 
@@ -20,27 +21,6 @@ namespace {
 
 constexpr const char* kManifestName = "checkpoint.manifest";
 constexpr const char* kHeader = "lasagna-checkpoint 3";
-
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t fnv1a_str(std::uint64_t hash, const std::string& s) {
-  return fnv1a(hash, s.data(), s.size());
-}
-
-template <typename T>
-std::uint64_t fnv1a_value(std::uint64_t hash, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return fnv1a(hash, &value, sizeof(value));
-}
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 
 struct SidecarHeader {
   std::uint64_t magic = 0;
@@ -54,6 +34,11 @@ static_assert(sizeof(SidecarHeader) ==
 
 constexpr std::uint64_t kSidecarMagic = 0x54504b434e47534cULL;  // "LSGNCKPT"
 constexpr std::uint32_t kSidecarVersion = 1;
+
+std::uint64_t payload_checksum(std::span<const std::byte> payload) {
+  return util::fnv::fold_bytes(util::fnv::kOffset, payload.data(),
+                               payload.size());
+}
 
 /// `token` as an unsigned number in `base` when it is nothing but digits
 /// and fits 64 bits; nothing otherwise (no sign, space or prefix).
@@ -233,7 +218,7 @@ void CheckpointManager::save_bytes(const std::string& name,
   const std::filesystem::path tmp = path.string() + ".tmp";
   const SidecarHeader header{kSidecarMagic, kSidecarVersion,
                              static_cast<std::uint32_t>(record_size), count,
-                             fnv1a(kFnvOffset, payload.data(), payload.size())};
+                             payload_checksum(payload)};
   {
     io::WriteOnlyStream out(tmp, *io_);
     out.write_bytes(std::as_bytes(std::span<const SidecarHeader>(&header, 1)));
@@ -264,17 +249,17 @@ bool CheckpointManager::load_bytes(
   }
   const std::span<std::byte> payload = alloc(header.count);
   return in.read_bytes(payload) == payload.size() &&
-         fnv1a(kFnvOffset, payload.data(), payload.size()) == header.checksum;
+         payload_checksum(payload) == header.checksum;
 }
 
 std::uint64_t CheckpointManager::fingerprint_inputs(
     const std::vector<std::filesystem::path>& files) {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = util::fnv::kOffset;
   std::vector<char> block(1 << 20);
   for (const auto& file : files) {
-    hash = fnv1a_str(hash, file.filename().string());
-    const std::uint64_t size = std::filesystem::file_size(file);
-    hash = fnv1a_value(hash, size);
+    const std::string name = file.filename().string();
+    hash = util::fnv::fold_bytes(hash, name.data(), name.size());
+    hash = util::fnv::fold_u64(hash, std::filesystem::file_size(file));
     std::ifstream in(file, std::ios::binary);
     if (!in) {
       throw std::system_error(errno, std::generic_category(),
@@ -282,7 +267,8 @@ std::uint64_t CheckpointManager::fingerprint_inputs(
     }
     while (in.read(block.data(), static_cast<std::streamsize>(block.size())) ||
            in.gcount() > 0) {
-      hash = fnv1a(hash, block.data(), static_cast<std::size_t>(in.gcount()));
+      hash = util::fnv::fold_bytes(hash, block.data(),
+                                   static_cast<std::size_t>(in.gcount()));
     }
     if (in.bad()) {
       throw std::system_error(errno, std::generic_category(),
@@ -292,21 +278,18 @@ std::uint64_t CheckpointManager::fingerprint_inputs(
   return hash;
 }
 
-std::uint64_t hash_assembly_config(const AssemblyConfig& config) {
-  std::uint64_t hash = kFnvOffset;
-  hash = fnv1a_value(hash, config.min_overlap);
-  hash = fnv1a_value(hash, config.machine.host_memory_bytes);
-  hash = fnv1a_value(hash, config.machine.device_memory_bytes);
-  hash = fnv1a_value(hash, config.fingerprints.primary.radix);
-  hash = fnv1a_value(hash, config.fingerprints.primary.modulus);
-  hash = fnv1a_value(hash, config.fingerprints.secondary.radix);
-  hash = fnv1a_value(hash, config.fingerprints.secondary.modulus);
-  hash = fnv1a_value(hash, config.include_singletons);
-  hash = fnv1a_value(hash, config.min_contig_length);
-  // Unlike streamed_*/kernel_backend, the graph mode changes the contigs
-  // and the checkpoint sidecar layout, so greedy and reduced checkpoints
-  // must not interchange.
-  hash = fnv1a_value(hash, static_cast<std::uint64_t>(config.graph));
+std::uint64_t hash_assembly_config(const RunConfig& config) {
+  std::uint64_t hash = util::fnv::kOffset;
+  for (const std::uint64_t value :
+       {std::uint64_t{config.min_overlap}, config.machine.host_memory_bytes,
+        config.machine.device_memory_bytes,
+        config.fingerprints.primary.radix,
+        config.fingerprints.primary.modulus,
+        config.fingerprints.secondary.radix,
+        config.fingerprints.secondary.modulus,
+        static_cast<std::uint64_t>(config.graph)}) {
+    hash = util::fnv::fold_u64(hash, value);
+  }
   return hash;
 }
 

@@ -131,8 +131,12 @@ class CheckpointManager {
   std::map<std::string, Counters> entries_;
 };
 
-/// Hash of the parameters that shape intermediate files — resuming under a
-/// changed value of any of these would splice incompatible state.
-std::uint64_t hash_assembly_config(const AssemblyConfig& config);
+/// Hash of the parameters that shape intermediate files — l_min, the host
+/// and device memory sizes, the four fingerprint parameters and the graph
+/// mode — since resuming under a changed value of any of these would splice
+/// incompatible state. Both drivers guard their manifests with it (the
+/// cluster folds its node count on top). Settings that only filter the
+/// FASTA, which compress rewrites on every run, stay out.
+std::uint64_t hash_assembly_config(const RunConfig& config);
 
 }  // namespace lasagna::core

@@ -93,14 +93,36 @@ enum class GraphMode : std::uint8_t { kGreedy = 0, kReduced = 1 };
   return mode == GraphMode::kReduced ? "reduced" : "greedy";
 }
 
-/// Assembly parameters.
-struct AssemblyConfig {
+/// What both drivers share: the machine, the assembly parameters every
+/// node's map, reduce and compress run with, and the workspace. The
+/// single-node pipeline (`AssemblyConfig`) and the simulated cluster
+/// (`dist::ClusterConfig`) each add their own settings on top.
+struct RunConfig {
   MachineConfig machine;
   unsigned min_overlap = 63;  ///< l_min (paper IV-A: SGA-suggested values)
   fingerprint::FingerprintConfig fingerprints =
       fingerprint::FingerprintConfig::standard();
   /// Emit reads with no overlaps as singleton contigs.
   bool include_singletons = false;
+  /// Graph mode: greedy (default) or reduced (full graph + blocked
+  /// parallel transitive reduction + unitig walk). Part of the checkpoint
+  /// config hash — reduced-mode intermediates do not interchange with
+  /// greedy ones.
+  GraphMode graph = GraphMode::kGreedy;
+  /// Working directory for intermediate files (empty = fresh temp dir).
+  /// The cluster keeps node k's under `work_dir/node<k>`.
+  std::filesystem::path work_dir;
+  /// Resume from the checkpoint manifests in `work_dir` (if they exist and
+  /// match this run's inputs and `hash_assembly_config`): completed phases
+  /// and finished sort runs are skipped, and the output is byte-identical
+  /// to an uninterrupted run. Requires a persistent `work_dir`; the
+  /// single-node pipeline ignores it in verify_overlaps mode (which pins
+  /// state that cannot be checkpointed).
+  bool resume = false;
+};
+
+/// Single-node assembly parameters.
+struct AssemblyConfig : RunConfig {
   /// Drop contigs shorter than this from the FASTA output (0 = keep all).
   std::uint32_t min_contig_length = 0;
   /// Verify candidate overlaps against the actual sequences and drop
@@ -128,19 +150,6 @@ struct AssemblyConfig {
   /// streamed_* flags the choice is excluded from the checkpoint config
   /// hash, so checkpoints interchange between backends.
   std::string kernel_backend = "simulated";
-  /// Graph mode: greedy (default) or reduced (full graph + blocked
-  /// parallel transitive reduction + unitig walk). Part of the checkpoint
-  /// config hash — reduced-mode intermediates do not interchange with
-  /// greedy ones.
-  GraphMode graph = GraphMode::kGreedy;
-  /// Working directory for intermediate files (empty = fresh temp dir).
-  std::filesystem::path work_dir;
-  /// Resume from the checkpoint manifest in `work_dir` (if one exists and
-  /// matches this run's inputs and parameters): completed phases and
-  /// finished sort runs are skipped, and the output is byte-identical to an
-  /// uninterrupted run. Requires a persistent `work_dir`; ignored in
-  /// verify_overlaps mode (which pins state that cannot be checkpointed).
-  bool resume = false;
   /// When set, the greedy string graph is also written here as GFA 1.0
   /// (for Bandage and other graph tooling).
   std::filesystem::path gfa_output;

@@ -7,6 +7,7 @@
 #include "core/phase_ledger.hpp"
 #include "graph/gfa.hpp"
 #include "graph/transitive.hpp"
+#include "io/partition.hpp"
 #include "kernel/backend.hpp"
 #include "obs/metrics.hpp"
 #include "seq/read_store.hpp"
@@ -134,12 +135,11 @@ bool restore_map(Workspace& ws, const CheckpointManager& cm, MapResult& map) {
       const auto length =
           static_cast<unsigned>(std::stoul(key.substr(prefix.size())));
       const std::uint64_t records = cm.counter(key, "records");
-      char name[64];
-      std::snprintf(name, sizeof(name), "%s_%05u.bin", role, length);
-      if (!file_has_size(map_dir / name, records * sizeof(FpRecord))) {
-        std::snprintf(name, sizeof(name), "sort:file:%s_%05u.sorted", role,
-                      length);
-        if (!cm.has(name)) return false;  // partition lost before its sort
+      const auto file = map_dir / io::partition_file_name(role, length, "bin");
+      if (!file_has_size(file, records * sizeof(FpRecord)) &&
+          !cm.has("sort:file:" +
+                  io::partition_file_name(role, length, "sorted"))) {
+        return false;  // partition lost before its sort
       }
       counts[role[0] == 's' ? 0 : 1][length] = records;
     }

@@ -7,8 +7,9 @@
 #include "gpu/primitives.hpp"
 #include "gpu/stream.hpp"
 #include "io/async_record_stream.hpp"
-#include "kernel/backend.hpp"
+#include "io/partition.hpp"
 #include "io/record_stream.hpp"
+#include "kernel/backend.hpp"
 #include "obs/trace.hpp"
 #include "util/background.hpp"
 #include "util/logging.hpp"
@@ -667,11 +668,10 @@ SortResult run_sort_phase(Workspace& ws, MapResult& map,
     part.suffix_records = map.suffixes->count(length);
     part.prefix_records = map.prefixes->count(length);
 
-    char name[64];
-    std::snprintf(name, sizeof(name), "sfx_%05u.sorted", length);
-    part.suffix_file = sorted_dir / name;
-    std::snprintf(name, sizeof(name), "pfx_%05u.sorted", length);
-    part.prefix_file = sorted_dir / name;
+    part.suffix_file =
+        sorted_dir / io::partition_file_name("sfx", length, "sorted");
+    part.prefix_file =
+        sorted_dir / io::partition_file_name("pfx", length, "sorted");
 
     const SortFileStats s1 = external_sort_file(
         ws, map.suffixes->path(length), part.suffix_file, geometry);

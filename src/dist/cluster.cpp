@@ -15,15 +15,16 @@
 #include "dist/active_message.hpp"
 #include "dist/cluster_run.hpp"
 #include "dist/codec.hpp"
-#include "dist/fnv.hpp"
 #include "dist/shuffle_ingest.hpp"
 #include "dist/topology.hpp"
 #include "io/fault_injector.hpp"
 #include "io/file_stream.hpp"
+#include "io/partition.hpp"
 #include "io/tempdir.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "seq/read_store.hpp"
+#include "util/fnv.hpp"
 #include "util/logging.hpp"
 
 namespace lasagna::dist {
@@ -32,26 +33,12 @@ namespace {
 
 /// Combine the two per-role content chains of one key into the value
 /// stored in NodeContext::merged_hash. Per-role chains (each seeded
-/// fnv::kOffset) are what the fused ingest can compute online — suffix and
-/// prefix bytes interleave on the wire — so the staged path folds the same
-/// way and the two stay comparable.
+/// util::fnv::kOffset) are what the fused ingest can compute online —
+/// suffix and prefix bytes interleave on the wire — so the staged path
+/// folds the same way and the two stay comparable.
 std::uint64_t combine_role_hashes(std::uint64_t h_sfx, std::uint64_t h_pfx) {
-  return fnv::fold_u64(fnv::fold_u64(fnv::kOffset, h_sfx), h_pfx);
-}
-
-/// Parameters that shape per-node intermediate files and work division:
-/// the single-node hash over the fields both configs share, plus the node
-/// count. The reduce strategy and `streamed` are deliberately absent —
-/// every strategy and both paths produce identical per-node files, so
-/// their checkpoints interchange.
-std::uint64_t hash_cluster_config(const ClusterConfig& config) {
-  core::AssemblyConfig shared;
-  shared.machine = config.machine;
-  shared.min_overlap = config.min_overlap;
-  shared.fingerprints = config.fingerprints;
-  shared.include_singletons = config.include_singletons;
-  shared.graph = config.graph;
-  return fnv::fold_u64(core::hash_assembly_config(shared), config.node_count);
+  return util::fnv::fold_u64(util::fnv::fold_u64(util::fnv::kOffset, h_sfx),
+                             h_pfx);
 }
 
 // ---- checkpoint keys (zero-padded: lexicographic == numeric order) -------
@@ -66,14 +53,6 @@ std::string block_key(std::uint64_t block) {
 std::string shuffle_ck_key(unsigned key) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "shuffle:key:%08u", key);
-  return buf;
-}
-
-/// A node's partition file name for one role ("sfx"/"pfx") and key, e.g.
-/// "sfx_00042.sorted"; the sort checkpoints record sorted files by it.
-std::string partition_file(const char* role, unsigned key, const char* ext) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%s_%05u.%s", role, key, ext);
   return buf;
 }
 
@@ -458,8 +437,10 @@ unsigned adopt_fused_keys(NodeContext& node) {
       continue;
     }
     // Never materialized.
-    node.owned_sfx[key] = stage_dir / partition_file("sfx", key, "bin");
-    node.owned_pfx[key] = stage_dir / partition_file("pfx", key, "bin");
+    node.owned_sfx[key] =
+        stage_dir / io::partition_file_name("sfx", key, "bin");
+    node.owned_pfx[key] =
+        stage_dir / io::partition_file_name("pfx", key, "bin");
     node.merged_hash[key] =
         combine_role_hashes(kr.suffix.hash, kr.prefix.hash);
     node.shuffle_logical += kr.suffix.bytes + kr.prefix.bytes;
@@ -509,9 +490,9 @@ unsigned assemble_staged_keys(NodeContext& node) {
   unsigned merged_fresh = 0;
   for (const unsigned key : keys) {
     const std::filesystem::path merged_sfx =
-        stage_dir / partition_file("sfx", key, "bin");
+        stage_dir / io::partition_file_name("sfx", key, "bin");
     const std::filesystem::path merged_pfx =
-        stage_dir / partition_file("pfx", key, "bin");
+        stage_dir / io::partition_file_name("pfx", key, "bin");
     const std::string ck = shuffle_ck_key(key);
 
     if (node.checkpoint != nullptr && node.checkpoint->has(ck)) {
@@ -520,9 +501,9 @@ unsigned assemble_staged_keys(NodeContext& node) {
       // its input). The write→record→delete ordering below guarantees one
       // of the two holds.
       const bool sfx_sorted = node.checkpoint->has(
-          "sort:file:" + partition_file("sfx", key, "sorted"));
+          "sort:file:" + io::partition_file_name("sfx", key, "sorted"));
       const bool pfx_sorted = node.checkpoint->has(
-          "sort:file:" + partition_file("pfx", key, "sorted"));
+          "sort:file:" + io::partition_file_name("pfx", key, "sorted"));
       std::error_code ec;
       const bool merged_exist = std::filesystem::exists(merged_sfx, ec) &&
                                 std::filesystem::exists(merged_pfx, ec);
@@ -536,8 +517,8 @@ unsigned assemble_staged_keys(NodeContext& node) {
     }
 
     // Per-role content chains, combined like the fused ingest's.
-    std::uint64_t h_sfx = fnv::kOffset;
-    std::uint64_t h_pfx = fnv::kOffset;
+    std::uint64_t h_sfx = util::fnv::kOffset;
+    std::uint64_t h_pfx = util::fnv::kOffset;
     std::uint64_t merged_bytes = 0;
     const auto concatenate =
         [&](const std::map<std::uint32_t, std::filesystem::path>& stages,
@@ -550,7 +531,7 @@ unsigned assemble_staged_keys(NodeContext& node) {
               for (;;) {
                 const std::size_t n = in.read_bytes(buffer);
                 if (n == 0) break;
-                hash = fnv::fold_bytes(hash, buffer.data(), n);
+                hash = util::fnv::fold_bytes(hash, buffer.data(), n);
                 merged_bytes += n;
                 out.write_bytes(std::span<const std::byte>(buffer.data(), n));
               }
@@ -628,10 +609,10 @@ void gather_key_list(ClusterRun& run) {
   for (const auto& node : run.nodes) {
     for (const auto& [key, h] : node.merged_hash) all_hashes[key] = h;
   }
-  std::uint64_t fold = fnv::kOffset;
+  std::uint64_t fold = util::fnv::kOffset;
   for (const auto& [key, h] : all_hashes) {
-    fold = fnv::fold_u64(fold, key);
-    fold = fnv::fold_u64(fold, h);
+    fold = util::fnv::fold_u64(fold, key);
+    fold = util::fnv::fold_u64(fold, h);
   }
   run.result.shuffle_hash = fold;
 }
@@ -740,8 +721,10 @@ void sort_node_partitions(ClusterRun& run, NodeContext& node) {
   const std::filesystem::path sorted_dir = node.dir / "sorted";
   std::filesystem::create_directories(sorted_dir);
   for (const auto& [key, raw_sfx] : node.owned_sfx) {
-    const std::string sfx_name = partition_file("sfx", key, "sorted");
-    const std::string pfx_name = partition_file("pfx", key, "sorted");
+    const std::string sfx_name =
+        io::partition_file_name("sfx", key, "sorted");
+    const std::string pfx_name =
+        io::partition_file_name("pfx", key, "sorted");
     core::SortedPartition part;
     part.length = key;
     part.suffix_file = sorted_dir / sfx_name;
@@ -879,6 +862,7 @@ void compress_phase(ClusterRun& run, const std::filesystem::path& output) {
 
   core::CompressOptions options;
   options.include_singletons = run.config.include_singletons;
+  options.read_lengths = std::move(run.read_lengths);
   const core::CompressResult compressed = core::run_compress_phase(
       run.nodes[0].ws, *run.merged, run.fastq, output, options);
   run.result.contigs = compressed.stats;
@@ -1008,7 +992,11 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
       config.work_dir.empty()
           ? 0
           : core::CheckpointManager::fingerprint_inputs({fastq});
-  const std::uint64_t config_hash = hash_cluster_config(config);
+  // The shared configuration's hash plus the node count, which divides the
+  // work. The reduce strategy and `streamed` stay out: every strategy and
+  // both paths write identical per-node files.
+  const std::uint64_t config_hash = util::fnv::fold_u64(
+      core::hash_assembly_config(config), config.node_count);
   bool resumable = config.resume;
   for (unsigned i = 0; i < config.node_count; ++i) {
     NodeContext& node = nodes[i];
@@ -1037,15 +1025,12 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
   }
 
   // Pre-scan the shared input once (master): read count for block
-  // assignment and graph sizing, plus the read-length table in reduced
-  // graph mode.
+  // assignment and graph sizing, plus the read-length table.
   seq::ReadBatchStream stream(fastq, 1 << 20);
   seq::ReadBatch batch;
   while (stream.next(batch)) {
-    if (config.graph == core::GraphMode::kReduced) {
-      for (const std::string& r : batch.reads) {
-        read_lengths.push_back(static_cast<std::uint32_t>(r.size()));
-      }
+    for (const std::string& r : batch.reads) {
+      read_lengths.push_back(static_cast<std::uint16_t>(r.size()));
     }
   }
   result.read_count = stream.reads_seen();

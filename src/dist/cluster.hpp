@@ -72,41 +72,30 @@ enum class ReduceStrategy {
   kSpeculative,
 };
 
-struct ClusterConfig {
+/// The shared run configuration plus the cluster's own settings. Every
+/// node runs with the same `machine`, whose `time_scale` also scales the
+/// network (`ClusterTopology::fat_tree`) and the reduce's per-candidate
+/// graph costs; `resume` restores from every node's manifest or from none.
+struct ClusterConfig : core::RunConfig {
   unsigned node_count = 4;
+  /// How the greedy reduce is coordinated. With `graph` set to `kReduced`
+  /// the strategy is ignored: owners of contiguous vertex blocks collect
+  /// the candidate edges, transitively reduce their blocks locally against
+  /// boundary (halo) adjacency fetched from neighboring owners, and a
+  /// stitch superstep reassembles the unitig graph on node 0 — contigs
+  /// byte-identical to the single-node `--graph=reduced` pipeline at every
+  /// node count — so there is no greedy edge set to coordinate.
   ReduceStrategy reduce_strategy = ReduceStrategy::kLengthToken;
-  /// Per-node machine. The network (`ClusterTopology::fat_tree`) and the
-  /// reduce's per-candidate graph costs scale with its `time_scale`.
-  core::MachineConfig machine;
-  unsigned min_overlap = 63;
-  fingerprint::FingerprintConfig fingerprints =
-      fingerprint::FingerprintConfig::standard();
   /// Fuse the shuffle into the sort: owners feed arriving chunks straight
   /// into sort-run formation instead of staging them on disk. Requires
   /// `streamed` and an empty `work_dir` (staging is what checkpointed
   /// re-pushes splice into); ignored otherwise. Contigs and the shuffle
   /// hash are byte-identical either way.
   bool fuse_shuffle = true;
-  bool include_singletons = false;
-  /// Pipeline graph mode. `kReduced` replaces the greedy reduce with a
-  /// distributed full-graph build: owners of contiguous vertex blocks
-  /// collect the candidate edges, transitively reduce their blocks locally
-  /// against boundary (halo) adjacency fetched from neighboring owners,
-  /// and a stitch superstep reassembles the unitig graph on node 0 —
-  /// contigs byte-identical to the single-node `--graph=reduced` pipeline
-  /// at every node count. Ignores `reduce_strategy` (there is no greedy
-  /// edge set to coordinate). Folded into the checkpoint config hash.
-  core::GraphMode graph = core::GraphMode::kGreedy;
   /// Overlap each node's lanes (device/disk/host/network) within phases,
   /// and the shuffle with the map. Contigs are byte-identical either way;
   /// only the modeled clocks change.
   bool streamed = true;
-  /// When non-empty, node-local state lives under `work_dir/node<k>`
-  /// (instead of a temp dir) together with per-node checkpoint manifests.
-  std::filesystem::path work_dir;
-  /// With `work_dir` set: resume from existing per-node manifests instead
-  /// of starting clean.
-  bool resume = false;
 
   /// `nodes` SuperMIC nodes (`MachineConfig::supermic_k20(scale)`).
   static ClusterConfig supermic(unsigned nodes, double scale = 4096.0);

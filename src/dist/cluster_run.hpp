@@ -138,9 +138,10 @@ struct ClusterRun {
   /// staging them (streamed runs without a work_dir).
   bool fused = false;
   std::vector<NodeContext> nodes;
-  /// Every read's length (reduced graph mode only): the transitive
-  /// reduction's overhang arithmetic needs halo vertices' lengths too.
-  std::vector<std::uint32_t> read_lengths;
+  /// Every read's length, from the pre-scan: the reduced graph's
+  /// transitive marking needs halo vertices' lengths, and compress places
+  /// reads by them (until compress takes them).
+  std::vector<std::uint16_t> read_lengths;
   double fastq_bytes = 0.0;
   std::vector<unsigned> lengths;  ///< all partition keys, ascending
   double clock = 0.0;             ///< cumulative modeled time (trace base)

@@ -901,8 +901,9 @@ void mark_transitive(ClusterRun& run, const VertexRanges& ranges,
                      std::vector<OwnerBlock>& blocks) {
   obs::Counter& c_halo =
       obs::MetricsRegistry::global().counter("dist.reduce.halo_vertices");
+  // 32-bit lengths: the marking's overhang arithmetic is unsigned.
   const auto length_of = [&run](graph::VertexId w) {
-    return run.read_lengths[w >> 1];
+    return std::uint32_t{run.read_lengths[w >> 1]};
   };
   for_each_node(run.nodes, [&](NodeContext& node) {
     OwnerBlock& block = blocks[node.id];

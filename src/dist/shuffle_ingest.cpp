@@ -1,15 +1,15 @@
 #include "dist/shuffle_ingest.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <set>
 #include <span>
 #include <stdexcept>
 
 #include "core/sort_phase.hpp"
-#include "dist/fnv.hpp"
+#include "io/partition.hpp"
 #include "obs/metrics.hpp"
 #include "util/background.hpp"
+#include "util/fnv.hpp"
 
 namespace lasagna::dist {
 
@@ -20,10 +20,8 @@ constexpr std::size_t kRecordBytes = sizeof(core::FpRecord);
 std::filesystem::path partition_output(const std::filesystem::path& run_dir,
                                        std::uint8_t role,
                                        std::uint32_t key) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%s_%05u.sorted",
-                role == 0 ? "sfx" : "pfx", key);
-  return run_dir / name;
+  return run_dir /
+         io::partition_file_name(role == 0 ? "sfx" : "pfx", key, "sorted");
 }
 
 }  // namespace
@@ -85,7 +83,8 @@ struct ShuffleIngest::Impl {
 
   void feed(Stream& s, std::span<const std::byte> bytes) {
     s.part.bytes += bytes.size();
-    s.part.hash = fnv::fold_bytes(s.part.hash, bytes.data(), bytes.size());
+    s.part.hash =
+        util::fnv::fold_bytes(s.part.hash, bytes.data(), bytes.size());
     s.carry.insert(s.carry.end(), bytes.begin(), bytes.end());
     const std::size_t whole = s.carry.size() / kRecordBytes;
     if (whole == 0) return;

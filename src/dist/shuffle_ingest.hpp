@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "dist/fnv.hpp"
+#include "util/fnv.hpp"
 
 namespace lasagna::dist {
 
@@ -49,7 +49,7 @@ class ShuffleIngest {
     std::vector<std::filesystem::path> runs;
     std::uint64_t records = 0;
     std::uint64_t bytes = 0;
-    std::uint64_t hash = fnv::kOffset;  ///< FNV-1a chain over fed bytes
+    std::uint64_t hash = util::fnv::kOffset;  ///< FNV-1a over fed bytes
     bool seen = false;       ///< any chunk arrived (even empty)
   };
   struct KeyResult {

@@ -11,11 +11,24 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/record_stream.hpp"
 
 namespace lasagna::io {
+
+/// A partition file's name for one role ("sfx"/"pfx"), length and
+/// extension, e.g. "sfx_00042.sorted". Checkpoint keys and fault-spec
+/// `match=` patterns are spelled with these names.
+[[nodiscard]] inline std::string partition_file_name(std::string_view role,
+                                                     unsigned length,
+                                                     std::string_view ext) {
+  char digits[16];
+  std::snprintf(digits, sizeof(digits), "_%05u.", length);
+  return std::string(role) + digits + std::string(ext);
+}
 
 template <TrivialRecord T>
 class PartitionSet {
@@ -76,9 +89,7 @@ class PartitionSet {
 
   /// File path of partition `length` (exists only if count(length) > 0).
   [[nodiscard]] std::filesystem::path path(unsigned length) const {
-    char name[64];
-    std::snprintf(name, sizeof(name), "%s_%05u.bin", role_.c_str(), length);
-    return dir_ / name;
+    return dir_ / partition_file_name(role_, length, "bin");
   }
 
   /// Open a reader over partition `length`. The set must be finalized.

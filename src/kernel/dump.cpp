@@ -3,14 +3,11 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/fnv.hpp"
+
 namespace lasagna::kernel {
 
 namespace {
-
-// Local FNV-1a (dist/ has an identical fold; kernel/ sits below dist in
-// the layering, so the constants live here too).
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 void write_u32(std::ofstream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -41,12 +38,8 @@ std::uint64_t read_u64(std::ifstream& in, const char* what) {
 }  // namespace
 
 std::uint64_t fnv1a_bytes(std::span<const std::byte> bytes) {
-  std::uint64_t h = kFnvOffset;
-  for (const std::byte b : bytes) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= kFnvPrime;
-  }
-  return h;
+  return util::fnv::fold_bytes(util::fnv::kOffset, bytes.data(),
+                               bytes.size());
 }
 
 std::string dump_filename(KernelId id) {

@@ -243,6 +243,29 @@ TEST_F(DistRecoveryTest, ResumeWithChangedFingerprintsRestoresNothing) {
   EXPECT_EQ(slurp(out("fp")), slurp(out("fp-fresh")));
 }
 
+TEST_F(DistRecoveryTest, SingletonSwitchResumesAFinishedRun) {
+  // Singletons only change the FASTA, which compress rewrites on every run,
+  // so the switch stays out of the config hash: a finished 4-node
+  // checkpoint restores every phase but compress and writes what a fresh
+  // run with singletons writes.
+  ClusterConfig c = config("singletons");
+  c.node_count = 4;
+  (void)run_distributed(dir_.file("reads.fq"), out("singletons"), c);
+  const std::string without = slurp(out("singletons"));
+  c.include_singletons = true;
+  c.resume = true;
+  EXPECT_EQ(run_distributed(dir_.file("reads.fq"), out("resumed"), c)
+                .phases_resumed,
+            4u);
+
+  c.work_dir = config("singletons-fresh").work_dir;
+  c.resume = false;
+  (void)run_distributed(dir_.file("reads.fq"), out("singletons-fresh"), c);
+  const std::string with = slurp(out("singletons-fresh"));
+  EXPECT_EQ(slurp(out("resumed")), with);
+  EXPECT_NE(with, without);  // the switch bites
+}
+
 TEST_F(DistRecoveryTest, ResizedSidecarsAreRecomputed) {
   // Each reduce sidecar kind, one byte short, one byte long or with one bit
   // of its first record flipped: it no longer loads, so the resume ignores

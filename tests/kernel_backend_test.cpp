@@ -1036,9 +1036,8 @@ TEST(KernelBackendPipelineTest, ContigsByteIdenticalAcrossBackends) {
   auto run_cluster_with = [&](const std::string& backend) {
     const kernel::ScopedBackend scope(kernel::resolve_backend(backend));
     dist::ClusterConfig cluster;
+    static_cast<core::RunConfig&>(cluster) = small_config();
     cluster.node_count = 4;
-    cluster.machine = small_config().machine;
-    cluster.min_overlap = small_config().min_overlap;
     const auto out = dir.file("contigs4_" + backend + ".fa");
     (void)dist::run_distributed(fastq, out, cluster);
     return slurp(out);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -19,6 +20,7 @@
 #include "seq/genome.hpp"
 #include "seq/simulator.hpp"
 #include "sidecar_damage.hpp"
+#include "util/fnv.hpp"
 
 namespace lasagna {
 namespace {
@@ -289,6 +291,39 @@ TEST_F(RecoveryTest, ChangedParametersInvalidateTheCheckpoint) {
   EXPECT_EQ(resumed.phases_resumed, 0u);
 }
 
+TEST_F(RecoveryTest, OutputFiltersResumeAFinishedRun) {
+  // The minimum contig length and the singleton switch only filter the
+  // FASTA, which compress rewrites on every run, so they stay out of the
+  // config hash: a finished checkpoint restores every other phase under new
+  // values and writes what a fresh run with them writes.
+  (void)run_full("filters");
+  const std::string unfiltered = slurp(out("filters"));
+  struct Filter {
+    const char* name;
+    std::uint32_t min_contig_length;
+    bool include_singletons;
+  };
+  for (const Filter filter :
+       {Filter{"min-contig", 400, true}, Filter{"no-singletons", 0, false}}) {
+    core::AssemblyConfig c = config("filters");
+    c.min_contig_length = filter.min_contig_length;
+    c.include_singletons = filter.include_singletons;
+    c.resume = true;
+    const std::string resumed_out = std::string("resumed-") + filter.name;
+    EXPECT_EQ(core::Assembler(c).run(fastqs_, out(resumed_out)).phases_resumed,
+              4u)
+        << filter.name;
+
+    const std::string fresh_out = std::string("fresh-") + filter.name;
+    c.work_dir = config(fresh_out).work_dir;
+    c.resume = false;
+    (void)core::Assembler(c).run(fastqs_, out(fresh_out));
+    const std::string filtered = slurp(out(fresh_out));
+    EXPECT_EQ(slurp(out(resumed_out)), filtered) << filter.name;
+    EXPECT_NE(filtered, unfiltered) << filter.name;  // the filter bites
+  }
+}
+
 TEST(CheckpointManager, RecordsSurviveReloadAndRejectMismatchedGuards) {
   io::ScopedTempDir dir("lasagna-ckpt");
   {
@@ -340,6 +375,70 @@ TEST(CheckpointManager, SidecarsRoundTripAndRejectDamage) {
   cm.save<std::uint32_t>("x.bin", records);
   std::filesystem::resize_file(dir.file("checkpoint.x.bin"), 20);
   EXPECT_FALSE(cm.load<std::uint32_t>("x.bin").has_value());
+
+  // Seeded mutations of a saved sidecar: bit flips, truncations, random
+  // tails, and each header field near every power of two over the intact
+  // payload, its checksum recomputed. load() returns the saved records or
+  // nothing, and never throws.
+  std::mt19937_64 rng(0x51dec4);
+  std::vector<std::uint32_t> saved(64);
+  for (std::uint32_t& r : saved) r = static_cast<std::uint32_t>(rng());
+  cm.save<std::uint32_t>("seed.bin", saved);
+  const std::string image = slurp(dir.file("checkpoint.seed.bin"));
+  const std::string payload =
+      image.substr(core::CheckpointManager::kSidecarHeaderBytes);
+  std::size_t mutants = 0;
+  auto expect_saved_or_nothing = [&](const std::string& bytes,
+                                     const std::string& what) {
+    const std::string name = "m" + std::to_string(mutants++) + ".bin";
+    std::ofstream(dir.file("checkpoint." + name), std::ios::binary) << bytes;
+    std::optional<std::vector<std::uint32_t>> loaded;
+    ASSERT_NO_THROW(loaded = cm.load<std::uint32_t>(name)) << what;
+    if (loaded.has_value()) {
+      EXPECT_EQ(*loaded, saved) << what;
+    }
+    std::filesystem::remove(dir.file("checkpoint." + name));
+  };
+  auto pick = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng() % bound);
+  };
+  expect_saved_or_nothing(image, "unmodified");
+  for (int trial = 0; trial < 256; ++trial) {
+    std::string m = image;
+    m[pick(m.size())] ^= static_cast<char>(1u << pick(8));
+    expect_saved_or_nothing(m, "bit flip " + std::to_string(trial));
+    expect_saved_or_nothing(image.substr(0, pick(image.size())),
+                            "truncate " + std::to_string(trial));
+    m = image;
+    for (std::size_t k = 1 + pick(64); k > 0; --k) {
+      m.push_back(static_cast<char>(rng()));
+    }
+    expect_saved_or_nothing(m, "tail " + std::to_string(trial));
+  }
+  // Header fields: magic (u64), version (u32), record size (u32), count
+  // (u64), then the payload checksum (u64), which is recomputed.
+  const std::uint64_t checksum = util::fnv::fold_bytes(
+      util::fnv::kOffset, payload.data(), payload.size());
+  struct Field {
+    const char* name;
+    std::size_t offset;
+    std::size_t bytes;
+  };
+  for (const Field field : {Field{"magic", 0, 8}, Field{"version", 8, 4},
+                            Field{"record size", 12, 4},
+                            Field{"count", 16, 8}}) {
+    for (unsigned bit = 0; bit < 8 * field.bytes; ++bit) {
+      const std::uint64_t power = std::uint64_t{1} << bit;
+      for (const std::uint64_t value : {power - 1, power, power + 1}) {
+        std::string m = image;
+        std::memcpy(m.data() + field.offset, &value, field.bytes);
+        std::memcpy(m.data() + 24, &checksum, sizeof(checksum));
+        expect_saved_or_nothing(
+            m, std::string(field.name) + " = " + std::to_string(value));
+      }
+    }
+  }
+
   // reset() clears sidecars with the manifest.
   cm.reset();
   EXPECT_FALSE(std::filesystem::exists(dir.file("checkpoint.empty.bin")));

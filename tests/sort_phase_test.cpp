@@ -11,6 +11,7 @@
 #include "kernel/backend.hpp"
 #include "obs/metrics.hpp"
 #include "test_workspace.hpp"
+#include "util/fnv.hpp"
 
 namespace lasagna::core {
 namespace {
@@ -235,12 +236,8 @@ TEST(StreamedExternalSort, ByteIdenticalToSynchronousAndFaster) {
 }
 
 std::uint64_t fnv1a(const std::vector<char>& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return util::fnv::fold_bytes(util::fnv::kOffset, bytes.data(),
+                               bytes.size());
 }
 
 TEST(StreamedExternalSort, DeviceMergeChargesAndTieOrderArePinned) {
