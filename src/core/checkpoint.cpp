@@ -61,7 +61,8 @@ CheckpointManager::CheckpointManager(std::filesystem::path dir,
       config_hash_(config_hash),
       io_(&io) {}
 
-bool CheckpointManager::load() {
+bool CheckpointManager::load(
+    std::initializer_list<std::string_view> numbered) {
   const obs::WallSpan span = obs::wall_span("core.checkpoint", "load");
   const std::filesystem::path path = dir_ / kManifestName;
   std::ifstream in(path, std::ios::binary);
@@ -109,6 +110,14 @@ bool CheckpointManager::load() {
     }
   }
   if (input != input_fingerprint_ || config != config_hash_) return false;
+  for (const std::string_view prefix : numbered) {
+    for (auto it = entries.lower_bound(std::string(prefix));
+         it != entries.end() && it->first.starts_with(prefix); ++it) {
+      if (!parse_u64(std::string_view(it->first).substr(prefix.size()), 10)) {
+        return false;
+      }
+    }
+  }
   if (torn) std::filesystem::resize_file(path, complete);
 
   const std::scoped_lock lock(mutex_);
@@ -158,6 +167,17 @@ std::vector<std::string> CheckpointManager::keys_with_prefix(
   for (auto it = entries_.lower_bound(prefix); it != entries_.end(); ++it) {
     if (it->first.rfind(prefix, 0) != 0) break;
     out.push_back(it->first);
+  }
+  return out;
+}
+
+std::map<std::uint64_t, std::string> CheckpointManager::numbered_keys(
+    const std::string& prefix) const {
+  std::map<std::uint64_t, std::string> out;
+  for (std::string& key : keys_with_prefix(prefix)) {
+    const std::uint64_t number =
+        parse_u64(std::string_view(key).substr(prefix.size()), 10).value();
+    out.emplace(number, std::move(key));
   }
   return out;
 }

@@ -24,11 +24,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -53,10 +55,11 @@ class CheckpointManager {
                     io::IoStats& io = io::IoStats::global());
 
   /// Load an existing manifest. Returns true when one exists, every
-  /// complete line parses, and it matches this run's input fingerprint and
-  /// config hash (entries become queryable, and a torn final line is cut
-  /// off the file); false otherwise (state stays empty).
-  bool load();
+  /// complete line parses, every entry under one of the `numbered` key
+  /// prefixes ends in a decimal number, and it matches this run's input
+  /// fingerprint and config hash (entries become queryable, and a torn
+  /// final line is cut off the file); false otherwise (state stays empty).
+  bool load(std::initializer_list<std::string_view> numbered = {});
 
   /// Discard any previous checkpoint state in the directory and write a
   /// fresh manifest header.
@@ -76,6 +79,11 @@ class CheckpointManager {
   /// Entries whose key starts with `prefix`, in lexicographic key order
   /// (numeric key segments are zero-padded so this is also numeric order).
   [[nodiscard]] std::vector<std::string> keys_with_prefix(
+      const std::string& prefix) const;
+
+  /// The entries under `prefix`, one of the prefixes load() was given as
+  /// numbered, by the number that ends their key.
+  [[nodiscard]] std::map<std::uint64_t, std::string> numbered_keys(
       const std::string& prefix) const;
 
   /// Record (or overwrite) an entry by appending its line to the manifest.

@@ -131,9 +131,8 @@ bool restore_map(Workspace& ws, const CheckpointManager& cm, MapResult& map) {
   std::map<unsigned, std::uint64_t> counts[2];  // [sfx, pfx]
   for (const char* role : {"sfx", "pfx"}) {
     const std::string prefix = std::string("map:") + role + ":";
-    for (const std::string& key : cm.keys_with_prefix(prefix)) {
-      const auto length =
-          static_cast<unsigned>(std::stoul(key.substr(prefix.size())));
+    for (const auto& [number, key] : cm.numbered_keys(prefix)) {
+      const auto length = static_cast<unsigned>(number);
       const std::uint64_t records = cm.counter(key, "records");
       const auto file = map_dir / io::partition_file_name(role, length, "bin");
       if (!file_has_size(file, records * sizeof(FpRecord)) &&
@@ -241,7 +240,7 @@ AssemblyResult Assembler::run(
     checkpoint = std::make_unique<CheckpointManager>(
         work, CheckpointManager::fingerprint_inputs(fastqs),
         hash_assembly_config(config_), io_stats);
-    resumable = config_.resume && checkpoint->load();
+    resumable = config_.resume && checkpoint->load({"map:sfx:", "map:pfx:"});
     if (!resumable) checkpoint->reset();
     ws.checkpoint = checkpoint.get();
   }

@@ -22,8 +22,8 @@ struct ReduceOptions {
   bool verify_overlaps = false;
   const seq::PackedReads* reads = nullptr;
   /// When set, candidate pairs are delivered here INSTEAD of being offered
-  /// to the greedy graph — used by the speculative and reduced-graph
-  /// distributed reduces, where resolution happens globally. The overlap
+  /// to the greedy graph — used by the distributed reduce's shared scan,
+  /// whose strategies resolve candidates across partitions. The overlap
   /// length and matching fingerprint ride along with each pair.
   std::function<void(graph::VertexId, graph::VertexId, std::uint16_t,
                      const gpu::Key128&)>
@@ -52,9 +52,8 @@ struct ReduceResult {
                                             std::uint32_t read_count,
                                             const ReduceOptions& options);
 
-/// Process one partition into an existing graph (used by the distributed
-/// reduce, where the out-degree bit-vector token arrives between
-/// partitions).
+/// Process one partition into an existing graph, or into
+/// `options.candidate_sink` (the distributed reduce's per-partition scan).
 struct PartitionReduceStats {
   std::uint64_t candidates = 0;
   std::uint64_t accepted = 0;

@@ -335,9 +335,9 @@ std::vector<NodeLanes> map_phase(ClusterRun& run) {
   dispenser.blocks = (read_count + block_reads - 1) / block_reads;
   for (auto& node : run.nodes) {
     if (node.checkpoint == nullptr) break;
-    for (const std::string& key :
-         node.checkpoint->keys_with_prefix("map:block:")) {
-      dispenser.done.insert(std::stoull(key.substr(10)));
+    for (const auto& [block, key] :
+         node.checkpoint->numbered_keys("map:block:")) {
+      dispenser.done.insert(block);
     }
   }
   for (unsigned k = 0; k < config.node_count; ++k) {
@@ -481,9 +481,9 @@ unsigned assemble_staged_keys(NodeContext& node) {
   std::set<unsigned> keys;
   for (const auto& [key, blocks] : sfx_stage) keys.insert(key);
   if (node.checkpoint != nullptr) {
-    for (const std::string& ck :
-         node.checkpoint->keys_with_prefix("shuffle:key:")) {
-      keys.insert(static_cast<unsigned>(std::stoul(ck.substr(12))));
+    for (const auto& [key, ck] :
+         node.checkpoint->numbered_keys("shuffle:key:")) {
+      keys.insert(static_cast<unsigned>(key));
     }
   }
 
@@ -840,9 +840,7 @@ void compress_phase(ClusterRun& run, const std::filesystem::path& output) {
     run.net.register_handler(node.id, kGatherEdges,
                              [&node](unsigned, std::span<const std::byte>) {
                                Payload reply;
-                               if (node.graph == nullptr) return reply;
-                               for (const graph::Edge& e :
-                                    node.graph->edges()) {
+                               for (const graph::Edge& e : node.edges) {
                                  put(reply, e);
                                }
                                return reply;
@@ -1013,7 +1011,8 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
     if (!config.work_dir.empty()) {
       node.checkpoint = std::make_unique<core::CheckpointManager>(
           node.dir, input_fp, config_hash, node.io);
-      resumable = resumable && node.checkpoint->load();
+      resumable = resumable &&
+                  node.checkpoint->load({"map:block:", "shuffle:key:"});
       node.ws.checkpoint = node.checkpoint.get();
     }
     node.mark();

@@ -23,11 +23,16 @@
 //             two-level scheme as the single-node pipeline); fused runs
 //             start directly at the pairwise merge tree over the ingest
 //             runs and produce identical sorted bytes.
-//   reduce  — partitions are processed in descending length order; the
+//   reduce  — every owner scans its partitions in parallel, longest
+//             first, into candidate edge lists (one checkpoint sidecar
+//             each); the strategy decides how candidates become edges.
+//             The token ring walks them in descending length order: the
 //             out-degree bit-vector is the token passed from the owner of
 //             partition l+1 to the owner of partition l, which serializes
-//             graph building while overlap-finding runs in parallel. Edge
-//             sets stay distributed; they are gathered only for contigs.
+//             graph building while overlap-finding runs in parallel, and
+//             edge sets stay distributed until compress gathers them. The
+//             speculative reduce reconciles them on node 0; the reduced
+//             graph routes them to the owners of their vertices.
 //   compress— node 0 merges the edge sets and generates contigs.
 //
 // Wall-clock on the test host says little about an 8-node cluster, so each
@@ -54,21 +59,24 @@
 
 namespace lasagna::dist {
 
-/// How the distributed reduce coordinates greedy graph building.
+/// How the distributed reduce coordinates greedy graph building. Both
+/// strategies find overlaps the same way — every node scans its owned
+/// partitions in parallel and checkpoints each partition's candidates —
+/// so a finished work dir of either resumes under the other.
 enum class ReduceStrategy {
   /// The paper's implementation (III-E3): partitions owned by length, the
   /// out-degree bit-vector travels as a token from the owner of length
-  /// l+1 to the owner of length l, serializing graph construction.
+  /// l+1 to the owner of length l, serializing graph construction over
+  /// the scanned candidates.
   kLengthToken,
   /// Partitioned speculative greedy (core::SpeculativeResolver): every
-  /// node scans its owned partitions in parallel (no token), locally
-  /// resolves its candidates in the canonical rank order, and proposes its
-  /// acceptances; a reconciliation superstep on node 0 kills
-  /// cross-partition conflicts and defers their wake, iterating to a
-  /// fixpoint. The committed edge set equals sequential greedy over the
-  /// global rank order — i.e. exactly the token result, byte-identical
-  /// contigs — while the per-candidate t_g scan cost parallelizes across
-  /// nodes.
+  /// node locally resolves its candidates in the canonical rank order
+  /// (no token) and proposes its acceptances; a reconciliation superstep
+  /// on node 0 kills cross-partition conflicts and defers their wake,
+  /// iterating to a fixpoint. The committed edge set equals sequential
+  /// greedy over the global rank order — i.e. exactly the token result,
+  /// byte-identical contigs — while the per-candidate t_g cost
+  /// parallelizes across nodes.
   kSpeculative,
 };
 

@@ -97,8 +97,9 @@ struct NodeContext {
   std::uint64_t shuffle_logical = 0;  ///< logical tuple bytes owned
   // Sort output.
   std::vector<core::SortedPartition> sorted;
-  // Reduce output: this node's disjoint edge set (token strategy).
-  std::unique_ptr<graph::StringGraph> graph;
+  // Reduce output (token strategy): the edges accepted in this node's
+  // partitions and their twins, by ascending source.
+  std::vector<graph::Edge> edges;
 
   std::uint64_t host_bytes = 0;  ///< host-lane bytes, cumulative
   /// Codec host bytes, cumulative (encode at mappers, decode at owners);

@@ -1,8 +1,10 @@
 // The distributed reduce's three strategies (see cluster.hpp): the token
 // ring, the partitioned speculative greedy, and the reduced-graph build.
-// Each scans its partitions through scan_partition, checkpoints them as
-// CheckpointManager sidecars, and hands its lane seconds back to the
-// reduce phase's close in cluster.cpp.
+// All three find overlaps through one scan (scan_partitions): every owner
+// scans its partitions on its own thread, longest first, into candidate
+// lists checkpointed as one sidecar kind. A strategy only decides how the
+// candidates become edges, and hands its lane seconds back to the reduce
+// phase's close in cluster.cpp.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -39,23 +41,19 @@ std::string ck_name(const char* format, unsigned key) {
   return buf;
 }
 
-/// Token-ring partition: the token after it, and the edges it added.
-std::string token_key(unsigned key) { return ck_name("reduce:l%08u", key); }
-std::string token_bits_file(unsigned key) {
-  return ck_name("reduce.l%08u.token", key);
-}
-std::string token_edges_file(unsigned key) {
-  return ck_name("reduce.l%08u.edges", key);
-}
-
-/// Speculative scan: one partition's ranked candidate list. The committed
-/// set lives on node 0, rewritten after every reconciliation round.
-std::string spec_cand_key(unsigned key) {
+/// One partition's candidate list, in offer order: the manifest key (also
+/// the partition's fault-hook label) and its sidecar. Every strategy
+/// writes them, so a finished work dir of either greedy strategy resumes
+/// under the other.
+std::string cand_key(unsigned key) {
   return ck_name("reduce:cand:l%08u", key);
 }
-std::string spec_cand_file(unsigned key) {
-  return ck_name("spec.cand.l%08u", key);
+std::string cand_file(unsigned key) {
+  return ck_name("reduce.cand.l%08u", key);
 }
+
+/// Speculative reduce: the committed set lives on node 0, rewritten after
+/// every reconciliation round.
 constexpr const char* kSpecCommittedKey = "reduce:spec:committed";
 constexpr const char* kSpecCommittedFile = "spec.committed";
 
@@ -66,52 +64,14 @@ std::string spec_round_key(unsigned round) {
   return ck_name("reduce:spec:round:%04u", round);
 }
 
-/// Reduced graph mode: one partition's candidate edges, in scan order.
-/// Everything downstream of the scan (exchange, reduction, stitch) is a
-/// pure function of the candidates and recomputes. The "reduce:" prefix
-/// keeps existing fault-policy match specs applicable.
-std::string full_cand_key(unsigned key) {
-  return ck_name("reduce:fullcand:l%08u", key);
-}
-std::string full_cand_file(unsigned key) {
-  return ck_name("full.cand.l%08u", key);
-}
+// ---- the candidate scan ----------------------------------------------------
 
-// ---- partition scans -----------------------------------------------------
-
-/// What one partition scan found and what it cost on its owner's lanes.
+/// What one partition scan cost on its owner's lanes.
 struct PartitionScan {
-  core::PartitionReduceStats stats;
   double disk = 0.0;
   double device = 0.0;
   double host = 0.0;
 };
-
-/// Scan one of `node`'s sorted partitions — offering its candidates to
-/// `graph`, or to `options.candidate_sink` when set — then, in checkpointed
-/// runs, `persist` the result. Both are priced from the node's ledger; the
-/// partition counter, the scan histogram and `did_work` are charged here.
-PartitionScan scan_partition(
-    ClusterRun& run, NodeContext& node, const core::SortedPartition& part,
-    graph::StringGraph& graph, core::ReduceOptions options,
-    const std::function<void(const core::PartitionReduceStats&)>& persist) {
-  auto& registry = obs::MetricsRegistry::global();
-  const LaneMark before = node.take_mark();
-  options.streamed = run.config.streamed;
-  PartitionScan scan;
-  scan.stats = core::reduce_partition(node.ws, part, graph, options);
-  node.did_work = true;
-  registry.counter("dist.reduce.partitions").add(1);
-  if (node.checkpoint != nullptr) persist(scan.stats);
-  node.host_bytes += scan.stats.host_bytes;
-  const NodeLanes spent = node.lanes_since(before);
-  scan.disk = spent.disk;
-  scan.device = spent.device;
-  scan.host = spent.host;
-  registry.histogram("dist.reduce.partition_scan_ps")
-      .record(to_ps(scan.disk + scan.device + scan.host));
-  return scan;
-}
 
 /// One owner's scan clock over its partitions. Streamed owners keep one
 /// cumulative clock per lane and are ready at the max of the three — the
@@ -140,46 +100,26 @@ struct OwnerClock {
   }
 };
 
-/// One partition's candidates as `T` records, restored from the sidecar
-/// its manifest entry `key` records or else scanned — `make(u, v, overlap)`
-/// builds each record — and checkpointed. `cost` is empty when restored.
-template <typename T>
-struct Candidates {
-  std::vector<T> records;
-  std::uint64_t count = 0;  ///< candidates offered (one record each)
+/// One partition's candidates, as its owner's scan left them.
+struct ScannedPartition {
+  unsigned length = 0;
+  unsigned owner = 0;
+  std::vector<graph::Edge> candidates;  ///< in offer order
+  /// The scan's lane cost; empty when the candidates were restored.
   std::optional<PartitionScan> cost;
+  /// The owner's scan clock when the candidates landed: a strategy that
+  /// pipelines over the partitions may use them from then on.
+  double avail = 0.0;
+  /// The lane a wait for this scan is charged to: the owner's busiest
+  /// lane so far when streamed, else the scan's own.
+  const char* lane = nullptr;
 };
 
-template <typename T, typename Make>
-Candidates<T> scan_candidates(ClusterRun& run, NodeContext& node,
-                              const core::SortedPartition& part,
-                              const std::string& key,
-                              const std::string& sidecar, Make make) {
-  Candidates<T> found;
-  if (node.checkpoint != nullptr && node.checkpoint->has(key)) {
-    if (auto restored = node.checkpoint->load<T>(sidecar)) {
-      found.records = std::move(*restored);
-      found.count = found.records.size();
-      return found;
-    }
-  }
-  core::ReduceOptions options;
-  options.candidate_sink = [&found, &make](graph::VertexId u,
-                                           graph::VertexId v,
-                                           std::uint16_t overlap,
-                                           const gpu::Key128&) {
-    found.records.push_back(make(u, v, overlap));
-  };
-  graph::StringGraph scratch(0);  // unused in sink mode
-  found.cost = scan_partition(
-      run, node, part, scratch, std::move(options),
-      [&](const core::PartitionReduceStats&) {
-        node.checkpoint->save<T>(sidecar, found.records);
-        node.checkpoint->record(key, {});
-      });
-  found.count = found.cost->stats.candidates;
-  return found;
-}
+struct CandidateScan {
+  std::vector<ScannedPartition> partitions;  ///< descending length
+  std::vector<OwnerClock> owners;
+  bool resumed = false;  ///< every partition restored from its sidecar
+};
 
 const core::SortedPartition* find_partition(const NodeContext& node,
                                             unsigned key) {
@@ -193,6 +133,83 @@ void on_node_op(const NodeContext& node, const std::string& op) {
   if (io::FaultInjector* injector = io::FaultInjector::active()) {
     injector->on_node_op(node.id, op);
   }
+}
+
+/// The scan every strategy runs (paper III-E3: owners find overlaps in
+/// parallel). Each node, on its own thread, takes its partitions longest
+/// first and either restores a partition's candidates from their sidecar
+/// or scans them — priced from the node's ledger, its host seconds added
+/// to `out.host` — and checkpoints them. Sets the run's candidate count.
+CandidateScan scan_partitions(ClusterRun& run, ReduceOutcome& out) {
+  const unsigned node_count = run.config.node_count;
+  CandidateScan scan;
+  scan.owners.resize(node_count);
+  for (auto l = run.lengths.rbegin(); l != run.lengths.rend(); ++l) {
+    scan.partitions.push_back({*l, owner_of(*l, node_count), {}, {}, 0.0,
+                               nullptr});
+  }
+  auto& registry = obs::MetricsRegistry::global();
+  std::atomic<std::size_t> restored{0};
+  for_each_node(run.nodes, [&](NodeContext& node) {
+    io::FaultInjector::ScopedNode node_scope(static_cast<int>(node.id));
+    OwnerClock& clock = scan.owners[node.id];
+    for (ScannedPartition& p : scan.partitions) {
+      if (p.owner != node.id) continue;
+      const core::SortedPartition* part = find_partition(node, p.length);
+      if (part == nullptr) continue;
+      const std::string key = cand_key(p.length);
+      on_node_op(node, key);
+      if (node.checkpoint != nullptr && node.checkpoint->has(key)) {
+        if (auto edges = node.checkpoint->load<graph::Edge>(
+                cand_file(p.length))) {
+          p.candidates = std::move(*edges);
+          p.avail = clock.busy;  // restored partitions cost nothing
+          restored.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+      }
+
+      const LaneMark before = node.take_mark();
+      core::ReduceOptions options;
+      options.streamed = run.config.streamed;
+      options.candidate_sink = [&p](graph::VertexId u, graph::VertexId v,
+                                    std::uint16_t overlap,
+                                    const gpu::Key128&) {
+        p.candidates.push_back({u, v, overlap});
+      };
+      graph::StringGraph unused(0);  // the sink takes every candidate
+      const core::PartitionReduceStats stats =
+          core::reduce_partition(node.ws, *part, unused, options);
+      node.did_work = true;
+      registry.counter("dist.reduce.partitions").add(1);
+      if (node.checkpoint != nullptr) {
+        node.checkpoint->save<graph::Edge>(cand_file(p.length), p.candidates);
+        node.checkpoint->record(key, {});
+      }
+      node.host_bytes += stats.host_bytes;
+      const NodeLanes spent = node.lanes_since(before);
+      p.cost = PartitionScan{spent.disk, spent.device, spent.host};
+      registry.histogram("dist.reduce.partition_scan_ps")
+          .record(to_ps(spent.disk + spent.device + spent.host));
+      out.host[node.id] += spent.host;
+      p.avail = clock.advance(*p.cost, run.config.streamed);
+      p.lane = run.config.streamed
+                   ? clock.lane()
+                   : dominant_lane(spent.device, spent.disk, spent.host);
+    }
+  });
+  for (const ScannedPartition& p : scan.partitions) {
+    run.result.candidate_edges += p.candidates.size();
+  }
+  scan.resumed = !scan.partitions.empty() &&
+                 restored.load() == scan.partitions.size();
+  return scan;
+}
+
+/// The complementary edge (v', u', l) stored with every edge (u, v, l).
+graph::Edge twin(const graph::Edge& e) {
+  return {graph::complement_vertex(e.dst), graph::complement_vertex(e.src),
+          e.overlap};
 }
 
 ReduceOutcome empty_outcome(const ClusterRun& run) {
@@ -264,127 +281,84 @@ double graph_probe_seconds(const ClusterConfig& config) {
 // owner of partition l, which serializes graph building while
 // overlap-finding runs in parallel. Edge sets stay distributed until
 // compress gathers them.
+//
+// The owners' scans run first; the ring then walks their candidates
+// through one admission graph, whose out-degree bits are the token. The
+// event model below prices the ring as the paper runs it: the token waits
+// at each partition until its owner's scan lands (`avail`).
 
 ReduceOutcome reduce_token(ClusterRun& run) {
   const ClusterConfig& config = run.config;
-  DistributedResult& result = run.result;
   ReduceOutcome out = empty_outcome(run);
-  for (auto& node : run.nodes) {
-    node.graph = std::make_unique<graph::StringGraph>(result.read_count);
-  }
-  util::AtomicBitVector token(static_cast<std::size_t>(result.read_count) *
-                              2);
-  const std::vector<unsigned> descending(run.lengths.rbegin(),
-                                         run.lengths.rend());
+  const CandidateScan scan = scan_partitions(run, out);
 
-  // Restore the completed prefix (highest lengths first): import each
-  // partition's edge delta into its owner's graph and take the token from
-  // the last restored sidecar. An entry whose sidecars do not load ends
-  // the prefix — that partition re-runs cleanly.
-  std::size_t restored = 0;
-  unsigned previous_owner = UINT32_MAX;
-  for (; restored < descending.size(); ++restored) {
-    const unsigned l = descending[restored];
-    NodeContext& node = run.nodes[owner_of(l, config.node_count)];
-    const std::string ck = token_key(l);
-    if (node.checkpoint == nullptr || !node.checkpoint->has(ck)) break;
-    const auto words =
-        node.checkpoint->load<std::uint64_t>(token_bits_file(l));
-    const auto edges = node.checkpoint->load<graph::Edge>(token_edges_file(l));
-    if (!words.has_value() || words->size() != token.byte_size() / 8 ||
-        !edges.has_value()) {
-      break;
-    }
-    node.graph->import_edges(*edges);
-    token = util::AtomicBitVector::from_words(token.size(), *words);
-    result.candidate_edges += node.checkpoint->counter(ck, "candidates");
-    result.accepted_edges += node.checkpoint->counter(ck, "accepted");
-    previous_owner = node.id;
-  }
-
-  // Event-driven model: overlap-finding parallel per owner, graph build
-  // serialized by the token (paper III-E3). Restored partitions cost
-  // nothing — that is the point of resuming.
-  std::vector<OwnerClock> clocks(config.node_count);
+  graph::StringGraph token(run.result.read_count);
   double token_time = 0.0;
+  unsigned previous_owner = UINT32_MAX;
   obs::Counter& c_token_hops =
       obs::MetricsRegistry::global().counter("dist.token.hops");
 
-  for (std::size_t idx = restored; idx < descending.size(); ++idx) {
-    const unsigned l = descending[idx];
-    NodeContext& node = run.nodes[owner_of(l, config.node_count)];
-    const core::SortedPartition* part = find_partition(node, l);
-    if (part == nullptr) continue;
+  for (const ScannedPartition& p : scan.partitions) {
+    // Each accepted edge and its twin stay with the partition's owner.
+    std::vector<graph::Edge>& owned = run.nodes[p.owner].edges;
+    for (const graph::Edge& e : p.candidates) {
+      if (token.try_add_edge(e.src, e.dst, e.overlap)) {
+        owned.push_back(e);
+        owned.push_back(twin(e));
+        ++run.result.accepted_edges;
+      }
+    }
+    if (!p.cost.has_value()) {
+      previous_owner = p.owner;  // restored partitions cost nothing
+      continue;
+    }
 
-    io::FaultInjector::ScopedNode node_scope(static_cast<int>(node.id));
-    on_node_op(node, token_key(l));
-
-    node.graph->set_out_degree_bits(token);
-    const PartitionScan scan = scan_partition(
-        run, node, *part, *node.graph, {},
-        [&](const core::PartitionReduceStats& stats) {
-          // This partition's edges are exactly those whose source was
-          // still free in the token it received.
-          std::vector<graph::Edge> added;
-          for (const graph::Edge& e : node.graph->edges()) {
-            if (!token.test(e.src)) added.push_back(e);
-          }
-          node.checkpoint->save<std::uint64_t>(
-              token_bits_file(l), node.graph->out_degree_bits().to_words());
-          node.checkpoint->save<graph::Edge>(token_edges_file(l), added);
-          node.checkpoint->record(token_key(l),
-                                  {{"candidates", stats.candidates},
-                                   {"accepted", stats.accepted}});
-        });
-    token = node.graph->out_degree_bits();
-    result.candidate_edges += scan.stats.candidates;
-    result.accepted_edges += scan.stats.accepted;
-
-    // Model: t_o from this partition's lane costs, t_g from the candidate
-    // volume.
-    const double t_g = static_cast<double>(scan.stats.candidates) *
+    // Event-driven model: overlap-finding parallel per owner, graph build
+    // serialized by the token (paper III-E3). t_o comes from this
+    // partition's lane costs, t_g from the candidate volume.
+    const double t_g = static_cast<double>(p.candidates.size()) *
                        graph_insert_seconds(config);
-    out.host[node.id] += scan.host;
-
-    // Overlap-finding proceeds without the token.
-    const double busy = clocks[node.id].advance(scan, config.streamed);
     double arrival = token_time;
     double hop = 0.0;
-    if (previous_owner != node.id) {
+    if (previous_owner != p.owner) {
       hop = transfer_seconds(run.net.topology(),
                              previous_owner == UINT32_MAX ? 0 : previous_owner,
-                             node.id, token.byte_size());
+                             p.owner, token.out_degree_bits().byte_size());
       arrival += hop;
-      out.network[node.id] += hop;
+      out.network[p.owner] += hop;
       c_token_hops.add(1);
     }
-    const double start = std::max(busy, arrival);
+    const double start = std::max(p.avail, arrival);
     if (obs::Profiler* prof = obs::Profiler::active()) {
       // This partition's contribution to the event clock: the token hop,
       // the scan time the token had to wait out (the straggler), then the
       // serialized insert.
-      prof->chain(static_cast<int>(node.id), "network", "token-hop",
+      prof->chain(static_cast<int>(p.owner), "network", "token-hop",
                   to_ps(hop));
-      prof->chain(static_cast<int>(node.id),
-                  config.streamed
-                      ? clocks[node.id].lane()
-                      : dominant_lane(scan.device, scan.disk, scan.host),
-                  "straggler-scan", to_ps(start - arrival));
-      prof->chain(static_cast<int>(node.id), "host", "graph-insert",
+      prof->chain(static_cast<int>(p.owner), p.lane, "straggler-scan",
+                  to_ps(start - arrival));
+      prof->chain(static_cast<int>(p.owner), "host", "graph-insert",
                   to_ps(t_g));
     }
     if (obs::Tracer* tracer = obs::Tracer::active()) {
-      tracer->add_span(tracer->track("dist.token"), "l" + std::to_string(l),
-                       -1, 0, to_ps(run.clock + start), to_ps(t_g),
-                       {{"owner", node.id},
-                        {"candidates", static_cast<std::int64_t>(
-                                           scan.stats.candidates)}});
+      tracer->add_span(
+          tracer->track("dist.token"), "l" + std::to_string(p.length), -1, 0,
+          to_ps(run.clock + start), to_ps(t_g),
+          {{"owner", p.owner},
+           {"candidates", static_cast<std::int64_t>(p.candidates.size())}});
     }
     token_time = start + t_g;
-    previous_owner = node.id;
+    previous_owner = p.owner;
+  }
+  // Each owner's edge set by ascending source, the order compress gathers.
+  for (NodeContext& node : run.nodes) {
+    std::sort(node.edges.begin(), node.edges.end(),
+              [](const graph::Edge& a, const graph::Edge& b) {
+                return a.src < b.src;  // src unique in a greedy edge set
+              });
   }
   out.modeled_seconds = token_time;  // event model, not max-node
-  out.resumed = restored == descending.size() && !descending.empty();
+  out.resumed = scan.resumed;
   return out;
 }
 
@@ -405,68 +379,6 @@ ReduceOutcome reduce_token(ClusterRun& run) {
 // the engine model.
 
 namespace {
-
-/// The parallel candidate scans. Each partition's candidates are collected
-/// separately, stamped with the owner's lane clock at scan completion
-/// (`avail`): reconciliation pipelines over the rank frontier, so the
-/// superstep for partition i can run as soon as partitions 0..i are
-/// scanned, while later partitions are still scanning.
-struct SpecScan {
-  std::vector<std::vector<SpecProposal>> by_partition;  ///< [rank index]
-  std::vector<double> avail;                            ///< [rank index]
-  std::vector<OwnerClock> owners;
-  bool resumed = false;
-};
-
-/// Scan every partition, resumable per partition from candidate sidecars
-/// (restore skips the scan's disk reads and device kernels).
-SpecScan scan_speculative(ClusterRun& run,
-                          const std::vector<unsigned>& descending,
-                          ReduceOutcome& out) {
-  const unsigned node_count = run.config.node_count;
-  SpecScan scan;
-  scan.by_partition.resize(descending.size());
-  scan.avail.assign(descending.size(), 0.0);
-  scan.owners.resize(node_count);
-  std::atomic<std::uint64_t> cand_total{0};
-  std::atomic<unsigned> parts_total{0};
-  std::atomic<unsigned> parts_restored{0};
-  for_each_node(run.nodes, [&](NodeContext& node) {
-    OwnerClock& clock = scan.owners[node.id];
-    for (std::size_t idx = 0; idx < descending.size(); ++idx) {
-      const unsigned l = descending[idx];
-      if (owner_of(l, node_count) != node.id) continue;
-      const core::SortedPartition* part = find_partition(node, l);
-      if (part == nullptr) continue;
-      parts_total.fetch_add(1, std::memory_order_relaxed);
-
-      io::FaultInjector::ScopedNode node_scope(static_cast<int>(node.id));
-      on_node_op(node, spec_cand_key(l));
-      std::uint64_t offer = 0;
-      Candidates<SpecProposal> found = scan_candidates<SpecProposal>(
-          run, node, *part, spec_cand_key(l), spec_cand_file(l),
-          [idx, &offer](graph::VertexId u, graph::VertexId v,
-                        std::uint16_t overlap) {
-            return SpecProposal{
-                u, v, overlap, 0,
-                (static_cast<std::uint64_t>(idx) << 40) | offer++};
-          });
-      cand_total.fetch_add(found.count, std::memory_order_relaxed);
-      scan.by_partition[idx] = std::move(found.records);
-      if (!found.cost.has_value()) {
-        parts_restored.fetch_add(1, std::memory_order_relaxed);
-        scan.avail[idx] = clock.busy;  // restored partitions cost nothing
-        continue;
-      }
-      out.host[node.id] += found.cost->host;
-      scan.avail[idx] = clock.advance(*found.cost, run.config.streamed);
-    }
-  });
-  run.result.candidate_edges = cand_total.load(std::memory_order_relaxed);
-  scan.resumed = parts_total.load() > 0 &&
-                 parts_restored.load() == parts_total.load();
-  return scan;
-}
 
 /// The owner whose scan clock finishes last (the first, on ties).
 unsigned slowest_owner(const std::vector<OwnerClock>& owners) {
@@ -584,8 +496,6 @@ ReduceOutcome reduce_speculative(ClusterRun& run) {
   const ClusterConfig& config = run.config;
   DistributedResult& result = run.result;
   ReduceOutcome out = empty_outcome(run);
-  const std::vector<unsigned> descending(run.lengths.rbegin(),
-                                         run.lengths.rend());
   for (auto& node : run.nodes) {
     run.net.register_handler(
         node.id, kSpecProposals,
@@ -595,7 +505,7 @@ ReduceOutcome reduce_speculative(ClusterRun& run) {
         [](unsigned, std::span<const std::byte>) { return Payload{}; });
   }
 
-  const SpecScan scan = scan_speculative(run, descending, out);
+  const CandidateScan scan = scan_partitions(run, out);
   const unsigned slowest = slowest_owner(scan.owners);
   const double scan_seconds = scan.owners[slowest].busy;
 
@@ -634,15 +544,17 @@ ReduceOutcome reduce_speculative(ClusterRun& run) {
   double ready = 0.0;
   unsigned supersteps = 0;
   unsigned ready_owner = 0;  ///< owner whose scan stamp binds `ready`
-  for (std::size_t idx = 0; idx < descending.size(); ++idx) {
-    if (scan.avail[idx] > ready) {
-      ready = scan.avail[idx];
-      ready_owner = owner_of(descending[idx], config.node_count);
+  for (std::size_t idx = 0; idx < scan.partitions.size(); ++idx) {
+    const ScannedPartition& part = scan.partitions[idx];
+    if (part.avail > ready) {
+      ready = part.avail;
+      ready_owner = part.owner;
     }
-    if (scan.by_partition[idx].empty()) continue;
-    const unsigned owner = owner_of(descending[idx], config.node_count);
-    for (const SpecProposal& p : scan.by_partition[idx]) {
-      rec.resolver.add_candidate(owner, p.u, p.v, p.length, p.rank);
+    if (part.candidates.empty()) continue;
+    // Rank: the partition's place in the descending order, then the offer.
+    std::uint64_t rank = static_cast<std::uint64_t>(idx) << 40;
+    for (const graph::Edge& e : part.candidates) {
+      rec.resolver.add_candidate(part.owner, e.src, e.dst, e.overlap, rank++);
     }
     if (ready > clock) {
       // The superstep stalls until its partition's scan lands.
@@ -702,8 +614,8 @@ ReduceOutcome reduce_speculative(ClusterRun& run) {
 //
 //   1. every node scans its owned partitions in parallel (no token — the
 //      full graph keeps all candidates, so there is nothing to coordinate)
-//      and routes each candidate edge, in both twin directions, to the
-//      owner of its source vertex;
+//      and, after the scan barrier, routes each candidate edge, in both
+//      twin directions, to the owner of its source vertex;
 //   2. owners merge each arriving payload into canonically sorted
 //      adjacency with the per-vertex merge FullStringGraph settles with —
 //      the merge is order-independent, so the per-owner union equals the
@@ -829,68 +741,32 @@ void register_owner_handlers(ClusterRun& run,
   }
 }
 
-/// Stage 1 outcome: every owner's scan clock.
-struct FullScan {
-  std::vector<OwnerClock> owners;
-  bool resumed = false;
-};
-
-/// Stages 1+2: scan owned partitions and route every candidate, in both
-/// twin directions, to its source's owner. Candidates are routed only
-/// after a node finishes all of its scans, so a crash mid-scan leaves no
-/// partial deliveries; resume re-routes everything deterministically from
-/// the sidecars.
-FullScan scan_and_route(ClusterRun& run, const VertexRanges& ranges,
-                        ReduceOutcome& out) {
+/// Stage 1's routing: every node sends its partitions' candidates, in both
+/// twin directions, to their sources' owners. Routing starts after the
+/// scan barrier, so a crash mid-scan leaves no partial deliveries; resume
+/// re-routes everything deterministically from the sidecars.
+void route_candidates(ClusterRun& run, const VertexRanges& ranges,
+                      const CandidateScan& scan) {
   const unsigned node_count = run.config.node_count;
-  FullScan scan;
-  scan.owners.resize(node_count);
-  std::atomic<std::uint64_t> cand_total{0};
-  std::atomic<unsigned> parts_total{0};
-  std::atomic<unsigned> parts_restored{0};
   for_each_node(run.nodes, [&](NodeContext& node) {
-    std::vector<graph::Edge> mine;
-    io::FaultInjector::ScopedNode node_scope(static_cast<int>(node.id));
-    for (const auto& part : node.sorted) {
-      const unsigned l = part.length;
-      parts_total.fetch_add(1, std::memory_order_relaxed);
-      on_node_op(node, full_cand_key(l));
-      const Candidates<graph::Edge> found = scan_candidates<graph::Edge>(
-          run, node, part, full_cand_key(l), full_cand_file(l),
-          [](graph::VertexId u, graph::VertexId v, std::uint16_t overlap) {
-            return graph::Edge{u, v, overlap};
-          });
-      cand_total.fetch_add(found.count, std::memory_order_relaxed);
-      mine.insert(mine.end(), found.records.begin(), found.records.end());
-      if (!found.cost.has_value()) {
-        parts_restored.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      out.host[node.id] += found.cost->host;
-      scan.owners[node.id].advance(*found.cost, run.config.streamed);
-    }
-
-    // Route: both twin directions travel to their source's owner, so every
-    // owner sees exactly the directed edges the single-node
+    // Both twin directions travel to their source's owner, so every owner
+    // sees exactly the directed edges the single-node
     // FullStringGraph::add_edge would have stored in its block.
     std::vector<std::vector<graph::Edge>> outbound(node_count);
-    for (const graph::Edge& e : mine) {
-      if (e.src == e.dst || e.dst == graph::complement_vertex(e.src)) {
-        continue;  // add_edge's self/complement guard
+    for (const ScannedPartition& part : scan.partitions) {
+      if (part.owner != node.id) continue;
+      for (const graph::Edge& e : part.candidates) {
+        if (e.src == e.dst || e.dst == graph::complement_vertex(e.src)) {
+          continue;  // add_edge's self/complement guard
+        }
+        outbound[ranges.owner(e.src)].push_back(e);
+        outbound[ranges.owner(twin(e).src)].push_back(twin(e));
       }
-      outbound[ranges.owner(e.src)].push_back(e);
-      const graph::Edge twin{graph::complement_vertex(e.dst),
-                             graph::complement_vertex(e.src), e.overlap};
-      outbound[ranges.owner(twin.src)].push_back(twin);
     }
     for (unsigned k = 0; k < node_count; ++k) {
       send_chunked(run.net, node.id, k, kGraphEdges, outbound[k]);
     }
   });
-  run.result.candidate_edges = cand_total.load(std::memory_order_relaxed);
-  scan.resumed = parts_total.load() > 0 &&
-                 parts_restored.load() == parts_total.load();
-  return scan;
 }
 
 /// Stage 3: halo fetch + blocked transitive marking. Adjacency is immutable
@@ -1008,7 +884,8 @@ ReduceOutcome reduce_reduced_graph(ClusterRun& run) {
   }
   register_owner_handlers(run, blocks);
 
-  const FullScan scan = scan_and_route(run, ranges, out);
+  const CandidateScan scan = scan_partitions(run, out);
+  route_candidates(run, ranges, scan);
   mark_transitive(run, ranges, blocks);
   exchange_unitig_links(run, ranges, blocks);
 
@@ -1064,11 +941,20 @@ ReduceOutcome reduce_reduced_graph(ClusterRun& run) {
     if (mark_t > mark_max) { mark_max = mark_t; mark_arg = i; }
     if (out.network[i] > net_max) { net_max = out.network[i]; net_arg = i; }
   }
-  const unsigned slowest = slowest_owner(scan.owners);
-  const double scan_max = scan.owners[slowest].busy;
+  // The owners' scan clocks, summed in ascending length order: a sum of
+  // doubles depends on its order, and this one keeps every bit of the
+  // modeled seconds this mode has always reported.
+  std::vector<OwnerClock> owners(config.node_count);
+  for (auto p = scan.partitions.rbegin(); p != scan.partitions.rend(); ++p) {
+    if (p->cost.has_value()) {
+      owners[p->owner].advance(*p->cost, config.streamed);
+    }
+  }
+  const unsigned slowest = slowest_owner(owners);
+  const double scan_max = owners[slowest].busy;
   out.modeled_seconds = scan_max + insert_max + mark_max + net_max;
   if (obs::Profiler* prof = obs::Profiler::active()) {
-    prof->chain(static_cast<int>(slowest), scan.owners[slowest].lane(),
+    prof->chain(static_cast<int>(slowest), owners[slowest].lane(),
                 "straggler-scan", to_ps(scan_max));
     prof->chain(static_cast<int>(insert_arg), "host", "graph-insert",
                 to_ps(insert_max));

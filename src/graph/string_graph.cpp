@@ -39,13 +39,6 @@ std::optional<Edge> StringGraph::out_edge(VertexId v) const {
   return Edge{v, out_dst_[v], out_len_[v]};
 }
 
-void StringGraph::set_out_degree_bits(util::AtomicBitVector bits) {
-  if (bits.size() != out_degree_.size()) {
-    throw std::invalid_argument("set_out_degree_bits: size mismatch");
-  }
-  out_degree_ = std::move(bits);
-}
-
 std::vector<Edge> StringGraph::edges() const {
   std::vector<Edge> out;
   out.reserve(edge_count_);

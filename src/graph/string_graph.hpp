@@ -70,15 +70,11 @@ class StringGraph {
     return out_degree_.test(complement_vertex(v));
   }
 
-  /// Snapshot of the out-degree bit-vector (the token forwarded between
-  /// nodes in the distributed reduce, paper III-E3).
+  /// The out-degree bit-vector (the token forwarded between nodes in the
+  /// distributed reduce, paper III-E3).
   [[nodiscard]] const util::AtomicBitVector& out_degree_bits() const {
     return out_degree_;
   }
-
-  /// Replace the out-degree bit-vector (distributed reduce: a node receives
-  /// the token before creating greedy edges for its partition).
-  void set_out_degree_bits(util::AtomicBitVector bits);
 
   /// All edges, by ascending source vertex (complementary edges included).
   [[nodiscard]] std::vector<Edge> edges() const;

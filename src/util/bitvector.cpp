@@ -18,26 +18,6 @@ AtomicBitVector::AtomicBitVector(std::size_t bits)
   for (auto& w : words_) w.store(0, std::memory_order_relaxed);
 }
 
-AtomicBitVector::AtomicBitVector(const AtomicBitVector& other)
-    : bits_(other.bits_), words_(other.words_.size()) {
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i].store(other.words_[i].load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  }
-}
-
-AtomicBitVector& AtomicBitVector::operator=(const AtomicBitVector& other) {
-  if (this == &other) return *this;
-  bits_ = other.bits_;
-  std::vector<std::atomic<std::uint64_t>> fresh(other.words_.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    fresh[i].store(other.words_[i].load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  }
-  words_ = std::move(fresh);
-  return *this;
-}
-
 bool AtomicBitVector::test(std::size_t i) const {
   if (i >= bits_) throw std::out_of_range("AtomicBitVector::test");
   const std::uint64_t word =
@@ -72,26 +52,6 @@ std::size_t AtomicBitVector::count() const {
         std::popcount(w.load(std::memory_order_relaxed)));
   }
   return total;
-}
-
-std::vector<std::uint64_t> AtomicBitVector::to_words() const {
-  std::vector<std::uint64_t> out(words_.size());
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    out[i] = words_[i].load(std::memory_order_acquire);
-  }
-  return out;
-}
-
-AtomicBitVector AtomicBitVector::from_words(
-    std::size_t bits, const std::vector<std::uint64_t>& words) {
-  if (words.size() != word_count(bits)) {
-    throw std::invalid_argument("AtomicBitVector::from_words size mismatch");
-  }
-  AtomicBitVector v(bits);
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    v.words_[i].store(words[i], std::memory_order_relaxed);
-  }
-  return v;
 }
 
 }  // namespace lasagna::util

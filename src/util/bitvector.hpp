@@ -11,18 +11,10 @@
 namespace lasagna::util {
 
 /// Fixed-size bit vector with atomic set/test-and-set on individual bits.
-///
-/// Copyable (copies are a snapshot) so it can be serialized and forwarded
-/// between simulated cluster nodes as in the paper's distributed reduce.
 class AtomicBitVector {
  public:
   AtomicBitVector() = default;
   explicit AtomicBitVector(std::size_t bits);
-
-  AtomicBitVector(const AtomicBitVector& other);
-  AtomicBitVector& operator=(const AtomicBitVector& other);
-  AtomicBitVector(AtomicBitVector&&) noexcept = default;
-  AtomicBitVector& operator=(AtomicBitVector&&) noexcept = default;
 
   [[nodiscard]] std::size_t size() const { return bits_; }
 
@@ -44,12 +36,8 @@ class AtomicBitVector {
   /// Number of set bits (not atomic with respect to concurrent writers).
   [[nodiscard]] std::size_t count() const;
 
-  /// Raw words, for serialization (see dist::ActiveMessage payloads).
-  [[nodiscard]] std::vector<std::uint64_t> to_words() const;
-  static AtomicBitVector from_words(std::size_t bits,
-                                    const std::vector<std::uint64_t>& words);
-
-  /// Size in bytes of the serialized form.
+  /// Bytes the words occupy (a token hop's payload in the distributed
+  /// reduce).
   [[nodiscard]] std::size_t byte_size() const { return words_.size() * 8; }
 
  private:

@@ -4,8 +4,9 @@
 // an uninterrupted run, (b) identical result counters, (c) strictly less
 // disk traffic than a cold rerun — the surviving nodes' completed prefix
 // is not redone. It also pins the resume guards: a finished run resumes
-// into identical contigs in every reduce mode, a checkpoint made with
-// different fingerprint parameters restores nothing, and a cut, extended
+// into identical contigs in every reduce mode (a greedy one under either
+// strategy), a checkpoint made with different fingerprint parameters or
+// holding a key that does not parse restores nothing, and a cut, extended
 // or bit-flipped sidecar is recomputed.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "dist/cluster.hpp"
 #include "io/fault_injector.hpp"
 #include "io/tempdir.hpp"
+#include "obs/metrics.hpp"
 #include "seq/genome.hpp"
 #include "seq/simulator.hpp"
 #include "sidecar_damage.hpp"
@@ -32,23 +34,39 @@ std::string slurp(const std::filesystem::path& path) {
 }
 
 /// The lexicographically first sidecar holding at least one record under
-/// any node of `work_dir` named `prefix`...`suffix`, or an empty path.
+/// any node of `work_dir` whose name starts with `prefix`, or an empty path.
 std::filesystem::path first_sidecar(const std::filesystem::path& work_dir,
-                                    const std::string& prefix,
-                                    const std::string& suffix) {
+                                    const std::string& prefix) {
   std::set<std::filesystem::path> found;
   for (const auto& entry :
        std::filesystem::recursive_directory_iterator(work_dir)) {
-    const std::string name = entry.path().filename().string();
     if (entry.is_regular_file() &&
         entry.file_size() > core::CheckpointManager::kSidecarHeaderBytes &&
-        name.rfind(prefix, 0) == 0 && name.size() >= suffix.size() &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
+        entry.path().filename().string().rfind(prefix, 0) == 0) {
       found.insert(entry.path());
     }
   }
   return found.empty() ? std::filesystem::path() : *found.begin();
+}
+
+/// The sidecars of one node directory whose names start with `prefix`.
+std::size_t count_sidecars(const std::filesystem::path& node_dir,
+                           const std::string& prefix) {
+  std::size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(node_dir)) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
+  }
+  return count;
+}
+
+/// Rewrite `manifest` with the first character after `entry` set to `c`.
+void corrupt_key(const std::filesystem::path& manifest,
+                 const std::string& entry, char c) {
+  std::string text = slurp(manifest);
+  const std::size_t at = text.find(entry);
+  ASSERT_NE(at, std::string::npos) << manifest;
+  text[at + entry.size()] = c;
+  std::ofstream(manifest, std::ios::binary | std::ios::trunc) << text;
 }
 
 struct Mode {
@@ -151,9 +169,10 @@ TEST_F(DistRecoveryTest, NodeKilledMidSortResumesMapAndShuffle) {
 }
 
 TEST_F(DistRecoveryTest, NodeKilledMidReduceResumesFromTokenSidecars) {
-  // The kill fires mid token ring. The completed prefix of reduce
-  // partitions is restored from the per-partition delta sidecars; map,
-  // shuffle and sort all resume whole.
+  // The kill fires mid-scan under the token reduce. Every partition an
+  // owner finished restores from its candidate sidecar, and the token ring
+  // walks the restored and rescanned candidates alike; map, shuffle and
+  // sort all resume whole.
   check_scenario("reduce", "node:nth=3,match=reduce:", 3);
 }
 
@@ -179,8 +198,8 @@ TEST_F(DistRecoveryTest, SpeculativeKilledMidReconciliationReplaysToFixpoint) {
 }
 
 TEST_F(DistRecoveryTest, ReducedGraphKilledMidScanResumesFromSidecars) {
-  // Reduced graph mode: the kill fires on the second full-candidate
-  // sidecar write inside the distributed reduction's scan stage. On resume
+  // Reduced graph mode: the kill fires on the second partition of the
+  // distributed reduction's candidate scan. On resume
   // the finished partitions' candidate sets restore from their sidecars
   // (no re-scan); the deterministic routing, blocked reduction and stitch
   // superstep replay over the restored multiset, so contigs, edge counts
@@ -188,7 +207,7 @@ TEST_F(DistRecoveryTest, ReducedGraphKilledMidScanResumesFromSidecars) {
   graph_ = core::GraphMode::kReduced;
   const DistributedResult full = run_full("ref-reduced-scan");
   const DistributedResult resumed = crash_and_resume(
-      "reduced-scan", "node:nth=2,match=reduce:fullcand");
+      "reduced-scan", "node:nth=2,match=reduce:cand");
   EXPECT_EQ(slurp(out("reduced-scan")), slurp(out("ref-reduced-scan")));
   EXPECT_EQ(resumed.candidate_edges, full.candidate_edges);
   EXPECT_EQ(resumed.accepted_edges, full.accepted_edges);
@@ -218,6 +237,54 @@ TEST_F(DistRecoveryTest, ResumeAfterSuccessfulRunSkipsEverythingButCompress) {
         EXPECT_TRUE(phase.resumed) << mode.name << " " << phase.name;
       }
     }
+  }
+}
+
+TEST_F(DistRecoveryTest, TokenKillOnOneNodeRescansOnlyItsPartitions) {
+  // Node 1 dies on its first reduce partition while node 0 scans all of
+  // its own. Owners checkpoint their candidates as they scan, so the
+  // resume rescans exactly node 1's partitions.
+  (void)run_full("ref-node-kill");
+  {
+    auto injector =
+        io::FaultInjector::parse("node:nth=1,node=1,match=reduce:cand");
+    io::FaultInjector::ScopedInstall guard(injector.get());
+    EXPECT_THROW((void)run_distributed(dir_.file("reads.fq"),
+                                       out("node-kill"), config("node-kill")),
+                 io::FaultError);
+  }
+  auto& registry = obs::MetricsRegistry::global();
+  const std::int64_t scanned_before = registry.value("dist.reduce.partitions");
+  ClusterConfig c = config("node-kill");
+  c.resume = true;
+  (void)run_distributed(dir_.file("reads.fq"), out("node-kill"), c);
+  const std::size_t node1_partitions =
+      count_sidecars(c.work_dir / "node1", "checkpoint.reduce.cand.l");
+  EXPECT_GT(node1_partitions, 0u);
+  EXPECT_EQ(registry.value("dist.reduce.partitions") - scanned_before,
+            static_cast<std::int64_t>(node1_partitions));
+  EXPECT_EQ(slurp(out("node-kill")), slurp(out("ref-node-kill")));
+}
+
+TEST_F(DistRecoveryTest, GreedyWorkDirResumesUnderTheOtherStrategy) {
+  // Both greedy strategies checkpoint the same candidate sidecars, so a
+  // finished work dir of either restores every phase but compress under
+  // the other and writes the same contigs.
+  for (const Mode& from : {kModes[0], kModes[1]}) {
+    strategy_ = from.strategy;
+    const std::string scenario = std::string("swap-") + from.name;
+    (void)run_full(scenario);
+    ClusterConfig c = config(scenario);
+    c.reduce_strategy = from.strategy == ReduceStrategy::kLengthToken
+                            ? ReduceStrategy::kSpeculative
+                            : ReduceStrategy::kLengthToken;
+    c.resume = true;
+    const DistributedResult resumed = run_distributed(
+        dir_.file("reads.fq"), out(scenario + "-resumed"), c);
+    EXPECT_EQ(resumed.phases_resumed, 4u) << from.name;
+    EXPECT_TRUE(resumed.stats.phase("reduce").resumed) << from.name;
+    EXPECT_EQ(slurp(out(scenario + "-resumed")), slurp(out(scenario)))
+        << from.name;
   }
 }
 
@@ -276,19 +343,16 @@ TEST_F(DistRecoveryTest, ResizedSidecarsAreRecomputed) {
     ReduceStrategy strategy;
     core::GraphMode graph;
     const char* prefix;  ///< sidecar file name, up to the partition key
-    const char* suffix;
   };
   const Kind kinds[] = {
-      {"token-bits", ReduceStrategy::kLengthToken, core::GraphMode::kGreedy,
-       "checkpoint.reduce.l", ".token"},
-      {"token-edges", ReduceStrategy::kLengthToken, core::GraphMode::kGreedy,
-       "checkpoint.reduce.l", ".edges"},
+      {"token-cand", ReduceStrategy::kLengthToken, core::GraphMode::kGreedy,
+       "checkpoint.reduce.cand.l"},
       {"spec-cand", ReduceStrategy::kSpeculative, core::GraphMode::kGreedy,
-       "checkpoint.spec.cand.l", ""},
+       "checkpoint.reduce.cand.l"},
       {"spec-committed", ReduceStrategy::kSpeculative,
-       core::GraphMode::kGreedy, "checkpoint.spec.committed", ""},
-      {"full-cand", ReduceStrategy::kLengthToken, core::GraphMode::kReduced,
-       "checkpoint.full.cand.l", ""},
+       core::GraphMode::kGreedy, "checkpoint.spec.committed"},
+      {"reduced-cand", ReduceStrategy::kLengthToken,
+       core::GraphMode::kReduced, "checkpoint.reduce.cand.l"},
   };
   for (const Kind& kind : kinds) {
     for (const testing::SidecarDamage damage : testing::kSidecarDamages) {
@@ -300,7 +364,7 @@ TEST_F(DistRecoveryTest, ResizedSidecarsAreRecomputed) {
       const std::string reference = slurp(out(scenario));
 
       const std::filesystem::path victim =
-          first_sidecar(config(scenario).work_dir, kind.prefix, kind.suffix);
+          first_sidecar(config(scenario).work_dir, kind.prefix);
       ASSERT_FALSE(victim.empty()) << scenario;
       testing::damage_sidecar(victim, damage);
 
@@ -329,6 +393,21 @@ TEST_F(DistRecoveryTest, RejectedNodeManifestRestartsEveryNode) {
       run_distributed(dir_.file("reads.fq"), out("manifest"), c);
   EXPECT_EQ(resumed.phases_resumed, 0u);
   EXPECT_EQ(slurp(out("manifest")), reference);
+}
+
+TEST_F(DistRecoveryTest, MalformedKeySuffixRestartsEveryNode) {
+  // A shuffle entry whose key number does not parse rejects node 1's
+  // manifest, so every node starts fresh into the same contigs instead of
+  // failing on the key.
+  (void)run_full("suffix");
+  ClusterConfig c = config("suffix");
+  corrupt_key(c.work_dir / "node1" / "checkpoint.manifest",
+              "entry shuffle:key:", 'x');
+  c.resume = true;
+  const DistributedResult resumed =
+      run_distributed(dir_.file("reads.fq"), out("suffix-resumed"), c);
+  EXPECT_EQ(resumed.phases_resumed, 0u);
+  EXPECT_EQ(slurp(out("suffix-resumed")), slurp(out("suffix")));
 }
 
 TEST_F(DistRecoveryTest, NodeScopedPolicyOnlyFiresOnThatNode) {

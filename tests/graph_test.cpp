@@ -82,19 +82,6 @@ TEST(StringGraph, InOutDegreeInvariantHoldsUnderRandomLoad) {
   for (int d : in_degree) EXPECT_LE(d, 1);
 }
 
-TEST(StringGraph, BitVectorTokenRoundTrip) {
-  StringGraph g(8);
-  g.try_add_edge(forward_vertex(0), forward_vertex(1), 30);
-  const auto& bits = g.out_degree_bits();
-
-  StringGraph g2(8);
-  g2.set_out_degree_bits(bits);
-  // g2 sees vertex 0 and 1' as used even though it holds no edges.
-  EXPECT_FALSE(g2.try_add_edge(forward_vertex(0), forward_vertex(2), 20));
-  EXPECT_FALSE(g2.try_add_edge(forward_vertex(3), forward_vertex(1), 20));
-  EXPECT_TRUE(g2.try_add_edge(forward_vertex(4), forward_vertex(5), 20));
-}
-
 TEST(StringGraph, ImportEdgesRebuildsAdjacency) {
   StringGraph g(4);
   g.try_add_edge(forward_vertex(0), forward_vertex(1), 42);

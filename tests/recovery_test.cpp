@@ -324,6 +324,28 @@ TEST_F(RecoveryTest, OutputFiltersResumeAFinishedRun) {
   }
 }
 
+TEST_F(RecoveryTest, MalformedKeySuffixStartsTheRunFresh) {
+  // A map entry whose partition number does not parse rejects the
+  // manifest, so the resume starts fresh into the same contigs instead of
+  // failing on the key.
+  (void)run_full("suffix");
+  const std::filesystem::path manifest =
+      config("suffix").work_dir / "checkpoint.manifest";
+  std::string text = slurp(manifest);
+  const std::string entry = "entry map:sfx:";
+  const std::size_t at = text.find(entry);
+  ASSERT_NE(at, std::string::npos);
+  text[at + entry.size()] = 'p';
+  std::ofstream(manifest, std::ios::binary | std::ios::trunc) << text;
+
+  core::AssemblyConfig c = config("suffix");
+  c.resume = true;
+  EXPECT_EQ(core::Assembler(c).run(fastqs_, out("suffix-resumed"))
+                .phases_resumed,
+            0u);
+  EXPECT_EQ(slurp(out("suffix-resumed")), slurp(out("suffix")));
+}
+
 TEST(CheckpointManager, RecordsSurviveReloadAndRejectMismatchedGuards) {
   io::ScopedTempDir dir("lasagna-ckpt");
   {
@@ -533,11 +555,16 @@ TEST(CheckpointManager, SeededManifestMutationsLoadOrReject) {
     cm.record("sort:run:sfx_00080.sorted:0", {{"records", 7}});
     cm.record("sort:run:sfx_00080.sorted:1", {{"records", 1234567}});
     cm.record("phase:map", {{"partitions", 37}, {"records", 903}});
+    cm.record("map:sfx:00063", {{"records", 12}});
+    cm.record("shuffle:key:00000064", {{"hash", 99}});
   }
   const std::string text = slurp(dir.file("checkpoint.manifest"));
+  const std::vector<std::string> numbered = {"map:sfx:", "shuffle:key:"};
 
   // load() returns true or false and never throws; every counter it keeps
-  // is the decimal value of the digits on the last complete line of its key.
+  // is the decimal value of the digits on the last complete line of its key,
+  // and every key under a numbered prefix ends in the number
+  // numbered_keys() reports for it.
   // A fresh directory per mutant: truncating and rewriting one file can
   // wait for its earlier blocks to reach the disk.
   std::size_t dirs = 0;
@@ -551,7 +578,7 @@ TEST(CheckpointManager, SeededManifestMutationsLoadOrReject) {
                                    const std::string& what) {
     core::CheckpointManager cm(write_mutant(mutant), 0x1111, 0x2222);
     bool loaded = false;
-    ASSERT_NO_THROW(loaded = cm.load()) << what;
+    ASSERT_NO_THROW(loaded = cm.load({numbered[0], numbered[1]})) << what;
     if (!loaded) return;
     std::map<std::string, core::CheckpointManager::Counters> lines;
     std::istringstream in(mutant.substr(0, mutant.rfind('\n') + 1));
@@ -570,6 +597,16 @@ TEST(CheckpointManager, SeededManifestMutationsLoadOrReject) {
     }
     for (const std::string& key : cm.keys_with_prefix("")) {
       EXPECT_EQ(cm.counters(key), lines[key]) << what << ": " << key;
+    }
+    for (const std::string& prefix : numbered) {
+      std::map<std::uint64_t, std::string> expected;
+      for (const auto& [key, counters] : lines) {
+        if (key.rfind(prefix, 0) != 0) continue;
+        const auto number = decimal_value("=" + key.substr(prefix.size()));
+        ASSERT_TRUE(number.has_value()) << what << ": accepted " << key;
+        expected.emplace(*number, key);
+      }
+      EXPECT_EQ(cm.numbered_keys(prefix), expected) << what;
     }
   };
 
@@ -621,6 +658,17 @@ TEST(CheckpointManager, SeededManifestMutationsLoadOrReject) {
     const std::size_t at = eqs[pick(eqs.size())] + 1;
     m.replace(at, m.find_first_of(" \n", at) - at, values[pick(values.size())]);
     expect_load_or_reject(m, "value " + std::to_string(trial));
+    // One numbered key's suffix replaced, or one of its characters.
+    m = text;
+    const std::string& prefix = numbered[pick(numbered.size())];
+    const std::size_t begin = m.find("entry " + prefix) + 6 + prefix.size();
+    const std::size_t end = m.find(' ', begin);
+    if (pick(2) == 0) {
+      m.replace(begin, end - begin, values[pick(values.size())]);
+    } else {
+      m[begin + pick(end - begin)] = "0123456789px-+ :"[pick(16)];
+    }
+    expect_load_or_reject(m, "suffix " + std::to_string(trial));
   }
 }
 

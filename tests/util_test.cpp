@@ -112,19 +112,6 @@ TEST(BitVector, CountAndReset) {
   EXPECT_EQ(v.count(), 0u);
 }
 
-TEST(BitVector, SerializationRoundTrip) {
-  AtomicBitVector v(77);
-  v.set(0);
-  v.set(63);
-  v.set(64);
-  v.set(76);
-  const auto words = v.to_words();
-  const AtomicBitVector w = AtomicBitVector::from_words(77, words);
-  for (std::size_t i = 0; i < 77; ++i) EXPECT_EQ(v.test(i), w.test(i));
-  EXPECT_THROW(AtomicBitVector::from_words(1000, words),
-               std::invalid_argument);
-}
-
 TEST(BitVector, ConcurrentTestAndSetIsExclusive) {
   AtomicBitVector v(64);
   std::atomic<int> winners{0};
