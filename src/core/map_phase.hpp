@@ -13,6 +13,7 @@
 #include "core/config.hpp"
 #include "fingerprint/kernels.hpp"
 #include "io/partition.hpp"
+#include "seq/read_store.hpp"
 
 namespace lasagna::core {
 
@@ -42,15 +43,25 @@ struct MapOptions {
   /// used by the distributed map where the master hands out input blocks.
   std::uint64_t first_read = 0;
   std::uint64_t max_reads = UINT64_MAX;
+  /// Where the input stream opens: the start of the batch that holds
+  /// `first_read` (a distributed block gets it from the master's
+  /// pre-scan), so a block parses only its own input. It must be a batch
+  /// start of the grid batch_bases_for() cuts: from there the stream
+  /// yields the same batches, and so the same per-batch device charges, as
+  /// a stream read from the first byte.
+  seq::BatchStart start;
   /// Run the three-stage software pipeline: background batch prefetch,
   /// double-buffered fingerprint kernels, and background tuple emission.
   /// Partition files are byte-identical either way.
   bool streamed = false;
-  /// Number of strand chunks for parallel emission (0 = auto: 4x the pool
-  /// size). Output bytes are identical for every value; exposed so tests
-  /// can prove it.
-  unsigned emission_chunks = 0;
 };
+
+/// The map's batch size in input bases on a device of `device_capacity`
+/// bytes: each input base occupies two strands (forward and reverse
+/// complement), and each strand base costs one byte of codes plus two
+/// 16-byte fingerprints, with 1/8 of the device kept free for the lengths
+/// array and allocator slack.
+[[nodiscard]] std::uint64_t batch_bases_for(std::uint64_t device_capacity);
 
 /// Run the map phase over `fastq` within `ws`. Partition files are created
 /// under ws.dir. Throws on malformed input.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -55,6 +56,18 @@ std::string shuffle_ck_key(unsigned key) {
   std::snprintf(buf, sizeof(buf), "shuffle:key:%08u", key);
   return buf;
 }
+
+/// The master's reply to kGetBlock: block `block` holds reads [first,
+/// first + count), and its mapper opens the input at the start of the map
+/// batch that holds `first` (the pre-scan's `batch_starts`).
+struct BlockGrant {
+  std::uint32_t block = 0;
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+  std::uint32_t start_id = 0;
+  std::uint64_t start_offset = 0;
+};
+static_assert(sizeof(BlockGrant) == 24, "no padding on the wire");
 
 /// Header of one pushed shuffle chunk. The chunk's tuple bytes follow.
 struct PushHeader {
@@ -248,9 +261,8 @@ void map_blocks(ClusterRun& run, NodeContext& node,
     const Payload reply = run.net.request(node.id, 0, kGetBlock, {});
     if (reply.empty()) break;
     std::size_t off = 0;
-    const auto g = get<std::uint64_t>(reply, off);
-    const auto first = get<std::uint64_t>(reply, off);
-    const auto count = get<std::uint64_t>(reply, off);
+    const auto grant = get<BlockGrant>(reply, off);
+    const std::uint64_t g = grant.block;
 
     if (io::FaultInjector* injector = io::FaultInjector::active()) {
       injector->on_node_op(node.id, block_key(g));
@@ -259,8 +271,9 @@ void map_blocks(ClusterRun& run, NodeContext& node,
     core::MapOptions options;
     options.min_overlap = config.min_overlap;
     options.fingerprints = config.fingerprints;
-    options.first_read = first;
-    options.max_reads = count;
+    options.first_read = grant.first;
+    options.max_reads = grant.count;
+    options.start = {grant.start_id, grant.start_offset};
     options.streamed = config.streamed;
     core::Workspace block_ws = node.ws;
     block_ws.dir = node.dir / ("block" + std::to_string(g));
@@ -298,9 +311,9 @@ void map_blocks(ClusterRun& run, NodeContext& node,
     std::error_code ec;
     std::filesystem::remove_all(block_ws.dir, ec);
     if (node.checkpoint != nullptr) {
-      node.checkpoint->record(
-          block_key(g),
-          {{"first", first}, {"reads", count}, {"tuples", tuples}});
+      node.checkpoint->record(block_key(g), {{"first", grant.first},
+                                             {"reads", grant.count},
+                                             {"tuples", tuples}});
     }
     node.did_work = true;
     c_blocks.add(1);
@@ -345,15 +358,26 @@ std::vector<NodeLanes> map_phase(ClusterRun& run) {
   }
   run.net.register_handler(
       0, kGetBlock,
-      [&dispenser, block_reads, read_count](unsigned src,
-                                            std::span<const std::byte>) {
+      [&dispenser, &starts = run.batch_starts, block_reads, read_count](
+          unsigned src, std::span<const std::byte>) {
         Payload reply;
         const std::optional<std::uint64_t> g = dispenser.take(src);
         if (!g.has_value()) return reply;  // no more work
-        put(reply, *g);
-        put(reply, *g * block_reads);
-        put(reply, std::min<std::uint64_t>(block_reads,
-                                           read_count - *g * block_reads));
+        const std::uint64_t first = *g * block_reads;
+        // The last batch starting at or before the block's first read.
+        const seq::BatchStart& start = *std::prev(std::upper_bound(
+            starts.begin(), starts.end(), first,
+            [](std::uint64_t id, const seq::BatchStart& batch) {
+              return id < batch.first_id;
+            }));
+        BlockGrant grant;
+        grant.block = static_cast<std::uint32_t>(*g);
+        grant.first = static_cast<std::uint32_t>(first);
+        grant.count = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(block_reads, read_count - first));
+        grant.start_id = start.first_id;
+        grant.start_offset = start.offset;
+        put(reply, grant);
         return reply;
       });
   register_push_handlers(run);
@@ -1023,11 +1047,14 @@ ClusterRun::ClusterRun(const std::filesystem::path& fastq_path,
     if (node.checkpoint != nullptr && !resumable) node.checkpoint->reset();
   }
 
-  // Pre-scan the shared input once (master): read count for block
-  // assignment and graph sizing, plus the read-length table.
-  seq::ReadBatchStream stream(fastq, 1 << 20);
+  // Pre-scan the shared input once (master) on the map's batch grid: read
+  // count for block assignment and graph sizing, the read-length table,
+  // and where every map batch starts.
+  seq::ReadBatchStream stream(
+      fastq, core::batch_bases_for(nodes.front().device->memory().capacity()));
   seq::ReadBatch batch;
   while (stream.next(batch)) {
+    batch_starts.push_back(batch.start());
     for (const std::string& r : batch.reads) {
       read_lengths.push_back(static_cast<std::uint16_t>(r.size()));
     }

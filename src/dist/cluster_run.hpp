@@ -28,6 +28,7 @@
 #include "dist/shuffle_ingest.hpp"
 #include "graph/string_graph.hpp"
 #include "io/tempdir.hpp"
+#include "seq/read_store.hpp"
 #include "util/memory_tracker.hpp"
 
 namespace lasagna::dist::detail {
@@ -143,6 +144,9 @@ struct ClusterRun {
   /// transitive marking needs halo vertices' lengths, and compress places
   /// reads by them (until compress takes them).
   std::vector<std::uint16_t> read_lengths;
+  /// Where every map batch starts, from the pre-scan: a map block opens the
+  /// input at the batch that holds its first read.
+  std::vector<seq::BatchStart> batch_starts;
   double fastq_bytes = 0.0;
   std::vector<unsigned> lengths;  ///< all partition keys, ascending
   double clock = 0.0;             ///< cumulative modeled time (trace base)

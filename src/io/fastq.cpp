@@ -7,20 +7,15 @@
 
 namespace lasagna::io {
 
-namespace {
-
-// Strip a trailing '\r' (files written on Windows).
-void chomp(std::string& line) {
+bool SequenceReader::read_line(std::string& line) {
+  if (!std::getline(*in_, line)) return false;
+  // getline sets eof only when the line ran to the end of input without
+  // a '\n'.
+  bytes_ += line.size() + (in_->eof() ? 0 : 1);
+  // Strip a trailing '\r' (files written on Windows).
   if (!line.empty() && line.back() == '\r') line.pop_back();
-}
-
-bool read_line(std::istream& in, std::string& line) {
-  if (!std::getline(in, line)) return false;
-  chomp(line);
   return true;
 }
-
-}  // namespace
 
 bool SequenceReader::next(SequenceRecord& out) {
   // One injector consultation per record (FASTQ bypasses ReadOnlyStream, so
@@ -30,7 +25,7 @@ bool SequenceReader::next(SequenceRecord& out) {
   }
   // Skip blank lines between records.
   do {
-    if (!read_line(*in_, line_)) return false;
+    if (!read_line(line_)) return false;
   } while (line_.empty());
 
   if (line_.empty() || (line_[0] != '>' && line_[0] != '@')) {
@@ -44,15 +39,15 @@ bool SequenceReader::next(SequenceRecord& out) {
   out.quality.clear();
 
   if (fastq) {
-    if (!read_line(*in_, out.bases)) {
+    if (!read_line(out.bases)) {
       throw std::runtime_error("FASTQ record truncated after header " +
                                out.id);
     }
-    if (!read_line(*in_, line_) || line_.empty() || line_[0] != '+') {
+    if (!read_line(line_) || line_.empty() || line_[0] != '+') {
       throw std::runtime_error("FASTQ record " + out.id +
                                " missing '+' separator");
     }
-    if (!read_line(*in_, out.quality)) {
+    if (!read_line(out.quality)) {
       throw std::runtime_error("FASTQ record " + out.id +
                                " missing quality line");
     }
@@ -64,7 +59,7 @@ bool SequenceReader::next(SequenceRecord& out) {
     // FASTA: sequence possibly wrapped over several lines, until the next
     // header or end of file.
     while (in_->peek() != '>' && in_->peek() != '@' &&
-           read_line(*in_, line_)) {
+           read_line(line_)) {
       out.bases += line_;
     }
   }

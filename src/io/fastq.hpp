@@ -37,10 +37,19 @@ class SequenceReader {
   /// Number of records parsed so far.
   [[nodiscard]] std::uint64_t count() const { return count_; }
 
+  /// Bytes consumed from the stream so far: each line's bytes, a `\r`
+  /// before its `\n` included, plus the `\n` when the line has one. The
+  /// next record (after any blank lines) starts this many bytes past where
+  /// the reader started.
+  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+
  private:
+  bool read_line(std::string& line);
+
   std::istream* in_;
   std::filesystem::path source_;
   std::uint64_t count_ = 0;
+  std::uint64_t bytes_ = 0;
   std::string line_;
 };
 

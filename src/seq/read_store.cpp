@@ -69,12 +69,14 @@ struct ReadBatchStream::Impl {
   std::size_t file_index = 0;
   std::ifstream file;
   std::unique_ptr<io::SequenceReader> reader;
+  std::uint64_t base = 0;  ///< file offset where `reader` started
   io::SequenceRecord pending;
+  std::uint64_t pending_offset = 0;
   bool has_pending = false;
   bool done = false;
 
-  explicit Impl(std::vector<std::filesystem::path> in_paths)
-      : paths(std::move(in_paths)) {
+  Impl(std::vector<std::filesystem::path> in_paths, std::uint64_t offset)
+      : paths(std::move(in_paths)), base(offset) {
     if (paths.empty()) {
       throw std::invalid_argument("ReadBatchStream: no input files");
     }
@@ -84,7 +86,8 @@ struct ReadBatchStream::Impl {
   void open_current() {
     file.close();
     file.clear();
-    file.open(paths[file_index]);
+    file.open(paths[file_index], std::ios::binary);
+    if (base > 0) file.seekg(static_cast<std::streamoff>(base));
     if (!file) {
       throw std::runtime_error("cannot open " +
                                paths[file_index].string());
@@ -93,26 +96,31 @@ struct ReadBatchStream::Impl {
     reader->set_source(paths[file_index]);
   }
 
-  /// Next record across file boundaries.
-  bool next_record(io::SequenceRecord& out) {
+  /// Next record across file boundaries, with its offset in its file.
+  bool next_record(io::SequenceRecord& out, std::uint64_t& offset) {
     for (;;) {
+      offset = base + reader->bytes();
       if (reader->next(out)) return true;
       if (file_index + 1 >= paths.size()) return false;
       ++file_index;
+      base = 0;
       open_current();
     }
   }
 };
 
 ReadBatchStream::ReadBatchStream(const std::filesystem::path& path,
-                                 std::uint64_t max_batch_bases)
+                                 std::uint64_t max_batch_bases,
+                                 BatchStart start)
     : ReadBatchStream(std::vector<std::filesystem::path>{path},
-                      max_batch_bases) {}
+                      max_batch_bases, start) {}
 
 ReadBatchStream::ReadBatchStream(std::vector<std::filesystem::path> paths,
-                                 std::uint64_t max_batch_bases)
-    : impl_(std::make_unique<Impl>(std::move(paths))),
-      max_batch_bases_(max_batch_bases) {
+                                 std::uint64_t max_batch_bases,
+                                 BatchStart start)
+    : impl_(std::make_unique<Impl>(std::move(paths), start.offset)),
+      max_batch_bases_(max_batch_bases),
+      next_id_(start.first_id) {
   if (max_batch_bases_ == 0) {
     throw std::invalid_argument("ReadBatchStream: zero batch size");
   }
@@ -128,7 +136,7 @@ bool ReadBatchStream::next(ReadBatch& out) {
   std::uint64_t bases = 0;
   for (;;) {
     if (!impl_->has_pending) {
-      if (!impl_->next_record(impl_->pending)) {
+      if (!impl_->next_record(impl_->pending, impl_->pending_offset)) {
         impl_->done = true;
         break;
       }
@@ -136,6 +144,7 @@ bool ReadBatchStream::next(ReadBatch& out) {
     }
     const std::uint64_t len = impl_->pending.bases.size();
     if (!out.reads.empty() && bases + len > max_batch_bases_) break;
+    if (out.reads.empty()) out.offset = impl_->pending_offset;
     std::string clean = is_acgt(impl_->pending.bases)
                             ? std::move(impl_->pending.bases)
                             : sanitize(impl_->pending.bases, next_id_);

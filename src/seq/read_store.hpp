@@ -70,25 +70,40 @@ class PackedReads {
   unsigned max_length_ = 0;
 };
 
+/// Where a batch starts: the id of its first read and the byte offset of
+/// that read's record in its file.
+struct BatchStart {
+  std::uint32_t first_id = 0;
+  std::uint64_t offset = 0;
+};
+
 /// One batch of reads decoded for device processing.
 struct ReadBatch {
   std::uint32_t first_id = 0;       ///< id of reads[0]
+  std::uint64_t offset = 0;         ///< byte offset of reads[0] in its file
   std::vector<std::string> reads;   ///< plain ACGT strings
   [[nodiscard]] std::uint32_t size() const {
     return static_cast<std::uint32_t>(reads.size());
   }
+  [[nodiscard]] BatchStart start() const { return {first_id, offset}; }
 };
 
 /// Streams one or more FASTQ/FASTA files as batches with at most
 /// `max_batch_bases` bases each (the map phase's disk->host streaming
 /// granularity). Multiple files are read back to back with globally
 /// consecutive read ids — real sequencing runs ship as several files.
+///
+/// A batch ends before the first record that would overflow it, and that
+/// record starts the next one, so a stream reopened at any batch's start()
+/// with the same batch size yields exactly the batches that followed it.
 class ReadBatchStream {
  public:
+  /// Read from `start`: its offset is a byte offset in the first file, and
+  /// ids count on from its first_id.
   ReadBatchStream(const std::filesystem::path& path,
-                  std::uint64_t max_batch_bases);
+                  std::uint64_t max_batch_bases, BatchStart start = {});
   ReadBatchStream(std::vector<std::filesystem::path> paths,
-                  std::uint64_t max_batch_bases);
+                  std::uint64_t max_batch_bases, BatchStart start = {});
   ~ReadBatchStream();
 
   ReadBatchStream(const ReadBatchStream&) = delete;

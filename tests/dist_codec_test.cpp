@@ -16,6 +16,7 @@
 #include "dist/active_message.hpp"
 #include "dist/codec.hpp"
 #include "dist/topology.hpp"
+#include "util/fnv.hpp"
 
 namespace lasagna::dist {
 namespace {
@@ -58,6 +59,102 @@ std::vector<std::byte> record_stream(std::size_t records,
   std::vector<std::byte> out(records * sizeof(core::FpRecord));
   std::memcpy(out.data(), recs.data(), out.size());
   return out;
+}
+
+/// Records with uniform fingerprints and vertex ids: every field's delta
+/// is wide, so the delta body outgrows the raw payload.
+std::vector<std::byte> unsorted_record_stream(std::size_t records,
+                                              std::uint32_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<core::FpRecord> recs(records);
+  for (auto& r : recs) {
+    r.fp.hi = rng();
+    r.fp.lo = rng();
+    r.vertex = static_cast<std::uint32_t>(rng());
+    r.pad = 0;
+  }
+  std::vector<std::byte> out(records * sizeof(core::FpRecord));
+  std::memcpy(out.data(), recs.data(), out.size());
+  return out;
+}
+
+/// FNV-1a over each slice's encode_chunk output (its size, then its
+/// bytes) for slices of `stream` starting at `phase`: empty, inside one
+/// record, across a few records, and one full push chunk (256 KiB).
+std::uint64_t wire_digest(const std::vector<std::byte>& stream,
+                          std::size_t phase, codec::Method& last_method) {
+  std::uint64_t h = util::fnv::kOffset;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{23}, std::size_t{25},
+                              std::size_t{1000}, std::size_t{256 << 10}}) {
+    const std::span<const std::byte> slice(stream.data() + phase, n);
+    const codec::Payload wire = encode_chunk(slice, phase);
+    EXPECT_EQ(decode_chunk(wire), codec::Payload(slice.begin(), slice.end()))
+        << n << " @" << phase;
+    h = util::fnv::fold_u64(h, wire.size());
+    h = util::fnv::fold_bytes(h, wire.data(), wire.size());
+    last_method = codec::method(wire);
+  }
+  return h;
+}
+
+TEST(Codec, WireBytesArePinned) {
+  // The wire bytes feed the modeled network seconds and the recorded
+  // bench baselines, so a codec rewrite must reproduce them byte for byte.
+  // Sorted streams travel as delta, unsorted ones fall back to raw.
+  const std::size_t records = (256 << 10) / 24 + 2;
+  const std::vector<std::byte> sorted = record_stream(records, 41);
+  const std::vector<std::byte> unsorted = unsorted_record_stream(records, 43);
+  struct Pin {
+    std::size_t phase;
+    std::uint64_t sorted;
+    std::uint64_t unsorted;
+  };
+  // Recorded from the byte-at-a-time codec this one replaced.
+  for (const Pin& pin :
+       {Pin{0, 0xa172b0f38125b20full, 0x0022e848b29f40e4ull},
+        Pin{7, 0x669440e23b3a911eull, 0x4475b65ac7032b61ull},
+        Pin{23, 0x0637224a9aff66c0ull, 0xd06e719584234f62ull}}) {
+    codec::Method method = codec::Method::kRaw;
+    EXPECT_EQ(wire_digest(sorted, pin.phase, method), pin.sorted)
+        << "sorted @" << pin.phase;
+    EXPECT_EQ(method, codec::Method::kDelta) << pin.phase;
+    EXPECT_EQ(wire_digest(unsorted, pin.phase, method), pin.unsorted)
+        << "unsorted @" << pin.phase;
+    EXPECT_EQ(method, codec::Method::kRaw) << pin.phase;
+  }
+}
+
+TEST(Codec, BadVarintsThrowInBothDecodeLoops) {
+  // The decoder reads records without per-byte checks while a whole
+  // record's worst case remains, and checked near the end: both loops must
+  // reject what the other rejects.
+  const auto delta_payload = [](std::size_t records) {
+    codec::Payload p{static_cast<std::byte>(codec::Method::kDelta)};
+    for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{records},
+                                  std::uint64_t{0}}) {
+      const std::vector<std::byte> bytes = varint(v);
+      p.insert(p.end(), bytes.begin(), bytes.end());
+    }
+    return p;
+  };
+  // Twenty small records, the last one's final varint cut short.
+  codec::Payload truncated = delta_payload(20);
+  for (int i = 0; i < 20 * 4 - 1; ++i) truncated.push_back(std::byte{2});
+  truncated.push_back(std::byte{0x81});
+  EXPECT_THROW(decode_chunk(truncated), std::invalid_argument);
+  truncated.back() = std::byte{0x01};
+  EXPECT_EQ(decode_chunk(truncated).size(), 20u * 24);
+
+  // An 11-byte varint in the first of twenty records, far from the end.
+  codec::Payload eleven = delta_payload(20);
+  for (int i = 0; i < 10; ++i) eleven.push_back(std::byte{0x80});
+  eleven.push_back(std::byte{0});
+  for (int i = 0; i < 20 * 4 - 1; ++i) eleven.push_back(std::byte{2});
+  EXPECT_THROW(decode_chunk(eleven), std::invalid_argument);
+  // Ten bytes is the limit: the same record with one byte less decodes.
+  eleven.erase(eleven.begin() + 4);
+  EXPECT_EQ(decode_chunk(eleven).size(), 20u * 24);
 }
 
 TEST(Codec, RoundTripsArbitraryBytesAtEveryPhase) {

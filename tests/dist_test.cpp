@@ -9,6 +9,7 @@
 #include "io/fastq.hpp"
 #include "io/fault_injector.hpp"
 #include "io/tempdir.hpp"
+#include "obs/trace.hpp"
 #include "seq/dna.hpp"
 #include "seq/genome.hpp"
 #include "seq/simulator.hpp"
@@ -138,6 +139,31 @@ TEST(Cluster, MatchesSingleNodeAssembly) {
     EXPECT_EQ(dist.contigs.n50, reference.contigs.n50);
     EXPECT_EQ(slurp(out), reference_fa) << nodes << " nodes";
   }
+}
+
+TEST(Cluster, EachBlockParsesOnlyItsOwnInput) {
+  // A map block opens the input at the batch that holds its first read and
+  // stops after its last read, so 4 nodes parse the input about once, like
+  // one node: each of the 8 blocks re-parses at most the batch it shares
+  // with the block before it (the bound allows one more per block).
+  const Dataset d = make_dataset();
+  const auto decode_spans = [&](unsigned nodes) {
+    obs::Tracer tracer;
+    const obs::Tracer::ScopedInstall install(&tracer);
+    (void)run_distributed(d.dir.file("reads.fq"),
+                          d.dir.file("decode" + std::to_string(nodes) + ".fa"),
+                          small_cluster(nodes));
+    std::size_t spans = 0;
+    for (const obs::TraceEvent& e : tracer.events()) {
+      spans += tracer.track_name(e.track) == "io.fastq" && e.name == "decode";
+    }
+    return spans;
+  };
+  const std::size_t one = decode_spans(1);
+  const std::size_t four = decode_spans(4);
+  // The input spans many batches, so re-parsing it per block would show.
+  ASSERT_GT(one, 40u);
+  EXPECT_LE(four, one + 2 * 8);
 }
 
 TEST(Cluster, ContigsAreGenomeSubstrings) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
 
 #include "io/fastq.hpp"
@@ -101,6 +102,99 @@ TEST(PackedReads, BatchStreamAdmitsOversizedSingleRead) {
   ASSERT_TRUE(stream.next(batch));
   EXPECT_EQ(batch.reads.size(), 1u);
   EXPECT_FALSE(stream.next(batch));
+}
+
+/// Every batch of `path` from `start` to the end of the file.
+std::vector<ReadBatch> batches_from(const std::filesystem::path& path,
+                                    std::uint64_t batch_bases,
+                                    BatchStart start = {}) {
+  ReadBatchStream stream(path, batch_bases, start);
+  std::vector<ReadBatch> out;
+  ReadBatch batch;
+  while (stream.next(batch)) out.push_back(batch);
+  return out;
+}
+
+TEST(PackedReads, BatchStreamReopensAtEveryBatchStart) {
+  // Reads of 5-34 bases (one with Ns, which are replaced by read id)
+  // written as FASTQ and wrapped FASTA, with LF and CRLF line ends, blank
+  // lines between records and no line end after the last record.
+  std::vector<std::string> reads;
+  for (unsigned i = 0; i < 40; ++i) {
+    reads.push_back(random_genome(5 + (i * 7) % 30, i + 1));
+  }
+  reads[7] = "ACGTNNNNACGTNACGT";
+  const auto fastq = [&](const std::string& eol, const std::string& gap) {
+    std::string text;
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      text += "@r" + std::to_string(i) + eol + reads[i] + eol + "+" + eol +
+              std::string(reads[i].size(), 'I') + eol + gap;
+    }
+    return text;
+  };
+  const auto fasta = [&](const std::string& eol) {
+    std::string text;
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      text += ">r" + std::to_string(i) + eol;
+      for (std::size_t at = 0; at < reads[i].size(); at += 7) {
+        text += reads[i].substr(at, 7) + eol;
+      }
+    }
+    return text;
+  };
+  const auto without_last_eol = [](std::string text) {
+    while (text.back() == '\n' || text.back() == '\r') text.pop_back();
+    return text;
+  };
+  const std::vector<std::pair<std::string, std::string>> inputs = {
+      {"lf", fastq("\n", "")},
+      {"crlf", fastq("\r\n", "")},
+      {"blank lines", fastq("\n", "\n\n")},
+      {"crlf blank lines", fastq("\r\n", "\r\n")},
+      {"no final newline", without_last_eol(fastq("\n", ""))},
+      {"crlf no final newline", without_last_eol(fastq("\r\n", ""))},
+      {"wrapped fasta", fasta("\n")},
+      {"wrapped fasta crlf", fasta("\r\n")},
+      {"wrapped fasta no final newline", without_last_eol(fasta("\n"))},
+  };
+
+  io::ScopedTempDir dir("lasagna-test");
+  for (const auto& [name, text] : inputs) {
+    const std::filesystem::path path = dir.file("reads");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    // The reader counts every byte it consumes, line ends included.
+    {
+      std::ifstream in(path, std::ios::binary);
+      io::SequenceReader reader(in);
+      io::SequenceRecord record;
+      while (reader.next(record)) {
+      }
+      EXPECT_EQ(reader.count(), reads.size()) << name;
+      EXPECT_EQ(reader.bytes(), text.size()) << name;
+    }
+    for (const std::uint64_t batch_bases : {1u, 40u, 100u}) {
+      const std::vector<ReadBatch> all = batches_from(path, batch_bases);
+      ASSERT_GT(all.size(), 2u) << name;
+      EXPECT_EQ(all.front().offset, 0u) << name;
+      EXPECT_EQ(all.back().first_id + all.back().size(), reads.size()) << name;
+      EXPECT_EQ(all.front().reads.front(), reads.front()) << name;
+      for (std::size_t k = 0; k < all.size(); ++k) {
+        const std::vector<ReadBatch> tail =
+            batches_from(path, batch_bases, all[k].start());
+        const std::string at = name + " batch " + std::to_string(k) + " of " +
+                               std::to_string(batch_bases) + " bases";
+        ASSERT_EQ(tail.size(), all.size() - k) << at;
+        for (std::size_t j = 0; j < tail.size(); ++j) {
+          EXPECT_EQ(tail[j].first_id, all[k + j].first_id) << at;
+          EXPECT_EQ(tail[j].offset, all[k + j].offset) << at;
+          EXPECT_EQ(tail[j].reads, all[k + j].reads) << at;
+        }
+      }
+    }
+  }
 }
 
 TEST(Genome, DeterministicAndCorrectLength) {

@@ -1,7 +1,7 @@
 // Determinism and modeled-time contracts of the streamed map and reduce
 // pipelines (the end-to-end extension of the sort phase's streaming):
 //  - streamed map partition files are byte-identical to the synchronous
-//    path's, for any emission chunk count and under transient read faults;
+//    path's, for any batch size and under transient read faults;
 //  - the streamed reduce builds the exact same edge set, including through
 //    the oversized duplicate-run fallback;
 //  - the fully streamed pipeline's modeled end-to-end time undercuts the
@@ -95,29 +95,23 @@ TEST(StreamedMap, PartitionFilesByteIdenticalToSync) {
   EXPECT_GT(streamed.host_bytes, 0u);
 }
 
-TEST(StreamedMap, EmissionChunkingDoesNotChangeBytes) {
-  // The parallel emitter splits strands into contiguous chunks and drains
-  // them in chunk order, so the bytes must be identical for ANY chunking —
-  // a single chunk (serial), an odd count, and the pool-sized auto count.
-  // This is exactly the thread-count-independence argument: a pool of N
-  // threads only changes the chunk boundaries, never the concatenation.
-  std::map<std::string, std::string> reference;
-  std::uint64_t reference_tuples = 0;
-  for (unsigned chunks : {1u, 5u, 0u}) {
-    TestWorkspace tw;
-    const auto fq = simulated_fastq(tw, 3000, 8.0, 23);
-    MapOptions options = base_map_options();
-    options.streamed = true;
-    options.emission_chunks = chunks;
-    const auto map = run_map_phase(tw.ws(), fq, options);
-    if (reference.empty()) {
-      reference = partition_contents(map);
-      reference_tuples = map.tuples_emitted;
-    } else {
-      EXPECT_EQ(partition_contents(map), reference) << chunks;
-      EXPECT_EQ(map.tuples_emitted, reference_tuples) << chunks;
-    }
-  }
+TEST(StreamedMap, BatchSizeDoesNotChangeBytes) {
+  // Each batch appends its tuples key by key in strand order, so the
+  // partition bytes are the concatenation in global strand order whatever
+  // the batches are: a device 16x smaller cuts 16x smaller batches.
+  TestWorkspace large_ws(1ull << 20);
+  TestWorkspace small_ws(1ull << 16);
+  ASSERT_LT(batch_bases_for(small_ws.device().memory().capacity()) * 8,
+            batch_bases_for(large_ws.device().memory().capacity()));
+  const auto large_fq = simulated_fastq(large_ws, 3000, 8.0, 23);
+  const auto small_fq = simulated_fastq(small_ws, 3000, 8.0, 23);
+
+  MapOptions options = base_map_options();
+  options.streamed = true;
+  const auto large = run_map_phase(large_ws.ws(), large_fq, options);
+  const auto small = run_map_phase(small_ws.ws(), small_fq, options);
+  ASSERT_GT(large.tuples_emitted, 0u);
+  expect_same_map(large, small, "1 MiB vs 64 KiB device");
 }
 
 TEST(StreamedMap, ByteIdenticalUnderTransientReadFaults) {
